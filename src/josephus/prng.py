@@ -36,8 +36,3 @@ def splitmix64(seed: int, index: int) -> int:
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Independent uniform generator for stream ``index`` derived from ``seed``."""
     return np.random.Generator(np.random.Philox(key=splitmix64(seed, index)))
-
-
-def stream_keys(seed: int, start: int, count: int) -> list[int]:
-    """Keys for streams ``start .. start+count-1`` (the batch sampler's splitting scheme)."""
-    return [splitmix64(seed, i) for i in range(start, start + count)]

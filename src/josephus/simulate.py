@@ -1,18 +1,21 @@
 """Faithful step-by-step simulation of the elimination processes.
 
-Three consumers share one set of process semantics:
+Two views of one set of process semantics:
 
-* ``step`` -- readable reference transition on an immutable ring, used by
-  the exhaustive oracle and by tests;
-* ``sample_survivor`` -- seeded single run on a doubly-linked ring
-  (O(1) elimination per step);
-* ``empirical_distribution`` -- the same dynamics vectorised across many
-  samples at once, chunked to bound memory.
+* ``step`` -- readable forward transition on an immutable ring, used by
+  the exhaustive oracle, by ``run_path`` and by tests as the reference;
+* ``sample_survivor`` and ``empirical_distribution`` -- seeded sampling
+  through one vectorised engine that simulates no ring: it draws each
+  sample's coins, then walks the rounds backwards from the last two
+  participants, relabeling the survivor with the inverse of each round's
+  relabeling map (the maps of the ``dp`` recursions).  Samples are
+  processed in chunks of step-major coin rows, (N-1) x chunk booleans.
 
-The two sampling engines consume identical per-sample uniform streams (see
-``prng``), so a batch run reproduces single runs bit for bit; tests assert
-this.  Coins are booleans: ``True`` is the probability-``p`` branch (and
-the probability-``q`` branch for the knife coin of the two-coin rule).
+A single run is the engine applied to one sample, so a batch run
+reproduces single runs bit for bit; tests assert this and check the engine
+against ``run_path`` path by path.  Coins are booleans: ``True`` is the
+probability-``p`` branch (and the probability-``q`` branch for the knife
+coin of the two-coin rule).
 """
 
 from __future__ import annotations
@@ -211,42 +214,67 @@ def oracle_distribution(rule: RuleSpec, n: int) -> SurvivalDistribution:
 # --- seeded sampling --------------------------------------------------------
 
 
-def _uniforms_needed(rule: RuleSpec, n: int) -> int:
-    if rule.kind is RuleKind.DETERMINISTIC:
-        return 0
-    return 2 * (n - 1) if rule.kind is RuleKind.R3 else n - 1
+def _coins(
+    rule: RuleSpec, n: int, seed: int, start: int, count: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Coins of streams ``start .. start+count-1`` as ``(victim, knife)`` rows.
 
-
-def _run_linked(rule: RuleSpec, n: int, u: np.ndarray) -> int:
-    """One run on a doubly-linked ring; consumes ``u`` in step order."""
-    nxt = list(range(1, n)) + [0]
-    prv = [n - 1] + list(range(n - 1))
-    knife = 0
-    direction = RIGHT
+    Each is a step-major (n-1) x count boolean array: row ``t`` holds every
+    sample's coin for step ``t``.  ``knife`` is None except for the two-coin
+    rule, whose stream alternates victim and knife uniforms.  The
+    deterministic rule draws nothing and always takes the p-branch.
+    """
+    steps = n - 1
     kind = rule.kind
-    p = rule.p_float
-    q = rule.q_float if kind is RuleKind.R3 else None
-    ui = 0
-    for _ in range(n - 1):
-        if kind is RuleKind.DETERMINISTIC:
-            d_victim = d_pass = RIGHT
-        elif kind is RuleKind.R1:
-            direction = direction if u[ui] < p else -direction
-            d_victim = d_pass = direction
-            ui += 1
-        elif kind is RuleKind.R2:
-            d_victim = d_pass = RIGHT if u[ui] < p else LEFT
-            ui += 1
+    if kind is RuleKind.DETERMINISTIC:
+        return np.ones((steps, count), dtype=bool), None
+    if kind is RuleKind.R3:
+        threshold = np.tile([rule.p_float, rule.q_float], steps)
+    else:
+        threshold = np.full(steps, rule.p_float)
+    coins = np.empty((count, threshold.size), dtype=bool)
+    for i in range(count):
+        np.less(prng.stream(seed, start + i).random(threshold.size), threshold, out=coins[i])
+    if kind is RuleKind.R3:
+        return np.ascontiguousarray(coins[:, 0::2].T), np.ascontiguousarray(coins[:, 1::2].T)
+    return np.ascontiguousarray(coins.T), None
+
+
+def _survivors(
+    rule: RuleSpec, n: int, victim: np.ndarray, knife: np.ndarray | None
+) -> np.ndarray:
+    """Survivor of every sample (column) of step-major coin rows from ``_coins``.
+
+    Backward relabeling, the coin-dependent Josephus recurrence: each round
+    relabels the survivors so the new knife holder is 0, and by the
+    two-person convention of ``step`` the holder of the last two wins.
+    Starting from label 0 in the 2-person round, round M = 3..N maps the
+    survivor's label ``s`` in the (M-1)-person frame back to the M-person
+    frame, reading coin row N-M, so the coins are used in reverse.  The maps
+    are the inverses of the relabelings in the ``dp`` recursions.
+    """
+    kind = rule.kind
+    s = np.zeros(victim.shape[1], dtype=np.intp)
+    for m in range(3, n + 1):
+        ahead = s + 2  # victim right (and pass right for r3): s -> (s+2) mod M
+        ahead[ahead == m] = 0
+        if kind is RuleKind.R2:
+            other = s - 1  # stab left: s -> (s-1) mod (M-1)
+            other[other < 0] = m - 2
+        elif kind is RuleKind.R3:
+            pass_right = knife[n - m]
+            swap = np.where(s < 2, s - 1, s)  # victim right, pass left: 0 -> M-1, 1 -> 0
+            swap[swap < 0] = m - 1
+            ahead = np.where(pass_right, ahead, swap)
+            fwd = s + 1  # victim left, pass right: s -> (s+1) mod (M-1)
+            fwd[fwd == m - 1] = 0
+            back = s - 1  # victim left, pass left: s -> (s-1) mod (M-1)
+            back[back < 0] = m - 2
+            other = np.where(pass_right, fwd, back)
         else:
-            d_victim = RIGHT if u[ui] < p else LEFT
-            d_pass = RIGHT if u[ui + 1] < q else LEFT
-            ui += 2
-        victim = nxt[knife] if d_victim == RIGHT else prv[knife]
-        pv, nv = prv[victim], nxt[victim]
-        nxt[pv] = nv
-        prv[nv] = pv
-        knife = nxt[knife] if d_pass == RIGHT else prv[knife]
-    return knife
+            other = m - 2 - s  # r1 flips direction: the circle is mirrored
+        s = np.where(victim[n - m], ahead, other)
+    return s
 
 
 def sample_survivor(
@@ -255,57 +283,15 @@ def sample_survivor(
     """Run the process once from stream ``stream_index`` derived from ``seed``.
 
     Identical (rule, N, seed, stream_index) always yields the identical
-    survivor; streams follow the SplitMix64/Philox scheme in ``prng``, and
+    survivor; streams follow the SplitMix64/Philox scheme in ``prng``.  This
+    is the sampling engine run on a single sample, so
     ``empirical_distribution`` aggregates exactly these runs over
     ``stream_index = 0 .. samples-1``.
     """
     if n < 2:
         raise DomainError(f"sampling requires N >= 2, got N={n}")
-    need = _uniforms_needed(rule, n)
-    u = prng.stream(seed, stream_index).random(need) if need else np.empty(0)
-    survivor = _run_linked(rule, n, u)
+    survivor = int(_survivors(rule, n, *_coins(rule, n, seed, stream_index, 1))[0])
     return SurvivorSample(rule, n, survivor, survivor / n, seed, n - 1, stream_index)
-
-
-def _batch_uniform_matrix(seed: int, start: int, count: int, steps: int) -> np.ndarray:
-    out = np.empty((count, steps))
-    for i, key in enumerate(prng.stream_keys(seed, start, count)):
-        out[i] = np.random.Generator(np.random.Philox(key=key)).random(steps)
-    return out
-
-
-def _batch_run(rule: RuleSpec, n: int, u: np.ndarray) -> np.ndarray:
-    """Vectorised ``_run_linked`` across the rows of ``u``."""
-    m = u.shape[0]
-    rows = np.arange(m)
-    nxt = np.tile((np.arange(1, n + 1, dtype=np.int32)) % n, (m, 1))
-    prv = np.tile((np.arange(n, dtype=np.int32) - 1) % n, (m, 1))
-    knife = np.zeros(m, dtype=np.int32)
-    kind = rule.kind
-    p = rule.p_float
-    if kind is RuleKind.R1:
-        going_right = np.ones(m, dtype=bool)
-    for s in range(n - 1):
-        if kind is RuleKind.DETERMINISTIC:
-            victim_right = np.ones(m, dtype=bool)
-            pass_right = victim_right
-        elif kind is RuleKind.R1:
-            going_right = np.where(u[:, s] < p, going_right, ~going_right)
-            victim_right = pass_right = going_right
-        elif kind is RuleKind.R2:
-            victim_right = u[:, s] < p
-            pass_right = victim_right
-        else:
-            victim_right = u[:, 2 * s] < p
-            pass_right = u[:, 2 * s + 1] < rule.q_float
-        victim = np.where(victim_right, nxt[rows, knife], prv[rows, knife])
-        pv = prv[rows, victim]
-        nv = nxt[rows, victim]
-        nxt[rows, pv] = nv
-        prv[rows, nv] = pv
-        # holder links are already spliced, so these reads skip the victim
-        knife = np.where(pass_right, nxt[rows, knife], prv[rows, knife]).astype(np.int32)
-    return knife
 
 
 def empirical_distribution(
@@ -320,22 +306,22 @@ def empirical_distribution(
     Sample ``s`` consumes the uniform stream of key ``splitmix64(seed, s)``,
     exactly as ``sample_survivor`` would with that derived stream, so the
     result is a pure function of (rule, N, samples, seed) regardless of
-    chunking or execution order.
+    chunking or execution order.  Samples run through the engine
+    ``chunk_size`` at a time; a chunk holds (N-1) x chunk_size coin
+    booleans (twice that for r3), drawn sample-major and copied once to
+    step-major, and one label per sample.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     if n < 2:
         raise DomainError(f"sampling requires N >= 2, got N={n}")
-    steps = _uniforms_needed(rule, n)
     counts = np.zeros(n, dtype=np.int64)
-    if steps == 0:
-        survivor = _run_linked(rule, n, np.empty(0))
-        counts[survivor] = samples
+    if rule.kind is RuleKind.DETERMINISTIC:
+        counts[_survivors(rule, n, *_coins(rule, n, seed, 0, 1))] = samples
     else:
         for start in range(0, samples, chunk_size):
             m = min(chunk_size, samples - start)
-            u = _batch_uniform_matrix(seed, start, m, steps)
-            survivors = _batch_run(rule, n, u)
+            survivors = _survivors(rule, n, *_coins(rule, n, seed, start, m))
             counts += np.bincount(survivors, minlength=n)
     return SurvivalDistribution(
         rule,

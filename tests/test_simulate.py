@@ -14,6 +14,7 @@ from josephus.simulate import (
     LEFT,
     RIGHT,
     ProcessState,
+    _survivors,
     empirical_distribution,
     initial_state,
     run_path,
@@ -126,12 +127,12 @@ def test_sampling_is_reproducible():
 
 
 def test_single_run_matches_reference_state_machine():
-    # the linked-ring engine and the tuple-based step() must agree path-wise
+    # the sampling engine and the tuple-based step() must agree path-wise
     from josephus import prng
 
     for rule in (RuleSpec.r1(0.3), RuleSpec.r2(0.6), RuleSpec.r3(0.4, 0.7)):
         for seed in (1, 5):
-            for n in (2, 3, 7, 30):
+            for n in (2, 3, 7, 30, 200, 500):
                 expected = sample_survivor(rule, n, seed).survivor
                 u = prng.stream(seed).random(2 * (n - 1))
                 if rule.kind.value == "r3":
@@ -142,6 +143,36 @@ def test_single_run_matches_reference_state_machine():
                 else:
                     coins = [u[s] < rule.p_float for s in range(n - 1)]
                 assert run_path(rule, n, coins) == expected
+
+
+def _coin_paths(kind: str, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    # step-major (n-1) x paths victim and knife coins: seeded random paths,
+    # then all-p, all-not-p and alternating sequences
+    steps = n - 1
+    ones, alt = np.ones(steps, bool), np.arange(steps) % 2 == 0
+    if kind == "deterministic":
+        # the rule draws no coins and always takes the p-branch
+        return ones[:, None], ones[:, None]
+    rng = np.random.default_rng(seed)
+    victim = np.column_stack([rng.random((steps, 12)) < 0.5, ones, ~ones, alt, ~alt])
+    knife = np.column_stack([rng.random((steps, 12)) < 0.5, ones, ~ones, alt, alt])
+    return victim, knife
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 64, 500])
+@pytest.mark.parametrize(
+    "rule",
+    [RuleSpec.deterministic(), RuleSpec.r1(0.3), RuleSpec.r2(0.6), RuleSpec.r3(0.4, 0.7)],
+    ids=lambda r: r.kind.value,
+)
+def test_backward_engine_matches_forward_paths(rule, n):
+    # explicit coins fed to the sampling engine, checked path by path against step()
+    kind = rule.kind.value
+    victim, knife = _coin_paths(kind, n, seed=n)
+    survivors = _survivors(rule, n, victim, knife if kind == "r3" else None)
+    for j in range(victim.shape[1]):
+        coins = list(zip(victim[:, j], knife[:, j])) if kind == "r3" else list(victim[:, j])
+        assert survivors[j] == run_path(rule, n, coins)
 
 
 def test_empirical_aggregates_individual_streams():
