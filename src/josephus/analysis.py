@@ -244,6 +244,10 @@ def decay_params_feasible(
 
 
 def _fit_constant(log_sup_full: float, log_sup_half: float, **fields) -> DecayBoundFit:
+    if log_sup_half == -math.inf:
+        raise DomainError(
+            f"n_max must be >= 6 so that N <= n_max // 2 holds a row, got {fields['n_max']}"
+        )
     k_fit = math.exp(log_sup_full)
     k_fit_half = math.exp(log_sup_half)
     k = max(k_fit, 1.0)
@@ -377,7 +381,9 @@ def g0_exponential_fit(
     The knife starter cannot survive when N is divisible by 3 (the process
     moves the knife past two labels per step, which fixes the survivor's
     residue class mod 3), so those exactly-zero entries are excluded from
-    the fit.
+    the fit.  A window in which some other N has g_N(0) below the smallest
+    normal float (underflow, from N near 13,000) is refused, as is one
+    with fewer than two points left to fit.
     """
     if g0 is None:
         g0 = np.zeros(n_max + 1)
@@ -385,7 +391,19 @@ def g0_exponential_fit(
             g0[n] = row[0]
     ns = np.arange(n_min, n_max + 1)
     vals = g0[n_min : n_max + 1]
+    underflow = ns[(ns % 3 != 0) & (vals < np.finfo(float).tiny)]
+    if underflow.size:
+        raise DomainError(
+            f"g_N(0) underflows at N={underflow[0]} in the fit window "
+            f"[{n_min}, {n_max}]"
+        )
     mask = vals > 0.0
+    usable = int(mask.sum())
+    if usable < 2:
+        raise DomainError(
+            f"the fit window [{n_min}, {n_max}] has {usable} usable "
+            "point(s); need at least 2"
+        )
     slope, _, r2 = _log_linear_fit(ns[mask].astype(float), np.log(vals[mask]))
     return slope, r2
 
@@ -494,6 +512,27 @@ class CltReport:
     ks_distance_midpoint: float
 
 
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` through a guide table.
+
+    ``cdf`` is nondecreasing and every ``u`` lies in [0, 1).  With K the
+    smallest power of two >= len(cdf), ``u*K`` is exact, so bucket
+    b = floor(u*K) satisfies b/K <= u and its guide entry (the answer for
+    b/K) never overshoots the answer for u (Chen & Asau 1974).  Two
+    vectorised forward steps resolve almost every draw; the rest fall back
+    to the binary search.
+    """
+    k = 1 << (len(cdf) - 1).bit_length()
+    start = np.searchsorted(cdf, np.arange(k) / k, side="right")
+    draws = start[(u * k).astype(np.intp)]
+    ext = np.append(cdf, np.inf)
+    for _ in range(2):
+        draws += ext[draws] <= u
+    todo = np.flatnonzero(ext[draws] <= u)
+    draws[todo] = np.searchsorted(cdf, u[todo], side="right")
+    return draws
+
+
 def clt_experiment(
     l_max: int = 10000,
     trials: int = 10000,
@@ -506,9 +545,12 @@ def clt_experiment(
     the kappa=1 Lyapunov ratio sum W_N / B_L^3 are recorded on a log grid.
     Each trial draws one survivor per N by inverse-CDF from the exact row,
     using the per-N stream splitmix64(seed, N), so results are independent
-    of evaluation order.  The Kolmogorov-Smirnov distance of the
-    normalised trial sums to the standard normal is computed for both
-    centerings.
+    of evaluation order.  The inverse CDF is a guide-table lookup
+    (``_inverse_cdf``): a power-of-two bucket count makes each bucket's
+    start exact, and the lookup only steps forward from it, so every draw is
+    the index a binary search of the CDF returns.  The Kolmogorov-Smirnov
+    distance of the normalised trial sums to the standard normal is
+    computed for both centerings.
     """
     if trials < 1000:
         raise DomainError(f"the trial ensemble needs trials >= 1000, got {trials}")
@@ -535,7 +577,7 @@ def clt_experiment(
         e1_sum += 0.5 - mean
         cdf = np.cumsum(row)
         u = prng.stream(seed, n).random(trials)
-        draws = np.searchsorted(cdf, u, side="right")
+        draws = _inverse_cdf(cdf, u)
         np.clip(draws, 0, n - 1, out=draws)
         positions = draws / n
         sums_centered += positions - mean

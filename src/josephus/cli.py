@@ -24,7 +24,7 @@ from .rules import RuleKind, RuleSpec
 _RULES = {
     "deterministic": RuleKind.DETERMINISTIC,
     "r1": RuleKind.R1,
-    "r1u": RuleKind.R1,  # unbiased fast path
+    "r1u": RuleKind.R1,  # r1 at p=0.5 via the half-row DP (slower than r1)
     "r2": RuleKind.R2,
     "r3": RuleKind.R3,
 }
@@ -278,13 +278,15 @@ def decay(ctx, p, unbiased, epsilon, alpha, n_max):
     if unbiased == (p is not None):
         raise DomainError("pass exactly one of --p or --unbiased")
     if unbiased:
-        fit = analysis.unbiased_decay_check(n_max or 1000, epsilon, alpha)
+        fit = analysis.unbiased_decay_check(
+            1000 if n_max is None else n_max, epsilon, alpha
+        )
         slope, r2 = analysis.g0_exponential_fit(50, min(fit.n_max, 1000))
         extra = {"epsilon": epsilon, "alpha": alpha, "g0_log_slope": slope, "g0_log_r2": r2}
         cfg = {"command": "decay", "unbiased": True, "epsilon": epsilon,
                "alpha": alpha, "n_max": fit.n_max}
     else:
-        fit = analysis.decay_bound_check(p, n_max or 500)
+        fit = analysis.decay_bound_check(p, 500 if n_max is None else n_max)
         extra = {}
         cfg = {"command": "decay", "p": p, "n_max": fit.n_max}
     record = {

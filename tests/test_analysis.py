@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from josephus import analysis, dp
+from josephus import analysis, dp, prng
 from josephus.errors import DomainError
 
 
@@ -149,6 +149,37 @@ def test_g0_exponential_fit():
     assert r2 >= 0.99
 
 
+def test_decay_fits_need_a_nonempty_half_range():
+    with pytest.raises(DomainError, match="n_max must be >= 6"):
+        analysis.decay_bound_check(0.5, n_max=5)
+    with pytest.raises(DomainError, match="n_max must be >= 6"):
+        analysis.unbiased_decay_check(5)
+    assert analysis.decay_bound_check(0.5, n_max=6).k_fit_half > 0
+
+
+def test_g0_exponential_fit_needs_two_points():
+    with pytest.raises(DomainError, match=r"\[50, 40\]"):
+        analysis.g0_exponential_fit(50, 40)
+    with pytest.raises(DomainError, match="1 usable"):
+        analysis.g0_exponential_fit(50, 51)  # 51 is a structural zero
+
+
+def _synthetic_g0(n_max):
+    ns = np.arange(n_max + 1)
+    return np.where(ns % 3 != 0, np.exp(-0.06 * ns), 0.0)
+
+
+@pytest.mark.parametrize("value", [0.0, 5e-324, 1e-310])
+def test_g0_exponential_fit_refuses_underflow(value):
+    g0 = _synthetic_g0(200)
+    g0[151] = value
+    with pytest.raises(DomainError, match="N=151"):
+        analysis.g0_exponential_fit(50, 200, g0=g0)
+    slope, r2 = analysis.g0_exponential_fit(50, 150, g0=g0)
+    assert slope == pytest.approx(-0.06)
+    assert r2 == pytest.approx(1.0)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_moment_scaling_bounded(k):
     report = analysis.moment_scaling_check(n_max=1500, k=k, n_min=50)
@@ -183,6 +214,82 @@ def test_clt_is_seed_reproducible():
     b = analysis.clt_experiment(l_max=150, trials=1000, seed=3)
     assert np.array_equal(a.normalized_sums, b.normalized_sums)
     assert a.ks_distance == b.ks_distance
+
+
+@st.composite
+def _cdf_and_uniforms(draw):
+    n = draw(st.one_of(st.just(3), st.integers(min_value=1, max_value=300)))
+    shape = draw(st.sampled_from(["point mass", "uniform", "random"]))
+    if shape == "point mass":
+        weights = np.zeros(n)
+        weights[draw(st.integers(min_value=0, max_value=n - 1))] = 1.0
+    elif shape == "uniform":
+        weights = np.ones(n)
+    else:
+        weights = np.array(draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+            min_size=n, max_size=n,
+        )))
+        if weights.sum() == 0.0:
+            weights[-1] = 1.0
+    # the last CDF entry lands just below, at, or just above 1
+    scale = draw(st.sampled_from([1.0, 1.0 - 2.0**-52, 1.0 + 2.0**-52]))
+    cdf = np.cumsum(weights / weights.sum() * scale)
+    k = 1 << (n - 1).bit_length()
+    # bucket edges j/K, the grid j/N, CDF entries, and their float neighbours
+    js = np.array(draw(st.lists(st.integers(min_value=0, max_value=k - 1))), dtype=float)
+    edges = np.concatenate([js / k, js / n, cdf[cdf < 1.0]])
+    at_edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    grid = [j * 2.0**-53 for j in draw(st.lists(st.integers(min_value=0, max_value=2**53 - 1)))]
+    free = draw(st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
+    u = np.concatenate([[0.0, 1.0 - 2.0**-53], at_edges, grid, free])
+    return cdf, u[(u >= 0.0) & (u < 1.0)]
+
+
+@given(_cdf_and_uniforms())
+@settings(max_examples=200, deadline=None)
+def test_inverse_cdf_matches_binary_search(case):
+    cdf, u = case
+    expected = np.searchsorted(cdf, u, side="right")
+    assert np.array_equal(analysis._inverse_cdf(cdf, u), expected)
+
+
+@pytest.mark.parametrize("rows", [
+    lambda: dp.r1_unbiased_rows(300),
+    lambda: dp.r1_rows(300, 0.0),
+    lambda: dp.r1_rows(300, 1.0),
+    lambda: dp.r2_rows(300, 0.3),
+    lambda: dp.r3_rows(200, 0.5, 0.75),
+    lambda: ((n, np.full(n, 1.0 / n)) for n in range(3, 300)),
+])
+def test_inverse_cdf_matches_binary_search_on_rows(rows):
+    for n, row in rows():
+        cdf = np.cumsum(row)
+        # just below j/N a bucket count of N would round u*N up to j
+        k = 1 << (n - 1).bit_length()
+        edges = np.concatenate([np.arange(n) / n, np.arange(k) / k])
+        u = np.concatenate([
+            prng.stream(11, n).random(500), edges, np.nextafter(edges, 0.0)
+        ])
+        u = u[u >= 0.0]
+        assert np.array_equal(
+            analysis._inverse_cdf(cdf, u), np.searchsorted(cdf, u, side="right")
+        ), n
+
+
+def test_clt_sums_match_binary_search_reference():
+    report = analysis.clt_experiment(l_max=300, trials=1000, seed=5)
+    sums = np.zeros(1000)
+    cum_v = 0.0
+    for n, row in dp.r1_unbiased_rows(300):
+        x = np.arange(n) / n
+        mean = float(np.dot(x, row))
+        centered = x - mean
+        cum_v += float(np.dot(centered * centered, row))
+        u = prng.stream(5, n).random(1000)
+        draws = np.clip(np.searchsorted(np.cumsum(row), u, side="right"), 0, n - 1)
+        sums += draws / n - mean
+    assert np.array_equal(report.normalized_sums, sums / math.sqrt(cum_v))
 
 
 def test_clt_rejects_small_ensembles():

@@ -111,6 +111,22 @@ def test_decay_unbiased_infeasible_alpha_is_domain_error():
                  "--n-max", "50"]) == 2
 
 
+@pytest.mark.parametrize("mode", [["--unbiased"], ["--p", "0.5"]])
+@pytest.mark.parametrize("n_max", ["0", "5"])
+def test_decay_short_n_max_is_domain_error(mode, n_max, capsys):
+    # an explicit --n-max 0 is not replaced by the default
+    assert main(["decay", *mode, "--n-max", n_max]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and "Traceback" not in err
+
+
+def test_decay_unbiased_short_fit_window_is_domain_error(capsys):
+    # the g_N(0) fit window [50, 40] is empty
+    assert main(["decay", "--unbiased", "--n-max", "40"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and "Traceback" not in err
+
+
 def test_decay_unstabilized_fit_exits_three(tmp_path):
     # over a range this short the fitted constant is still growing
     assert main(["--out", str(tmp_path), "decay", "--p", "0.5", "--n-max", "6"]) == 3
