@@ -36,7 +36,6 @@ from .deterministic import (
 from .distributions import Method, SurvivalDistribution
 from .dp import (
     r1_distribution,
-    r1_unbiased_distribution,
     r2_distribution,
     r3_distribution,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "survivor_sequence",
     "generating_series_coefficients",
     "r1_distribution",
-    "r1_unbiased_distribution",
     "r2_distribution",
     "r3_distribution",
     "initial_state",

@@ -166,7 +166,7 @@ def moment_report(rule: RuleSpec, n_min: int, n_max: int) -> MomentReport:
 
 
 def _unbiased_records(n_max: int) -> Iterator[MomentRecord]:
-    for n, row in dp.r1_unbiased_rows(n_max):
+    for n, row in dp.r1_rows(n_max, 0.5):
         yield _row_record(n, row)
 
 
@@ -325,7 +325,8 @@ def unbiased_decay_check(
     log_alpha = math.log(alpha)
     rate = 2.0 * (1.0 + epsilon)
     sup_full, sup_half = -math.inf, -math.inf
-    for n, half_row in dp.r1_unbiased_rows(n_max, half=True):
+    for n, row in dp.r1_rows(n_max, 0.5):
+        half_row = row[: n // 2 + 1]
         j = np.arange(len(half_row))
         with np.errstate(divide="ignore"):
             vals = np.log(half_row) + (n - rate * j) * log_alpha
@@ -383,12 +384,17 @@ def g0_exponential_fit(
     residue class mod 3), so those exactly-zero entries are excluded from
     the fit.  A window in which some other N has g_N(0) below the smallest
     normal float (underflow, from N near 13,000) is refused, as is one
-    with fewer than two points left to fit.
+    with fewer than two points left to fit.  A caller-supplied ``g0`` is
+    indexed by N and must reach N = n_max.
     """
     if g0 is None:
         g0 = np.zeros(n_max + 1)
-        for n, row in dp.r1_unbiased_rows(n_max):
+        for n, row in dp.r1_rows(n_max, 0.5):
             g0[n] = row[0]
+    elif len(g0) < n_max + 1:
+        raise DomainError(
+            f"g0 must hold g_N(0) for N = 0..{n_max}, got {len(g0)} entries"
+        )
     ns = np.arange(n_min, n_max + 1)
     vals = g0[n_min : n_max + 1]
     underflow = ns[(ns % 3 != 0) & (vals < np.finfo(float).tiny)]
@@ -556,9 +562,10 @@ def clt_experiment(
         raise DomainError(f"the trial ensemble needs trials >= 1000, got {trials}")
     if l_max < 10:
         raise DomainError(f"l_max must be >= 10, got {l_max}")
-    grid = np.unique(
-        np.append(np.geomspace(min(100, l_max), l_max, grid_points).astype(int), l_max)
-    )
+    # from 100, or from 3 when l_max <= 100, so the grid has at least two
+    # points for the Lyapunov ratio to decrease over
+    start = 100 if l_max > 100 else 3
+    grid = np.unique(np.append(np.geomspace(start, l_max, grid_points).astype(int), l_max))
     grid = grid[(grid >= 3) & (grid <= l_max)]
     cum_v = 0.0
     cum_w = 0.0
@@ -568,7 +575,7 @@ def clt_experiment(
     sums_centered = np.zeros(trials)
     sums_mid = np.zeros(trials)
     grid_set = set(int(g) for g in grid)
-    for n, row in dp.r1_unbiased_rows(l_max):
+    for n, row in dp.r1_rows(l_max, 0.5):
         x = np.arange(n) / n
         mean = float(np.dot(x, row))
         centered = x - mean

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -24,7 +23,7 @@ from .rules import RuleKind, RuleSpec
 _RULES = {
     "deterministic": RuleKind.DETERMINISTIC,
     "r1": RuleKind.R1,
-    "r1u": RuleKind.R1,  # r1 at p=0.5 via the half-row DP (slower than r1)
+    "r1u": RuleKind.R1,  # alias of r1 at p=0.5
     "r2": RuleKind.R2,
     "r3": RuleKind.R3,
 }
@@ -34,7 +33,7 @@ def _build_rule(rule: str, p, q) -> RuleSpec:
     kind = _RULES[rule]
     if rule == "r1u":
         if p not in (None, 0.5):
-            raise DomainError("rule r1u is the unbiased path; omit --p or pass 0.5")
+            raise DomainError("rule r1u is r1 at p=0.5; omit --p or pass 0.5")
         return RuleSpec.r1(0.5)
     if kind is RuleKind.DETERMINISTIC:
         return RuleSpec.deterministic()
@@ -102,13 +101,12 @@ def _write_run_manifest(ctx, name: str, paths: list[Path], config: dict) -> None
 @click.option("--out", type=click.Path(file_okay=False), default=None, help="Output directory; files are written atomically.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True, help="Master 64-bit seed for seeded commands.")
-@click.option("--threads", type=int, default=1, show_default=True, help="Parallelism across grid points.")
 @click.version_option(version=__version__)
 @click.pass_context
-def cli(ctx, out, fmt, seed, threads):
+def cli(ctx, out, fmt, seed):
     """Probabilistic Josephus laboratory: exact DP, simulation, limit checks."""
     ctx.ensure_object(dict)
-    ctx.obj.update(out=out, format=fmt, seed=seed, threads=max(1, threads))
+    ctx.obj.update(out=out, format=fmt, seed=seed)
 
 
 @cli.command()
@@ -177,11 +175,7 @@ def exact(ctx, rule, n, p, q, literal_recursion):
             "iterated; the corrected one-round-smaller form (validated against "
             "the exhaustive oracle) is what this command computes by default"
         )
-    spec = _build_rule(rule, p, q)
-    if rule == "r1u":
-        dist = dp.r1_unbiased_distribution(n)
-    else:
-        dist = dp.distribution_for_rule(spec, n)
+    dist = dp.distribution_for_rule(_build_rule(rule, p, q), n)
     name = f"exact_{rule}_n{n}" + (f"_p{p:g}" if p is not None else "") + (
         f"_q{q:g}" if q is not None else ""
     )
@@ -387,16 +381,7 @@ def figure(ctx, variant, n, p_grid, q_grid, montecarlo, samples, gnuplot):
     )
     qs = _parse_grid(q_grid) if q_grid else (_R3_DEFAULT_AXIS if variant == "r3" else [None])
     points = [(p, q) for p in ps for q in (qs if variant == "r3" else [None])]
-    threads = ctx.obj["threads"]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            paths = list(pool.map(
-                lambda pq: _figure_one(ctx, variant, n, pq[0], pq[1], montecarlo, samples),
-                points,
-            ))
-    else:
-        paths = [_figure_one(ctx, variant, n, p, q, montecarlo, samples) for p, q in points]
-    paths = sorted(paths)
+    paths = sorted(_figure_one(ctx, variant, n, p, q, montecarlo, samples) for p, q in points)
     if gnuplot:
         paths.append(_write_gnuplot_script(ctx, variant, paths))
     cfg = {"command": "figure", "variant": variant, "n": n,

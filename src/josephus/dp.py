@@ -1,16 +1,21 @@
 """Exact dynamic programming for survival-probability vectors.
 
-Each rule admits a relabeling recursion expressing the round-N vector in
-terms of the round-(N-1) vector; iterating from the three-person base case
-costs O(N^2) time and O(N) working memory.  ``*_rows`` generators stream
-the full triangle row by row for sweep consumers; ``*_distribution``
-return only the final vector.
+Each rule admits one relabeling recursion expressing the round-N vector in
+terms of the round-(N-1) vector, implemented once per rule by the
+``*_rows`` generators; iterating from the three-person base case costs
+O(N^2) time and O(N) working memory.  ``*_rows`` stream the full triangle
+row by row for sweep consumers; ``*_distribution`` return only the final
+vector.
 
 Index arguments on the right-hand side of every recursion live in the
-(N-1)-person round and are reduced modulo N-1 before lookup.
+(N-1)-person round and are reduced modulo N-1 before lookup; every lookup
+is a contiguous slice, plus one wrap-around element for the rules that
+shift labels forward.
 
-The main DP runs in double precision (every step is a convex combination,
-so error growth is benign); ``*_distribution_exact`` provide a rational
+The kernels are dtype-generic: a float probability gives float64 rows (the
+main DP; every step is a convex combination, so error growth is benign),
+a ``Fraction`` gives object rows of exact rationals.
+``*_distribution_exact`` run the same kernels on rationals as a
 cross-check for small N that bounds the accumulated float error.
 """
 
@@ -27,12 +32,10 @@ from .rules import RuleKind, RuleSpec
 
 __all__ = [
     "r1_rows",
-    "r1_unbiased_rows",
     "r2_rows",
     "r3_rows",
     "rows_for_rule",
     "r1_distribution",
-    "r1_unbiased_distribution",
     "r2_distribution",
     "r3_distribution",
     "distribution_for_rule",
@@ -65,45 +68,17 @@ def r1_rows(n_max: int, p: float) -> Iterator[tuple[int, np.ndarray]]:
     """
     _check_n(n_max)
     _check_p(p)
-    q = 1.0 - p
-    g = np.array([0.0, q, p])
+    q = 1 - p
+    g = np.array([0 * p, q, p])
     yield 3, g
     for n in range(4, n_max + 1):
         old = g
-        g = np.empty(n)
+        g = np.empty(n, dtype=old.dtype)
         g[0] = old[n - 2]            # g_{N-1}(-1)
         g[1] = q * old[n - 3]        # (1-p) g_{N-1}(-2)
         g[n - 1] = p * old[n - 3]    # p g_{N-1}(-2)
         g[2 : n - 1] = p * old[0 : n - 3] + q * old[n - 4 :: -1]
         yield n, g
-
-
-def r1_unbiased_rows(n_max: int, *, half: bool = False) -> Iterator[tuple[int, np.ndarray]]:
-    """Stream unbiased (p = 1/2) rows using the simplified three-case recursion.
-
-    The mirror symmetry g_N(n) = g_N(-n) halves both work and storage: only
-    entries 0..N//2 are computed, with folded lookups min(i, N-1-i) into the
-    previous half-row.  With ``half=True`` the stored half-rows themselves
-    are yielded; by default each row is unfolded to full length.
-    """
-    _check_n(n_max)
-    h = np.array([0.0, 0.5])  # g_3 restricted to 0..1
-    yield 3, (h if half else np.array([0.0, 0.5, 0.5]))
-    for n in range(4, n_max + 1):
-        old = h
-        top = n // 2
-        h = np.empty(top + 1)
-        h[0] = old[1]                       # g_{N-1}(-1) = g_{N-1}(1)
-        h[1] = 0.5 * old[min(2, n - 3)]     # g_{N-1}(-2)/2 = g_{N-1}(2)/2
-        if top >= 2:
-            j = np.arange(2, top + 1)
-            fold = np.minimum(j + 1, n - 2 - j)  # (j+1) mod (N-1), folded
-            h[2:] = 0.5 * (old[j - 2] + old[fold])
-        if half:
-            yield n, h
-        else:
-            idx = np.arange(n)
-            yield n, h[np.minimum(idx, n - idx)]
 
 
 def r2_rows(n_max: int, p: float) -> Iterator[tuple[int, np.ndarray]]:
@@ -116,12 +91,12 @@ def r2_rows(n_max: int, p: float) -> Iterator[tuple[int, np.ndarray]]:
     """
     _check_n(n_max)
     _check_p(p)
-    q = 1.0 - p
-    f = np.array([0.0, q, p])
+    q = 1 - p
+    f = np.array([0 * p, q, p])
     yield 3, f
     for n in range(4, n_max + 1):
         old = f
-        f = np.empty(n)
+        f = np.empty(n, dtype=old.dtype)
         f[0] = p * old[n - 2] + q * old[1]
         f[1] = q * old[2]
         f[n - 1] = p * old[n - 3]
@@ -151,21 +126,21 @@ def r3_rows(n_max: int, p: float, q: float) -> Iterator[tuple[int, np.ndarray]]:
     _check_p(p)
     _check_p(q)
     pq, pQ, Pq, PQ = p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)
-    h = np.array([0.0, 1.0 - p, p])
+    h = np.array([0 * p, 1 - p, p])
     yield 3, h
     for n in range(4, n_max + 1):
         old = h
         m = n - 1
-        h = np.empty(n)
+        h = np.empty(n, dtype=old.dtype)
         h[0] = q * old[m - 1] + (1 - q) * old[1]
         h[1] = (1 - p) * (q * old[0] + (1 - q) * old[2])
         h[n - 1] = p * (q * old[m - 2] + (1 - q) * old[0])
-        j = np.arange(2, n - 1)
+        # interior j = 2..N-2: old[j-2], old[j mod N-1], old[j-1], old[j+1 mod N-1]
         h[2 : n - 1] = (
-            pq * old[j - 2]
-            + pQ * old[j % m]
-            + Pq * old[j - 1]
-            + PQ * old[(j + 1) % m]
+            pq * old[0 : n - 3]
+            + pQ * old[2 : n - 1]
+            + Pq * old[1 : n - 2]
+            + PQ * np.concatenate((old[3 : n - 1], old[0:1]))
         )
         yield n, h
 
@@ -198,13 +173,6 @@ def r1_distribution(n: int, p: float) -> SurvivalDistribution:
     return SurvivalDistribution(RuleSpec.r1(p), n, _last_row(r1_rows(n, p)), Method.EXACT_DP)
 
 
-def r1_unbiased_distribution(n: int) -> SurvivalDistribution:
-    """Unbiased R1 distribution via the symmetric half-width recursion."""
-    _check_n(n)
-    row = _last_row(r1_unbiased_rows(n))
-    return SurvivalDistribution(RuleSpec.r1(0.5), n, row, Method.EXACT_DP)
-
-
 def r2_distribution(n: int, p: float) -> SurvivalDistribution:
     _check_n(n)
     return SurvivalDistribution(RuleSpec.r2(p), n, _last_row(r2_rows(n, p)), Method.EXACT_DP)
@@ -233,46 +201,16 @@ def _check_exact_cap(n: int) -> None:
 def r1_distribution_exact(n: int, p: Fraction) -> list[Fraction]:
     _check_n(n)
     _check_exact_cap(n)
-    p = Fraction(p)
-    q = 1 - p
-    g = [Fraction(0), q, p]
-    for m in range(4, n + 1):
-        old = g
-        g = [old[m - 2], q * old[m - 3]]
-        g.extend(p * old[j - 2] + q * old[m - j - 2] for j in range(2, m - 1))
-        g.append(p * old[m - 3])
-    return g
+    return list(_last_row(r1_rows(n, Fraction(p))))
 
 
 def r2_distribution_exact(n: int, p: Fraction) -> list[Fraction]:
     _check_n(n)
     _check_exact_cap(n)
-    p = Fraction(p)
-    q = 1 - p
-    f = [Fraction(0), q, p]
-    for m in range(4, n + 1):
-        old = f
-        f = [p * old[m - 2] + q * old[1], q * old[2]]
-        f.extend(p * old[j - 2] + q * old[(j + 1) % (m - 1)] for j in range(2, m - 1))
-        f.append(p * old[m - 3])
-    return f
+    return list(_last_row(r2_rows(n, Fraction(p))))
 
 
 def r3_distribution_exact(n: int, p: Fraction, q: Fraction) -> list[Fraction]:
     _check_n(n)
     _check_exact_cap(n)
-    p, q = Fraction(p), Fraction(q)
-    h = [Fraction(0), 1 - p, p]
-    for m in range(4, n + 1):
-        old = h
-        mm = m - 1
-        h = [q * old[mm - 1] + (1 - q) * old[1], (1 - p) * (q * old[0] + (1 - q) * old[2])]
-        h.extend(
-            p * q * old[j - 2]
-            + p * (1 - q) * old[j % mm]
-            + (1 - p) * q * old[j - 1]
-            + (1 - p) * (1 - q) * old[(j + 1) % mm]
-            for j in range(2, m - 1)
-        )
-        h.append(p * (q * old[mm - 2] + (1 - q) * old[0]))
-    return h
+    return list(_last_row(r3_rows(n, Fraction(p), Fraction(q))))

@@ -17,7 +17,7 @@ def test_expectation_of_constant_one():
 
 def test_expectation_phi1_equals_half_g0_unbiased():
     for n in (3, 10, 257, 1000):
-        dist = dp.r1_unbiased_distribution(n)
+        dist = dp.r1_distribution(n, 0.5)
         e1 = analysis.expectation_functional(dist, analysis.phi_k(1))
         assert abs(e1 - dist.probs[0] / 2) < 1e-12
 
@@ -55,7 +55,7 @@ def test_moment_examples():
 
 def test_eta_small_n():
     assert analysis.eta(dp.r1_distribution(3, 0.3)) == pytest.approx(0.7)
-    assert analysis.eta(dp.r1_unbiased_distribution(4)) == pytest.approx(0.5)
+    assert analysis.eta(dp.r1_distribution(4, 0.5)) == pytest.approx(0.5)
 
 
 def test_eta_decays_in_the_middle_range():
@@ -138,7 +138,7 @@ def test_unbiased_decay_bound_holds_pointwise():
     # spot-check the fitted bound including the n=0 column g_N(0) <= K alpha^-N
     eps, alpha = 0.05, 1.008
     fit = analysis.unbiased_decay_check(300, eps, alpha)
-    for n, row in dp.r1_unbiased_rows(300):
+    for n, row in dp.r1_rows(300, 0.5):
         bound = fit.k * alpha ** (2 * (1 + eps) * np.minimum(np.arange(n), n - np.arange(n)) - n)
         assert np.all(row <= bound * (1 + 1e-9))
 
@@ -178,6 +178,11 @@ def test_g0_exponential_fit_refuses_underflow(value):
     slope, r2 = analysis.g0_exponential_fit(50, 150, g0=g0)
     assert slope == pytest.approx(-0.06)
     assert r2 == pytest.approx(1.0)
+
+
+def test_g0_exponential_fit_refuses_short_g0():
+    with pytest.raises(DomainError, match="N = 0..200, got 100"):
+        analysis.g0_exponential_fit(50, 200, g0=np.ones(100))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -255,7 +260,7 @@ def test_inverse_cdf_matches_binary_search(case):
 
 
 @pytest.mark.parametrize("rows", [
-    lambda: dp.r1_unbiased_rows(300),
+    lambda: dp.r1_rows(300, 0.5),
     lambda: dp.r1_rows(300, 0.0),
     lambda: dp.r1_rows(300, 1.0),
     lambda: dp.r2_rows(300, 0.3),
@@ -281,7 +286,7 @@ def test_clt_sums_match_binary_search_reference():
     report = analysis.clt_experiment(l_max=300, trials=1000, seed=5)
     sums = np.zeros(1000)
     cum_v = 0.0
-    for n, row in dp.r1_unbiased_rows(300):
+    for n, row in dp.r1_rows(300, 0.5):
         x = np.arange(n) / n
         mean = float(np.dot(x, row))
         centered = x - mean
@@ -321,7 +326,7 @@ def test_odd_function_expectation_decays():
     assert fit_slope(0.2, 100, 4000) <= -0.9
     assert fit_slope(0.8, 1000, 8000) <= -0.9
     # unbiased case: exact mirror symmetry kills the expectation entirely
-    dist = dp.r1_unbiased_distribution(500)
+    dist = dp.r1_distribution(500, 0.5)
     assert abs(analysis.expectation_functional(dist, lambda x: np.sin(2 * np.pi * x))) < 1e-14
 
 

@@ -59,6 +59,15 @@ def test_exact_r1u_matches_explicit_half(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("n", [3, 4, 1000, 10000])
+def test_exact_r1u_csv_equals_r1_at_half(tmp_path, n, capsys):
+    run_ok(["--out", str(tmp_path), "exact", "--rule", "r1u", "--n", str(n)], capsys)
+    run_ok(["--out", str(tmp_path), "exact", "--rule", "r1", "--n", str(n), "--p", "0.5"],
+           capsys)
+    r1u = (tmp_path / f"exact_r1u_n{n}.csv").read_bytes()
+    assert r1u == (tmp_path / f"exact_r1_n{n}_p0.5.csv").read_bytes()
+
+
 def test_exact_domain_error_exit_code():
     assert main(["exact", "--rule", "r1", "--n", "2", "--p", "0.5"]) == 2
     assert main(["exact", "--rule", "r1", "--n", "5", "--p", "1.5"]) == 2
@@ -144,6 +153,18 @@ def test_clt_command(tmp_path, capsys):
     assert b == sorted(b)
 
 
+@pytest.mark.parametrize("l_max", [10, 99, 100])
+def test_clt_small_l_max_grid(tmp_path, l_max, capsys):
+    # for l_max <= 100 the L grid starts at 3, so the Lyapunov ratio has
+    # more than one point to decrease over
+    run_ok(["--out", str(tmp_path), "clt", "--l-max", str(l_max), "--trials", "1000"],
+           capsys)
+    lines = (tmp_path / f"clt_L{l_max}_T1000.jsonl").read_text().strip().splitlines()
+    per_l = [json.loads(l) for l in lines[:-1]]
+    assert per_l[0]["l"] == 3 and per_l[-1]["l"] == l_max
+    assert per_l[-1]["lyapunov_ratio"] < per_l[0]["lyapunov_ratio"]
+
+
 def test_figure_r1_and_manifest(tmp_path, capsys):
     run_ok(["--out", str(tmp_path), "figure", "r1", "--n", "40",
             "--p-grid", "0.5,1"], capsys)
@@ -174,15 +195,10 @@ def test_figure_r3_grid(tmp_path, capsys):
     assert probs.max() == 1.0
 
 
-def test_figure_threads_match_sequential(tmp_path, capsys):
-    seq = tmp_path / "seq"
-    par = tmp_path / "par"
-    run_ok(["--out", str(seq), "figure", "r1", "--n", "50",
-            "--p-grid", "0.2,0.4,0.6"], capsys)
-    run_ok(["--out", str(par), "--threads", "3", "figure", "r1", "--n", "50",
-            "--p-grid", "0.2,0.4,0.6"], capsys)
-    for name in ("fig_r1_n50_p0.2.csv", "fig_r1_n50_p0.4.csv", "fig_r1_n50_p0.6.csv"):
-        assert (seq / name).read_bytes() == (par / name).read_bytes()
+def test_threads_option_is_gone(tmp_path):
+    assert main(["--out", str(tmp_path), "--threads", "2", "figure", "r1",
+                 "--n", "20", "--p-grid", "0.5"]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_global_format_jsonl_for_tabular_commands(tmp_path, capsys):
@@ -246,6 +262,19 @@ def test_rerun_rejects_unknown_config_keys(tmp_path):
         "files": [], "hash": "", "version": "0.1.0",
     }))
     assert main(["rerun", str(manifest)]) == 2
+
+
+def test_rerun_refuses_threads_in_recorded_argv(tmp_path, capsys):
+    argv = ["--out", str(tmp_path), "--threads", "2", "figure", "r1", "--n", "20",
+            "--p-grid", "0.5"]
+    manifest = tmp_path / "figure_r1.manifest.json"
+    manifest.write_text(json.dumps({
+        "config": {"schema": 1, "argv": argv, "command": "figure", "variant": "r1",
+                   "n": 20, "p_grid": [0.5], "montecarlo": False},
+        "files": [], "hash": "", "version": "0.1.0",
+    }))
+    assert main(["rerun", str(manifest)]) == 3
+    assert list(tmp_path.iterdir()) == [manifest]
 
 
 def test_bad_flag_is_usage_error():

@@ -37,17 +37,10 @@ def test_r2_base_case(p):
 
 
 def test_unbiased_base_case():
-    np.testing.assert_array_equal(dp.r1_unbiased_distribution(3).probs, [0.0, 0.5, 0.5])
+    np.testing.assert_array_equal(dp.r1_distribution(3, 0.5).probs, [0.0, 0.5, 0.5])
     np.testing.assert_allclose(
-        dp.r1_unbiased_distribution(4).probs, [0.5, 0.25, 0.0, 0.25], atol=1e-15
+        dp.r1_distribution(4, 0.5).probs, [0.5, 0.25, 0.0, 0.25], atol=1e-15
     )
-
-
-@pytest.mark.parametrize("n", [3, 4, 7, 50, 333, 1000])
-def test_unbiased_equals_general_dp_at_half(n):
-    full = dp.r1_distribution(n, 0.5).probs
-    sym = dp.r1_unbiased_distribution(n).probs
-    np.testing.assert_allclose(sym, full, atol=1e-12)
 
 
 def test_unbiased_symmetry_is_exact():
@@ -58,7 +51,7 @@ def test_unbiased_symmetry_is_exact():
 
 @pytest.mark.parametrize("n", [3, 10, 101, 500])
 def test_unbiased_edge_symmetry(n):
-    probs = dp.r1_unbiased_distribution(n).probs
+    probs = dp.r1_distribution(n, 0.5).probs
     assert probs[1] == probs[n - 1]
 
 
@@ -82,6 +75,32 @@ def test_r3_deterministic_endpoint():
         survivor = survivor_closed_form(n).survivor_zero_based
         probs = dp.r3_distribution(n, 1.0, 1.0).probs
         assert probs[survivor] == 1.0
+
+
+def _r3_rows_gather(n_max, p, q):
+    # the r3 recursion with its (N-1)-round indices reduced by % m, as a
+    # reference for the slice form of dp.r3_rows
+    pq, pQ, Pq, PQ = p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)
+    h = np.array([0.0, 1.0 - p, p])
+    yield 3, h
+    for n in range(4, n_max + 1):
+        old, m = h, n - 1
+        h = np.empty(n)
+        h[0] = q * old[m - 1] + (1 - q) * old[1]
+        h[1] = (1 - p) * (q * old[0] + (1 - q) * old[2])
+        h[n - 1] = p * (q * old[m - 2] + (1 - q) * old[0])
+        j = np.arange(2, n - 1)
+        h[2 : n - 1] = (
+            pq * old[j - 2] + pQ * old[j % m] + Pq * old[j - 1] + PQ * old[(j + 1) % m]
+        )
+        yield n, h
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("q", [0.0, 0.25, 0.8, 1.0])
+def test_r3_slices_match_modular_gather(p, q):
+    for (n, ref), (n2, row) in zip(_r3_rows_gather(500, p, q), dp.r3_rows(500, p, q)):
+        assert n == n2 and np.array_equal(row, ref)
 
 
 def test_r3_fully_unbiased_mirror_symmetry():
@@ -152,7 +171,7 @@ def test_small_n_rejected(n):
     with pytest.raises(DomainError):
         dp.r3_distribution(n, 0.5, 0.5)
     with pytest.raises(DomainError):
-        dp.r1_unbiased_distribution(n)
+        dp.r1_distribution(n, 0.5)
 
 
 def test_rational_dp_cap():

@@ -244,7 +244,7 @@ def test_empirical_is_thread_safe_and_schedule_independent():
 def test_mc_total_variation_at_n2000():
     # 1e5 seeded runs against the exact unbiased distribution at N=2000
     n, samples, seed = 2000, 100_000, 12345
-    exact = dp.r1_unbiased_distribution(n)
+    exact = dp.r1_distribution(n, 0.5)
     emp = empirical_distribution(R1H, n, samples, seed, chunk_size=8192)
     assert emp.total_variation(exact) <= 0.02
 
