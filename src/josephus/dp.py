@@ -12,11 +12,13 @@ Index arguments on the right-hand side of every recursion live in the
 is a contiguous slice, plus one wrap-around element for the rules that
 shift labels forward.
 
-The kernels are dtype-generic: a float probability gives float64 rows (the
-main DP; every step is a convex combination, so error growth is benign),
-a ``Fraction`` gives object rows of exact rationals.
-``*_distribution_exact`` run the same kernels on rationals as a
-cross-check for small N that bounds the accumulated float error.
+The kernels pick their row dtype from the probabilities: a ``Fraction``
+gives object rows of exact rationals, any other number (int, float, numpy
+scalar) gives float64 rows (the main DP; every step is a convex
+combination, so error growth is benign).  Rational rows cost big-integer
+arithmetic that grows with N, so ``*_distribution_exact`` run them only as
+a cross-check for small N that bounds the accumulated float error, and
+``*_distribution`` always run in float64.
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ def _check_p(p: float) -> None:
         raise DomainError(f"p must lie in [0, 1], got {p}")
 
 
+def _row_dtype(*probs) -> type:
+    return object if any(isinstance(x, Fraction) for x in probs) else np.float64
+
+
 def r1_rows(n_max: int, p: float) -> Iterator[tuple[int, np.ndarray]]:
     """Stream (N, g_N) for N = 3..n_max under the direction-persistence rule.
 
@@ -69,7 +75,7 @@ def r1_rows(n_max: int, p: float) -> Iterator[tuple[int, np.ndarray]]:
     _check_n(n_max)
     _check_p(p)
     q = 1 - p
-    g = np.array([0 * p, q, p])
+    g = np.array([0 * p, q, p], dtype=_row_dtype(p))
     yield 3, g
     for n in range(4, n_max + 1):
         old = g
@@ -92,7 +98,7 @@ def r2_rows(n_max: int, p: float) -> Iterator[tuple[int, np.ndarray]]:
     _check_n(n_max)
     _check_p(p)
     q = 1 - p
-    f = np.array([0 * p, q, p])
+    f = np.array([0 * p, q, p], dtype=_row_dtype(p))
     yield 3, f
     for n in range(4, n_max + 1):
         old = f
@@ -126,7 +132,7 @@ def r3_rows(n_max: int, p: float, q: float) -> Iterator[tuple[int, np.ndarray]]:
     _check_p(p)
     _check_p(q)
     pq, pQ, Pq, PQ = p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)
-    h = np.array([0 * p, 1 - p, p])
+    h = np.array([0 * p, 1 - p, p], dtype=_row_dtype(p, q))
     yield 3, h
     for n in range(4, n_max + 1):
         old = h
@@ -168,21 +174,16 @@ def _last_row(rows: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:
 
 
 def r1_distribution(n: int, p: float) -> SurvivalDistribution:
-    """Exact survival distribution under R1 via the four-case recursion."""
-    _check_n(n)
-    return SurvivalDistribution(RuleSpec.r1(p), n, _last_row(r1_rows(n, p)), Method.EXACT_DP)
+    """Survival distribution under R1 via the four-case recursion, in float64."""
+    return distribution_for_rule(RuleSpec.r1(p), n)
 
 
 def r2_distribution(n: int, p: float) -> SurvivalDistribution:
-    _check_n(n)
-    return SurvivalDistribution(RuleSpec.r2(p), n, _last_row(r2_rows(n, p)), Method.EXACT_DP)
+    return distribution_for_rule(RuleSpec.r2(p), n)
 
 
 def r3_distribution(n: int, p: float, q: float) -> SurvivalDistribution:
-    _check_n(n)
-    return SurvivalDistribution(
-        RuleSpec.r3(p, q), n, _last_row(r3_rows(n, p, q)), Method.EXACT_DP
-    )
+    return distribution_for_rule(RuleSpec.r3(p, q), n)
 
 
 def distribution_for_rule(rule: RuleSpec, n: int) -> SurvivalDistribution:

@@ -162,6 +162,46 @@ def test_float_p_converts_to_exact_binary_value():
     assert max(abs(float(e) - f) for e, f in zip(exact, floats)) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "int_call, float_call",
+    [
+        (lambda: dp.r1_distribution(9, 0), lambda: dp.r1_distribution(9, 0.0)),
+        (lambda: dp.r1_distribution(9, 1), lambda: dp.r1_distribution(9, 1.0)),
+        (lambda: dp.r2_distribution(9, 0), lambda: dp.r2_distribution(9, 0.0)),
+        (lambda: dp.r2_distribution(9, 1), lambda: dp.r2_distribution(9, 1.0)),
+        (lambda: dp.r3_distribution(9, 1, 0.5), lambda: dp.r3_distribution(9, 1.0, 0.5)),
+        (lambda: dp.r3_distribution(9, 0, 0.25), lambda: dp.r3_distribution(9, 0.0, 0.25)),
+    ],
+)
+def test_int_endpoint_p_runs_in_float(int_call, float_call):
+    assert np.array_equal(int_call().probs, float_call().probs)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        lambda: dp.r1_rows(40, 1),
+        lambda: dp.r2_rows(40, np.float32(0.3)),
+        lambda: dp.r3_rows(40, 0, 0.25),
+        lambda: dp.r3_rows(40, np.float32(0.5), 1),
+    ],
+)
+def test_non_fraction_p_gives_float64_rows(rows):
+    for n, row in rows():
+        assert row.dtype == np.float64
+    assert row.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fraction_p_float_distributions_run_in_float():
+    # the float wrappers convert a Fraction p; at N=2000 rational rows would
+    # not finish in any reasonable time
+    for maker, params in ((dp.r1_distribution, (Fraction(1, 3),)),
+                          (dp.r2_distribution, (Fraction(1, 3),)),
+                          (dp.r3_distribution, (Fraction(1, 3), Fraction(3, 4)))):
+        exact_p = maker(2000, *params).probs
+        assert np.array_equal(exact_p, maker(2000, *(float(x) for x in params)).probs)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_small_n_rejected(n):
     with pytest.raises(DomainError):
@@ -170,8 +210,6 @@ def test_small_n_rejected(n):
         dp.r2_distribution(n, 0.5)
     with pytest.raises(DomainError):
         dp.r3_distribution(n, 0.5, 0.5)
-    with pytest.raises(DomainError):
-        dp.r1_distribution(n, 0.5)
 
 
 def test_rational_dp_cap():
