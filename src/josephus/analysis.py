@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.stats
@@ -165,11 +165,6 @@ def moment_report(rule: RuleSpec, n_min: int, n_max: int) -> MomentReport:
     return MomentReport(rule, n_min, n_max, tuple(records))
 
 
-def _unbiased_records(n_max: int) -> Iterator[MomentRecord]:
-    for n, row in dp.r1_rows(n_max, 0.5):
-        yield _row_record(n, row)
-
-
 # --- exponential decay bounds ----------------------------------------------
 
 
@@ -243,19 +238,28 @@ def decay_params_feasible(
     return best_beta, gamma
 
 
-def _fit_constant(log_sup_full: float, log_sup_half: float, **fields) -> DecayBoundFit:
-    if log_sup_half == -math.inf:
+def _fit_constant(log_slack: Iterable[tuple[int, np.ndarray]], **fields) -> DecayBoundFit:
+    # log_slack yields (N, log(g_N) minus the log of the bound with K = 1);
+    # its sup over N <= n_max and over N <= n_max // 2 gives k_fit, k_fit_half
+    half = fields["n_max"] // 2
+    sup_full, sup_half = -math.inf, -math.inf
+    for n, vals in log_slack:
+        top = float(vals.max())
+        if n <= half:
+            sup_half = max(sup_half, top)
+        sup_full = max(sup_full, top)
+    if sup_half == -math.inf:
         raise DomainError(
             f"n_max must be >= 6 so that N <= n_max // 2 holds a row, got {fields['n_max']}"
         )
-    k_fit = math.exp(log_sup_full)
-    k_fit_half = math.exp(log_sup_half)
+    k_fit = math.exp(sup_full)
+    k_fit_half = math.exp(sup_half)
     k = max(k_fit, 1.0)
     return DecayBoundFit(
         k=k,
         k_fit=k_fit,
         k_fit_half=k_fit_half,
-        max_violation=log_sup_full - math.log(k),
+        max_violation=sup_full - math.log(k),
         **fields,
     )
 
@@ -270,17 +274,16 @@ def decay_bound_check(p: float, n_max: int = 500) -> DecayBoundFit:
     """
     beta, gamma = decay_params_feasible(p)
     log_beta, log_gamma = math.log(beta), math.log(gamma)
-    sup_full, sup_half = -math.inf, -math.inf
-    for n, row in dp.r1_rows(n_max, p):
-        idx = np.arange(n)
-        dist = np.minimum(idx, n - idx)
-        with np.errstate(divide="ignore"):
-            vals = np.log(row) + n * log_gamma - dist * log_beta
-        top = float(vals.max())
-        if n <= n_max // 2:
-            sup_half = max(sup_half, top)
-        sup_full = max(sup_full, top)
-    return _fit_constant(sup_full, sup_half, p=p, beta=beta, gamma=gamma, n_max=n_max)
+
+    def log_slack():
+        for n, row in dp.r1_rows(n_max, p):
+            idx = np.arange(n)
+            dist = np.minimum(idx, n - idx)
+            with np.errstate(divide="ignore"):
+                vals = np.log(row) + n * log_gamma - dist * log_beta
+            yield n, vals
+
+    return _fit_constant(log_slack(), p=p, beta=beta, gamma=gamma, n_max=n_max)
 
 
 def unbiased_alpha_components(epsilon: float, alpha: float) -> tuple[float, float]:
@@ -324,19 +327,17 @@ def unbiased_decay_check(
     verify_unbiased_alpha(epsilon, alpha)
     log_alpha = math.log(alpha)
     rate = 2.0 * (1.0 + epsilon)
-    sup_full, sup_half = -math.inf, -math.inf
-    for n, row in dp.r1_rows(n_max, 0.5):
-        half_row = row[: n // 2 + 1]
-        j = np.arange(len(half_row))
-        with np.errstate(divide="ignore"):
-            vals = np.log(half_row) + (n - rate * j) * log_alpha
-        top = float(vals.max())
-        if n <= n_max // 2:
-            sup_half = max(sup_half, top)
-        sup_full = max(sup_full, top)
+
+    def log_slack():
+        for n, row in dp.r1_rows(n_max, 0.5):
+            half_row = row[: n // 2 + 1]
+            j = np.arange(len(half_row))
+            with np.errstate(divide="ignore"):
+                vals = np.log(half_row) + (n - rate * j) * log_alpha
+            yield n, vals
+
     return _fit_constant(
-        sup_full,
-        sup_half,
+        log_slack(),
         p=0.5,
         beta=alpha**rate,
         gamma=alpha,
@@ -426,7 +427,7 @@ def moment_scaling_check(n_max: int = 4000, k: int = 2, n_min: int = 50) -> Mome
         raise DomainError(f"moment scaling is checked for k in 1..3, got {k}")
     ns, ratios = [], []
     g0 = np.zeros(n_max + 1)
-    for rec in _unbiased_records(n_max):
+    for rec in moment_report(RuleSpec.r1(0.5), 3, n_max).records:
         g0[rec.n] = rec.g0
         if rec.n < n_min:
             continue
@@ -469,7 +470,7 @@ def second_moment_sum_check(l_max: int = 10000, grid_points: int = 25) -> Second
     e2 = np.zeros(l_max + 1)
     e1 = np.zeros(l_max + 1)
     var = np.zeros(l_max + 1)
-    for rec in _unbiased_records(l_max):
+    for rec in moment_report(RuleSpec.r1(0.5), 3, l_max).records:
         e2[rec.n] = rec.phi2
         e1[rec.n] = rec.phi1
         var[rec.n] = rec.variance

@@ -54,7 +54,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _emit(ctx, name: str, header, rows, config) -> Path | None:
-    """Write a table under --out (plus manifest), or print it to stdout.
+    """Print a table to stdout, or write it under --out with its manifest.
 
     Tabular commands honour the global --format: csv (default) or one
     JSON record per row.
@@ -62,39 +62,35 @@ def _emit(ctx, name: str, header, rows, config) -> Path | None:
     header = list(header)
     if ctx.obj.get("format") == "jsonl":
         return _emit_jsonl(ctx, name, (dict(zip(header, row)) for row in rows), config)
-    out = ctx.obj.get("out")
-    if out is None:
-        click.echo(",".join(header))
-        for row in rows:
-            click.echo(",".join(io.fmt(v) for v in row))
-        return None
-    path = Path(out) / f"{name}.csv"
-    io.write_csv(path, header, rows)
-    _write_run_manifest(ctx, name, [path], config)
-    return path
+    return _sink(ctx, name, "csv", io.csv_text(header, rows), config)
 
 
 def _emit_jsonl(ctx, name: str, records, config) -> Path | None:
+    return _sink(ctx, name, "jsonl", io.jsonl_text(records), config)
+
+
+def _sink(ctx, name: str, ext: str, text: str, config: dict | None = None) -> Path | None:
+    """Echo ``text`` to stdout, or write it atomically as ``name.ext`` under --out.
+
+    A ``config`` also writes the run manifest ``name.manifest.json``.
+    """
     out = ctx.obj.get("out")
     if out is None:
-        for rec in records:
-            click.echo(json.dumps(rec, sort_keys=True, default=io.json_default))
+        click.echo(text, nl=False)
         return None
-    path = Path(out) / f"{name}.jsonl"
-    io.write_jsonl(path, records)
-    _write_run_manifest(ctx, name, [path], config)
+    path = Path(out) / f"{name}.{ext}"
+    io.atomic_write_text(path, text)
+    if config is not None:
+        _write_run_manifest(ctx, name, [path], config)
     return path
 
 
 def _write_run_manifest(ctx, name: str, paths: list[Path], config: dict) -> None:
-    out = ctx.obj.get("out")
-    if out is None:
-        return
     config = {"schema": io.SCHEMA_VERSION, "argv": ctx.obj.get("argv", []), **config}
     files = [
         {"name": p.name, "sha256": io.file_sha256(p)} for p in paths
     ]
-    io.write_manifest(Path(out) / f"{name}.manifest.json", config, __version__, files)
+    io.write_manifest(Path(ctx.obj["out"]) / f"{name}.manifest.json", config, __version__, files)
 
 
 @click.group()
@@ -163,18 +159,9 @@ def _rule_config(rule: str, p, q) -> dict:
 @click.option("--n", type=int, required=True)
 @click.option("--p", type=float, default=None)
 @click.option("--q", type=float, default=None)
-@click.option("--literal-recursion", is_flag=True,
-              help="Use the published three-case reduction for r2 verbatim (unsupported).")
 @click.pass_context
-def exact(ctx, rule, n, p, q, literal_recursion):
+def exact(ctx, rule, n, p, q):
     """Exact DP survival distribution; CSV schema n,prob."""
-    if literal_recursion:
-        raise DomainError(
-            "the published r2 reduction defines the knife holder's probability "
-            "in terms of the same round (f_N on both sides) and cannot be "
-            "iterated; the corrected one-round-smaller form (validated against "
-            "the exhaustive oracle) is what this command computes by default"
-        )
     dist = dp.distribution_for_rule(_build_rule(rule, p, q), n)
     name = f"exact_{rule}_n{n}" + (f"_p{p:g}" if p is not None else "") + (
         f"_q{q:g}" if q is not None else ""
@@ -333,19 +320,13 @@ _R3_DEFAULT_AXIS = [0.25, 0.5, 0.75]
 
 
 def _figure_one(ctx, variant, n, p, q, montecarlo, samples):
-    if variant == "r1":
-        spec = RuleSpec.r1(p)
-    elif variant == "r2":
-        spec = RuleSpec.r2(p)
-    else:
-        spec = RuleSpec.r3(p, q)
+    spec = _build_rule(variant, p, q)
     if montecarlo:
         dist = simulate.empirical_distribution(spec, n, samples, ctx.obj["seed"])
     else:
         dist = dp.distribution_for_rule(spec, n)
     name = f"fig_{variant}_n{n}_p{p:g}" + (f"_q{q:g}" if q is not None else "")
-    path = Path(ctx.obj["out"]) / f"{name}.csv"
-    io.write_csv(path, ["n", "prob"], enumerate(dist.probs.tolist()))
+    path = _sink(ctx, name, "csv", io.csv_text(["n", "prob"], enumerate(dist.probs.tolist())))
     # the argmax approaches (3p-1)N slowly; enforce only where the N=2000
     # calibration confirms the 0.03N tolerance (p in [0.4, 0.5], large N)
     if (

@@ -9,6 +9,7 @@ power-series expansion whose coefficients reproduce the survivor sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -46,26 +47,18 @@ def _result(n: int, one_based: int) -> DeterministicSurvivor:
     return DeterministicSurvivor(n, one_based - 1, one_based)
 
 
-# Cache for the halving chain N, N//2, N//4, ...; the chain has O(log N)
-# new entries per query, so the cache stays small even for huge N.
-_chain_cache: dict[int, int] = {1: 1}
-
-
 def survivor_recurrence(n: int) -> DeterministicSurvivor:
     """Survivor via ``b(N) = 2 b(N//2) - (-1)^N`` with ``b(1) = 1``.
 
-    Computed top-down with memoization over the halving chain, never by
-    naive exponential recursion.
+    Walks the binary digits of N below the top bit, most significant
+    first: the prefixes read so far are the halving chain N//2^k, and each
+    digit d applies b <- 2b + 1 (d = 1) or b <- 2b - 1 (d = 0).
     """
     _require_positive(n)
-    chain = []
-    m = n
-    while m not in _chain_cache:
-        chain.append(m)
-        m //= 2
-    for m in reversed(chain):
-        _chain_cache[m] = 2 * _chain_cache[m // 2] + (1 if m % 2 else -1)
-    return _result(n, _chain_cache[n])
+    b = 1
+    for digit in bin(n)[3:]:
+        b = 2 * b + (1 if digit == "1" else -1)
+    return _result(n, b)
 
 
 def survivor_closed_form(n: int) -> DeterministicSurvivor:
@@ -114,32 +107,23 @@ def survivor_sequence(n_max: int, method: str = "recurrence") -> np.ndarray:
     raise DomainError(f"unknown method {method!r}")
 
 
-def _series_mul(a: list[int], b: list[int], max_degree: int) -> list[int]:
-    out = [0] * (max_degree + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(min(len(b), max_degree + 1 - i)):
-            out[i + j] += ai * b[j]
-    return out
-
-
 def generating_series_coefficients(max_degree: int) -> list[int]:
     """Coefficients of x^0..x^max_degree of the survivor generating series.
 
     Expands ``1 + (1/(1-x)) * ((3x-1)/(1-x) - sum_{k>=1} 2^k x^(2^k))`` as a
-    formal power series in exact integer arithmetic.  The coefficient of
-    x^N equals the one-based survivor position for every N >= 1.
+    formal power series in exact integer arithmetic.  Multiplying by
+    1/(1-x) takes the running sums of the coefficients, so the expansion
+    is two running sums.  The coefficient of x^N equals the one-based
+    survivor position for every N >= 1.
     """
     if max_degree < 1:
         raise DomainError(f"max_degree must be >= 1, got {max_degree}")
     d = max_degree
-    geom = [1] * (d + 1)  # 1/(1-x)
-    inner = _series_mul([-1, 3], geom, d)  # (3x-1)/(1-x)
+    inner = list(accumulate([-1, 3] + [0] * (d - 1)))  # (3x-1)/(1-x)
     k = 1
     while 2**k <= d:
         inner[2**k] -= 2**k
         k += 1
-    coeffs = _series_mul(inner, geom, d)
+    coeffs = list(accumulate(inner))
     coeffs[0] += 1
     return coeffs

@@ -60,11 +60,6 @@ class SurvivalDistribution:
         """Survival probability of participant ``n``, argument taken modulo N."""
         return float(self.probs[n % self.n_participants])
 
-    def exact_prob(self, n: int) -> Fraction:
-        if self.exact is None:
-            raise DomainError("distribution carries no exact rational vector")
-        return self.exact[n % self.n_participants]
-
     def total_variation(self, other: "SurvivalDistribution") -> float:
         if self.n_participants != other.n_participants:
             raise DomainError("total variation requires equal participant counts")

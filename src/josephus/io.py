@@ -1,8 +1,10 @@
-"""Result persistence: CSV/JSON-lines writers, manifests, config hashing.
+"""Result persistence: CSV/JSON-lines text, manifests, config hashing.
 
-All files are written atomically (temp file + rename) so concurrent grid
-members never interleave, use "\\n" line endings, and print floats with 17
-significant digits so exact reruns are byte-identical.
+``csv_text`` and ``jsonl_text`` build the one text of a table that is
+either printed or written; files are written atomically (temp file +
+rename) so concurrent grid members never interleave.  Lines end in
+"\\n" and floats print with 17 significant digits, so exact reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import DomainError
 
 SCHEMA_VERSION = 1
@@ -21,8 +25,6 @@ SCHEMA_VERSION = 1
 
 def fmt(value) -> str:
     """Render a value for CSV: floats at 17 significant digits."""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -42,29 +44,25 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def write_csv(path: Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+def csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def write_jsonl(path: Path, records: Iterable[Mapping]) -> None:
-    lines = [json.dumps(rec, sort_keys=True, default=json_default) for rec in records]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def jsonl_text(records: Iterable[Mapping]) -> str:
+    return "".join(
+        json.dumps(rec, sort_keys=True, default=json_default) + "\n" for rec in records
+    )
 
 
 def json_default(value):
-    try:
-        import numpy as np
-
-        if isinstance(value, np.integer):
-            return int(value)
-        if isinstance(value, np.floating):
-            return float(value)
-        if isinstance(value, np.ndarray):
-            return value.tolist()
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     raise TypeError(f"cannot serialise {type(value)!r}")
 
 

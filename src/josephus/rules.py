@@ -105,10 +105,3 @@ class RuleSpec:
         if self.q is None:
             raise DomainError(f"rule {self.kind.value} has no parameter q")
         return Fraction(self.q)
-
-    def describe(self) -> str:
-        if self.kind is RuleKind.DETERMINISTIC:
-            return "deterministic"
-        if self.kind is RuleKind.R3:
-            return f"r3(p={float(self.p):g}, q={float(self.q):g})"
-        return f"{self.kind.value}(p={float(self.p):g})"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from josephus import analysis, dp, prng
 from josephus.errors import DomainError
+from josephus.rules import RuleSpec
 
 
 def test_expectation_of_constant_one():
@@ -141,6 +142,48 @@ def test_unbiased_decay_bound_holds_pointwise():
     for n, row in dp.r1_rows(300, 0.5):
         bound = fit.k * alpha ** (2 * (1 + eps) * np.minimum(np.arange(n), n - np.arange(n)) - n)
         assert np.all(row <= bound * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("n_max", [400, 401])
+def test_decay_fits_match_an_inline_sup(n_max):
+    # k_fit, k_fit_half and max_violation against a sup over the whole
+    # triangle with the same per-entry log-slack
+    beta, gamma = analysis.decay_params_feasible(0.45)
+    rate = 2.0 * (1.0 + 0.05)
+    tops_p, tops_u = {}, {}
+    for n, row in dp.r1_rows(n_max, 0.45):
+        idx = np.arange(n)
+        dist = np.minimum(idx, n - idx)
+        with np.errstate(divide="ignore"):
+            vals = np.log(row) + n * math.log(gamma) - dist * math.log(beta)
+        tops_p[n] = float(vals.max())
+    for n, row in dp.r1_rows(n_max, 0.5):
+        half_row = row[: n // 2 + 1]
+        j = np.arange(len(half_row))
+        with np.errstate(divide="ignore"):
+            vals = np.log(half_row) + (n - rate * j) * math.log(1.008)
+        tops_u[n] = float(vals.max())
+    fits = (
+        (analysis.decay_bound_check(0.45, n_max), tops_p),
+        (analysis.unbiased_decay_check(n_max, 0.05, 1.008), tops_u),
+    )
+    for fit, tops in fits:
+        sup_full = max(tops.values())
+        sup_half = max(top for n, top in tops.items() if n <= n_max // 2)
+        assert fit.k_fit == math.exp(sup_full)
+        assert fit.k_fit_half == math.exp(sup_half)
+        assert fit.max_violation == sup_full - math.log(max(math.exp(sup_full), 1.0))
+
+
+@pytest.mark.parametrize("n_max", [400, 401])
+def test_fit_constant_half_window_is_floor_half(n_max):
+    # the decay sups above are attained at N = 3 or 4, so pin the
+    # half-window N <= n_max // 2 with a log-slack that grows with N
+    slack = ((n, np.array([-1.0, n / 100.0])) for n in range(3, n_max + 1))
+    fit = analysis._fit_constant(slack, n_max=n_max, p=0.5, beta=2.0, gamma=2.0)
+    assert fit.k_fit == math.exp(n_max / 100.0)
+    assert fit.k_fit_half == math.exp((n_max // 2) / 100.0)
+    assert fit.max_violation == 0.0
 
 
 def test_g0_exponential_fit():
@@ -295,6 +338,20 @@ def test_clt_sums_match_binary_search_reference():
         draws = np.clip(np.searchsorted(np.cumsum(row), u, side="right"), 0, n - 1)
         sums += draws / n - mean
     assert np.array_equal(report.normalized_sums, sums / math.sqrt(cum_v))
+
+
+def test_clt_moments_match_moment_report():
+    # the inline CLT reduction gives the same V_N and W_N as _row_record
+    report = analysis.clt_experiment(300, 1000, 5)
+    cum_v = cum_w = 0.0
+    b_at, lyap_at = {}, {}
+    for rec in analysis.moment_report(RuleSpec.r1(0.5), 3, 300).records:
+        cum_v += rec.variance
+        cum_w += rec.third_central
+        b_at[rec.n] = math.sqrt(cum_v)
+        lyap_at[rec.n] = cum_w / b_at[rec.n] ** 3
+    assert report.b_l.tolist() == [b_at[int(n)] for n in report.l_values]
+    assert report.lyapunov_ratio.tolist() == [lyap_at[int(n)] for n in report.l_values]
 
 
 def test_clt_rejects_small_ensembles():

@@ -73,6 +73,19 @@ def test_exact_literal_recursion_refused():
                  "--literal-recursion"]) == 2
 
 
+@pytest.mark.parametrize("argv,filename", [
+    (["det", "--n-range", "1:300"], "det_1_300.csv"),
+    (["--format", "jsonl", "exact", "--rule", "r2", "--n", "50", "--p", "0.3"],
+     "exact_r2_n50_p0.3.jsonl"),
+    (["sweep", "--n-list", "60"], "sweep.jsonl"),
+    (["sweep", "--p-grid", ""], "sweep.jsonl"),
+])
+def test_stdout_matches_file_bytes(tmp_path, argv, filename, capsys):
+    printed = run_ok(argv, capsys)
+    run_ok(["--out", str(tmp_path), *argv], capsys)
+    assert (tmp_path / filename).read_bytes() == printed.encode()
+
+
 def test_oracle_rational_csv(capsys):
     out = run_ok(["oracle", "--rule", "r1", "--n", "3", "--p-num", "3", "--p-den", "10"],
                  capsys)

@@ -21,7 +21,9 @@ def brute_force_survivor(n: int) -> int:
     return alive[0]
 
 
-@pytest.mark.parametrize("n,expected_b", [(1, 1), (2, 1), (41, 19), (6, 5)])
+@pytest.mark.parametrize(
+    "n,expected_b", [(1, 1), (2, 1), (41, 19), (6, 5), (2**64, 1), (2**100 + 5, 11)]
+)
 def test_known_survivors(n, expected_b):
     assert det.survivor_recurrence(n).survivor_one_based == expected_b
     assert det.survivor_closed_form(n).survivor_one_based == expected_b
