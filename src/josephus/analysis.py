@@ -177,6 +177,9 @@ class DecayBoundFit:
     is the largest log-domain slack of the bound with constant ``k`` (<= 0
     when the bound holds).  The unbiased variant records its (epsilon,
     alpha) parametrisation, with beta = alpha^(2(1+eps)) and gamma = alpha.
+    ``k_fit_half`` is the same over N <= n_max // 2.  For every feasible
+    parameter tried the sup sits at N = 3 or 4, so it equals ``k_fit`` for
+    n_max >= 8 and ``stabilized`` can fail only at n_max 6-7.
     """
 
     p: float

@@ -9,7 +9,10 @@ output is self-describing and re-runnable (``josephus rerun MANIFEST``).
 from __future__ import annotations
 
 import json
+import os
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -20,30 +23,31 @@ from .distributions import Method
 from .errors import CheckFailure, DomainError
 from .rules import RuleKind, RuleSpec
 
+# rule name -> (kind, fixed p); the aliases are named points of r1
 _RULES = {
-    "deterministic": RuleKind.DETERMINISTIC,
-    "r1": RuleKind.R1,
-    "r1u": RuleKind.R1,  # alias of r1 at p=0.5
-    "r2": RuleKind.R2,
-    "r3": RuleKind.R3,
+    "deterministic": (RuleKind.R1, 1),  # the classical game
+    "r1": (RuleKind.R1, None),
+    "r1u": (RuleKind.R1, 0.5),  # the unbiased game
+    "r2": (RuleKind.R2, None),
+    "r3": (RuleKind.R3, None),
 }
 
 
 def _build_rule(rule: str, p, q) -> RuleSpec:
-    kind = _RULES[rule]
-    if rule == "r1u":
-        if p not in (None, 0.5):
-            raise DomainError("rule r1u is r1 at p=0.5; omit --p or pass 0.5")
-        return RuleSpec.r1(0.5)
-    if kind is RuleKind.DETERMINISTIC:
-        return RuleSpec.deterministic()
-    if p is None:
-        raise DomainError(f"rule {rule} requires --p")
-    if kind is RuleKind.R3:
-        if q is None:
-            raise DomainError("rule r3 requires --q")
-        return RuleSpec.r3(p, q)
-    return RuleSpec(kind, p=p)
+    """The rule a CLI name and its parameters denote; ``RuleSpec`` checks p and q."""
+    kind, fixed = _RULES[rule]
+    if fixed is not None:
+        if p not in (None, fixed):
+            raise DomainError(f"rule {rule} is r1 at p={fixed}; omit --p or pass {fixed}")
+        p = fixed
+    return RuleSpec(kind, p=p, q=q)
+
+
+def _ratio(num, den, name: str) -> Fraction | None:
+    """The exact value of --NAME-num/--NAME-den, or None when both are absent."""
+    if (num is None) != (den is None) or den == 0:
+        raise DomainError(f"--{name}-num and --{name}-den go together, with --{name}-den != 0")
+    return None if num is None else Fraction(num, den)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -145,13 +149,9 @@ def det(ctx, n, n_range, series_check, method):
     click.echo(str(fn(n).survivor_one_based))
 
 
-def _rule_config(rule: str, p, q) -> dict:
-    cfg = {"rule": rule}
-    if p is not None:
-        cfg["p"] = p
-    if q is not None:
-        cfg["q"] = q
-    return cfg
+def _given(**params) -> dict:
+    """The parameters that were passed, for file names and manifests."""
+    return {k: v for k, v in params.items() if v is not None}
 
 
 @cli.command()
@@ -163,11 +163,10 @@ def _rule_config(rule: str, p, q) -> dict:
 def exact(ctx, rule, n, p, q):
     """Exact DP survival distribution; CSV schema n,prob."""
     dist = dp.distribution_for_rule(_build_rule(rule, p, q), n)
-    name = f"exact_{rule}_n{n}" + (f"_p{p:g}" if p is not None else "") + (
-        f"_q{q:g}" if q is not None else ""
-    )
+    given = _given(p=p, q=q)
+    name = f"exact_{rule}_n{n}" + "".join(f"_{k}{v:g}" for k, v in given.items())
     _emit(ctx, name, ["n", "prob"], enumerate(dist.probs.tolist()),
-          {"command": "exact", "n": n, **_rule_config(rule, p, q)})
+          {"command": "exact", "n": n, "rule": rule, **given})
 
 
 @cli.command()
@@ -180,26 +179,12 @@ def exact(ctx, rule, n, p, q):
 @click.pass_context
 def oracle(ctx, rule, n, p_num, p_den, q_num, q_den):
     """Exhaustive-enumeration oracle; emits exact rationals n,num,den."""
-    from fractions import Fraction
-
-    kind = _RULES[rule]
-    p = q = None
-    if kind is not RuleKind.DETERMINISTIC:
-        if p_num is None or p_den is None:
-            raise DomainError("oracle requires --p-num and --p-den for probabilistic rules")
-        p = Fraction(p_num, p_den)
-    if kind is RuleKind.R3:
-        if q_num is None or q_den is None:
-            raise DomainError("rule r3 requires --q-num and --q-den")
-        q = Fraction(q_num, q_den)
+    p, q = _ratio(p_num, p_den, "p"), _ratio(q_num, q_den, "q")
     spec = _build_rule(rule, p, q)
     dist = simulate.oracle_distribution(spec, n)
     rows = [(i, frac.numerator, frac.denominator) for i, frac in enumerate(dist.exact)]
-    cfg = {"command": "oracle", "rule": rule, "n": n}
-    if p is not None:
-        cfg.update(p_num=p_num, p_den=p_den)
-    if q is not None:
-        cfg.update(q_num=q_num, q_den=q_den)
+    cfg = {"command": "oracle", "rule": rule, "n": n,
+           **_given(p_num=p_num, p_den=p_den, q_num=q_num, q_den=q_den)}
     _emit(ctx, f"oracle_{rule}_n{n}", ["n", "num", "den"], rows, cfg)
 
 
@@ -221,7 +206,7 @@ def simulate_cmd(ctx, rule, n, p, q, samples):
     name = f"simulate_{rule}_n{n}_s{samples}_seed{seed}"
     _emit(ctx, name, ["n", "count", "freq"], rows,
           {"command": "simulate", "n": n, "samples": samples, "seed": seed,
-           **_rule_config(rule, p, q)})
+           "rule": rule, **_given(p=p, q=q)})
 
 
 @cli.command()
@@ -244,7 +229,7 @@ def moments(ctx, rule, n_min, n_max, p, q):
     )
     _emit(ctx, f"moments_{rule}_n{n_min}_{n_max}", header, rows,
           {"command": "moments", "n_min": n_min, "n_max": n_max,
-           **_rule_config(rule, p, q)})
+           "rule": rule, **_given(p=p, q=q)})
 
 
 @cli.command()
@@ -312,19 +297,20 @@ def clt(ctx, l_max, trials):
         raise CheckFailure("Lyapunov ratio did not decrease over the L grid")
 
 
+_R3_DEFAULT_AXIS = [0.25, 0.5, 0.75]
 _FIGURE_DEFAULTS = {
     "r1": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
     "r2": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
+    "r3": _R3_DEFAULT_AXIS,
 }
-_R3_DEFAULT_AXIS = [0.25, 0.5, 0.75]
 
 
-def _figure_one(ctx, variant, n, p, q, montecarlo, samples):
-    spec = _build_rule(variant, p, q)
+def _figure_one(ctx, variant, n, spec, montecarlo, samples):
     if montecarlo:
         dist = simulate.empirical_distribution(spec, n, samples, ctx.obj["seed"])
     else:
         dist = dp.distribution_for_rule(spec, n)
+    p, q = spec.p, spec.q
     name = f"fig_{variant}_n{n}_p{p:g}" + (f"_q{q:g}" if q is not None else "")
     path = _sink(ctx, name, "csv", io.csv_text(["n", "prob"], enumerate(dist.probs.tolist())))
     # the argmax approaches (3p-1)N slowly; enforce only where the N=2000
@@ -357,12 +343,11 @@ def figure(ctx, variant, n, p_grid, q_grid, montecarlo, samples, gnuplot):
     """Reproduce one figure set: one CSV per grid point plus a manifest."""
     if ctx.obj.get("out") is None:
         raise DomainError("figure requires --out DIR")
-    ps = _parse_grid(p_grid) if p_grid else (
-        _R3_DEFAULT_AXIS if variant == "r3" else _FIGURE_DEFAULTS[variant]
-    )
+    ps = _parse_grid(p_grid) if p_grid else _FIGURE_DEFAULTS[variant]
     qs = _parse_grid(q_grid) if q_grid else (_R3_DEFAULT_AXIS if variant == "r3" else [None])
-    points = [(p, q) for p in ps for q in (qs if variant == "r3" else [None])]
-    paths = sorted(_figure_one(ctx, variant, n, p, q, montecarlo, samples) for p, q in points)
+    # every point is checked before the first file is written
+    specs = [_build_rule(variant, p, q) for p in ps for q in qs]
+    paths = sorted(_figure_one(ctx, variant, n, spec, montecarlo, samples) for spec in specs)
     if gnuplot:
         paths.append(_write_gnuplot_script(ctx, variant, paths))
     cfg = {"command": "figure", "variant": variant, "n": n,
@@ -424,28 +409,41 @@ _CONFIG_KEYS = {
 
 
 def _override_out(argv: list[str], out_dir: str) -> list[str]:
-    argv = list(argv)
+    """``argv`` writing under ``out_dir``, whether it gave ``--out DIR`` or ``--out=DIR``."""
     if "--out" in argv:
         i = argv.index("--out")
-        argv[i + 1] = out_dir
-    else:
-        argv = ["--out", out_dir] + argv
-    return argv
+        argv = argv[:i] + argv[i + 2 :]
+    return ["--out", out_dir, *(a for a in argv if not a.startswith("--out="))]
 
 
 @cli.command()
 @click.argument("manifest", type=click.Path(exists=True, dir_okay=False))
 def rerun(manifest):
-    """Re-execute the run recorded in MANIFEST into the manifest's directory."""
+    """Re-execute the run in MANIFEST beside it; keep it only if every sha256 matches."""
+    out = Path(manifest).parent
     data = json.loads(Path(manifest).read_text())
     config = data.get("config", {})
     io.validate_config(config, allowed_keys=_CONFIG_KEYS)
     argv = config.get("argv")
     if not argv:
         raise DomainError("manifest config does not record the run's arguments")
-    code = main(_override_out(argv, str(Path(manifest).parent)))
-    if code != 0:
-        raise CheckFailure(f"rerun exited with code {code}")
+    files = data.get("files", [])
+    if not all(isinstance(f, dict) and isinstance(f.get("sha256"), str)
+               and isinstance(f.get("name"), str) and Path(f["name"]).name == f["name"]
+               for f in files):
+        raise DomainError("manifest files must each give a plain file name and its sha256")
+    with tempfile.TemporaryDirectory(dir=out, prefix=".rerun-") as tmp:
+        code = main(_override_out(argv, tmp))
+        if code != 0:
+            raise CheckFailure(f"rerun exited with code {code}")
+        new = [Path(tmp) / f["name"] for f in files]
+        bad = [path.name for path, f in zip(new, files)
+               if not path.is_file() or io.file_sha256(path) != f["sha256"]]
+        if bad:
+            raise CheckFailure(f"rerun does not reproduce {', '.join(bad)}")
+        for path in new:
+            os.replace(path, out / path.name)
+    click.echo(f"reproduced {len(files)} files under {out}")
 
 
 def main(argv=None) -> int:

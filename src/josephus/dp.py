@@ -153,9 +153,6 @@ def r3_rows(n_max: int, p: float, q: float) -> Iterator[tuple[int, np.ndarray]]:
 
 def rows_for_rule(rule: RuleSpec, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
     """Stream DP rows for an arbitrary rule."""
-    if rule.kind is RuleKind.DETERMINISTIC:
-        # classical game: point mass at the survivor, via R1 at p=1
-        return r1_rows(n_max, 1.0)
     if rule.kind is RuleKind.R1:
         return r1_rows(n_max, rule.p_float)
     if rule.kind is RuleKind.R2:

@@ -1,9 +1,7 @@
 """Elimination rule descriptions.
 
-Four rules act on a circle of participants labelled counterclockwise:
+Three rules act on a circle of participants labelled counterclockwise:
 
-* ``DETERMINISTIC`` -- every knife holder stabs his right neighbour and
-  passes the knife rightwards (the classical game).
 * ``R1`` -- the holder keeps the previous stabbing direction with
   probability ``p`` and flips it otherwise; the knife follows the stab.
   The very first stab goes right with probability ``p``.
@@ -13,8 +11,12 @@ Four rules act on a circle of participants labelled counterclockwise:
   with probability ``p``; the knife then passes to the holder's right
   neighbour with probability ``q``, to his left neighbour otherwise.
 
-No algebraic identification between rules is assumed here; coincidences
-(for instance R1 and R2 at ``p = 1/2``) are established by tests only.
+The classical game, where every knife holder stabs his right neighbour
+and passes the knife rightwards, is *defined* as R1 at ``p = 1``
+(``RuleSpec.deterministic()``); tests check it against the closed forms
+of ``deterministic``.  No other identification between rules is assumed;
+coincidences (for instance R1 and R2 at ``p = 1/2``) are established by
+tests only.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import DomainError
 
 
 class RuleKind(enum.Enum):
-    DETERMINISTIC = "deterministic"
     R1 = "r1"
     R2 = "r2"
     R3 = "r3"
@@ -51,10 +52,6 @@ class RuleSpec:
     q: float | Fraction | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is RuleKind.DETERMINISTIC:
-            if self.p is not None or self.q is not None:
-                raise DomainError("deterministic rule carries no parameters")
-            return
         if self.p is None:
             raise DomainError(f"rule {self.kind.value} requires parameter p")
         _check_prob(self.p, "p")
@@ -67,7 +64,8 @@ class RuleSpec:
 
     @staticmethod
     def deterministic() -> "RuleSpec":
-        return RuleSpec(RuleKind.DETERMINISTIC)
+        """The classical game: R1 at ``p = 1``."""
+        return RuleSpec(RuleKind.R1, p=1)
 
     @staticmethod
     def r1(p) -> "RuleSpec":
@@ -83,12 +81,10 @@ class RuleSpec:
 
     @property
     def p_float(self) -> float:
-        return 1.0 if self.kind is RuleKind.DETERMINISTIC else float(self.p)
+        return float(self.p)
 
     @property
     def q_float(self) -> float:
-        if self.kind is RuleKind.DETERMINISTIC:
-            return 1.0
         if self.q is None:
             raise DomainError(f"rule {self.kind.value} has no parameter q")
         return float(self.q)
@@ -96,12 +92,10 @@ class RuleSpec:
     @property
     def p_exact(self) -> Fraction:
         """Exact rational value of ``p`` (a float converts to its binary value)."""
-        return Fraction(1) if self.kind is RuleKind.DETERMINISTIC else Fraction(self.p)
+        return Fraction(self.p)
 
     @property
     def q_exact(self) -> Fraction:
-        if self.kind is RuleKind.DETERMINISTIC:
-            return Fraction(1)
         if self.q is None:
             raise DomainError(f"rule {self.kind.value} has no parameter q")
         return Fraction(self.q)

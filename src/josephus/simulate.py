@@ -15,7 +15,9 @@ A single run is the engine applied to one sample, so a batch run
 reproduces single runs bit for bit; tests assert this and check the engine
 against ``run_path`` path by path.  Coins are booleans: ``True`` is the
 probability-``p`` branch (and the probability-``q`` branch for the knife
-coin of the two-coin rule).
+coin of the two-coin rule).  When every coin is certain (probability 0 or
+1, as in the classical game, r1 at ``p = 1``) no uniform is drawn and every
+sample takes the one possible path.
 """
 
 from __future__ import annotations
@@ -115,9 +117,7 @@ def step(
     if (coin_knife is not None) != (kind is RuleKind.R3):
         raise DomainError("coin_knife must be supplied iff the rule is r3")
 
-    if kind is RuleKind.DETERMINISTIC:
-        d_victim = d_pass = new_dir = RIGHT
-    elif kind is RuleKind.R1:
+    if kind is RuleKind.R1:
         new_dir = state.direction if coin_victim else -state.direction
         d_victim = d_pass = new_dir
     elif kind is RuleKind.R2:
@@ -157,8 +157,6 @@ def run_path(rule: RuleSpec, n: int, coins) -> int:
 
 
 def _branches(rule: RuleSpec) -> list[tuple[bool, bool | None, Fraction]]:
-    if rule.kind is RuleKind.DETERMINISTIC:
-        return [(True, None, Fraction(1))]
     p = rule.p_exact
     if rule.kind is RuleKind.R3:
         q = rule.q_exact
@@ -214,6 +212,16 @@ def oracle_distribution(rule: RuleSpec, n: int) -> SurvivalDistribution:
 # --- seeded sampling --------------------------------------------------------
 
 
+def _coin_probs(rule: RuleSpec) -> list[float]:
+    """Probabilities of one step's coins: the victim coin, then r3's knife coin."""
+    return [rule.p_float, rule.q_float] if rule.kind is RuleKind.R3 else [rule.p_float]
+
+
+def _certain(rule: RuleSpec) -> bool:
+    """Whether every coin of ``rule`` has probability 0 or 1."""
+    return set(_coin_probs(rule)) <= {0.0, 1.0}
+
+
 def _coins(
     rule: RuleSpec, n: int, seed: int, start: int, count: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -221,21 +229,18 @@ def _coins(
 
     Each is a step-major (n-1) x count boolean array: row ``t`` holds every
     sample's coin for step ``t``.  ``knife`` is None except for the two-coin
-    rule, whose stream alternates victim and knife uniforms.  The
-    deterministic rule draws nothing and always takes the p-branch.
+    rule, whose stream alternates victim and knife uniforms.  Certain coins
+    draw no stream: a uniform in [0, 1) is below 1 and never below 0.
     """
-    steps = n - 1
-    kind = rule.kind
-    if kind is RuleKind.DETERMINISTIC:
-        return np.ones((steps, count), dtype=bool), None
-    if kind is RuleKind.R3:
-        threshold = np.tile([rule.p_float, rule.q_float], steps)
+    threshold = np.tile(_coin_probs(rule), n - 1)
+    if _certain(rule):
+        coins = np.broadcast_to(threshold == 1, (count, threshold.size))
     else:
-        threshold = np.full(steps, rule.p_float)
-    coins = np.empty((count, threshold.size), dtype=bool)
-    for i in range(count):
-        np.less(prng.stream(seed, start + i).random(threshold.size), threshold, out=coins[i])
-    if kind is RuleKind.R3:
+        coins = np.empty((count, threshold.size), dtype=bool)
+        for i in range(count):
+            np.less(prng.stream(seed, start + i).random(threshold.size), threshold,
+                    out=coins[i])
+    if rule.kind is RuleKind.R3:
         return np.ascontiguousarray(coins[:, 0::2].T), np.ascontiguousarray(coins[:, 1::2].T)
     return np.ascontiguousarray(coins.T), None
 
@@ -309,14 +314,15 @@ def empirical_distribution(
     chunking or execution order.  Samples run through the engine
     ``chunk_size`` at a time; a chunk holds (N-1) x chunk_size coin
     booleans (twice that for r3), drawn sample-major and copied once to
-    step-major, and one label per sample.
+    step-major, and one label per sample.  When every coin is certain the
+    engine runs once and its survivor takes all ``samples``.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     if n < 2:
         raise DomainError(f"sampling requires N >= 2, got N={n}")
     counts = np.zeros(n, dtype=np.int64)
-    if rule.kind is RuleKind.DETERMINISTIC:
+    if _certain(rule):  # every sample takes the same path
         counts[_survivors(rule, n, *_coins(rule, n, seed, 0, 1))] = samples
     else:
         for start in range(0, samples, chunk_size):

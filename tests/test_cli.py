@@ -94,6 +94,35 @@ def test_oracle_rational_csv(capsys):
     assert lines[1:] == ["0,0,1", "1,7,10", "2,3,10"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["exact", "--rule", "r1", "--n", "5", "--p", "0.3", "--q", "0.5"],
+    ["exact", "--rule", "deterministic", "--n", "5", "--p", "0.3"],
+    ["exact", "--rule", "r1u", "--n", "5", "--q", "0.3"],
+    ["oracle", "--rule", "deterministic", "--n", "5", "--p-num", "1", "--p-den", "3"],
+    ["figure", "r1", "--n", "20", "--q-grid", "0.3"],
+], ids=["r1-q", "deterministic-p", "r1u-q", "oracle-deterministic-p", "figure-r1-q-grid"])
+def test_parameters_a_rule_does_not_take_are_refused(tmp_path, argv, capsys):
+    assert main(["--out", str(tmp_path), *argv]) == 2
+    assert capsys.readouterr().err.startswith("domain error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fixed_p_aliases_accept_their_own_p(capsys):
+    assert (run_ok(["exact", "--rule", "deterministic", "--n", "41", "--p", "1"], capsys)
+            == run_ok(["exact", "--rule", "r1", "--n", "41", "--p", "1"], capsys))
+    assert (run_ok(["exact", "--rule", "r1u", "--n", "41", "--p", "0.5"], capsys)
+            == run_ok(["exact", "--rule", "r1u", "--n", "41"], capsys))
+
+
+@pytest.mark.parametrize("fraction", [["--p-num", "1", "--p-den", "0"],
+                                      ["--p-num", "1", "--p-den", "2",
+                                       "--q-num", "1", "--q-den", "0"]])
+def test_oracle_zero_denominator_is_domain_error(fraction, capsys):
+    assert main(["oracle", "--rule", "r3", "--n", "5", *fraction]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and "Traceback" not in err
+
+
 def test_oracle_cap_is_domain_error():
     assert main(["oracle", "--rule", "r1", "--n", "30", "--p-num", "1", "--p-den", "2"]) == 2
 
@@ -262,6 +291,39 @@ def test_rerun_reproduces_monte_carlo_counts(tmp_path, capsys):
     assert (tmp_path / name).read_bytes() == first
 
 
+def test_rerun_refuses_output_it_does_not_reproduce(tmp_path, capsys):
+    run_ok(["--out", str(tmp_path), "figure", "r1", "--n", "30", "--p-grid", "0.3,0.7"],
+           capsys)
+    manifest = tmp_path / "figure_r1.manifest.json"
+    target = tmp_path / "fig_r1_n30_p0.3.csv"
+    # a tampered CSV under an intact manifest is regenerated and restored
+    original = target.read_bytes()
+    target.write_bytes(b"tampered\n")
+    run_ok(["rerun", str(manifest)], capsys)
+    assert target.read_bytes() == original
+    # a manifest that records bytes the run does not produce fails the rerun
+    target.write_bytes(b"tampered\n")
+    data = json.loads(manifest.read_text())
+    for entry in data["files"]:
+        if entry["name"] == target.name:
+            entry["sha256"] = file_sha256(target)
+    manifest.write_text(json.dumps(data))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["rerun", str(manifest)]) == 3
+    assert target.name in capsys.readouterr().err
+    assert target.read_bytes() == b"tampered\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_rerun_handles_out_equals_form(tmp_path, capsys):
+    run_ok([f"--out={tmp_path}", "det", "--n-range", "1:5"], capsys)
+    target = tmp_path / "det_1_5.csv"
+    first = target.read_bytes()
+    target.unlink()
+    run_ok(["rerun", str(tmp_path / "det_1_5.manifest.json")], capsys)
+    assert target.read_bytes() == first
+
+
 def test_rerun_rejects_unknown_config_keys(tmp_path):
     manifest = tmp_path / "bad.manifest.json"
     manifest.write_text(json.dumps({
@@ -269,6 +331,22 @@ def test_rerun_rejects_unknown_config_keys(tmp_path):
         "files": [], "hash": "", "version": "0.1.0",
     }))
     assert main(["rerun", str(manifest)]) == 2
+
+
+@pytest.mark.parametrize("entry", [
+    {"name": "det_1_5.csv"},
+    {"name": "../det_1_5.csv", "sha256": "0" * 64},
+    {"name": "/etc/hostname", "sha256": "0" * 64},
+], ids=["no-sha256", "parent-dir", "absolute"])
+def test_rerun_rejects_malformed_file_entries(tmp_path, entry, capsys):
+    manifest = tmp_path / "det_1_5.manifest.json"
+    manifest.write_text(json.dumps({
+        "config": {"schema": 1, "argv": ["det", "--n-range", "1:5"]},
+        "files": [entry], "hash": "", "version": "0.1.0",
+    }))
+    assert main(["rerun", str(manifest)]) == 2
+    assert capsys.readouterr().err.startswith("domain error:")
+    assert list(tmp_path.iterdir()) == [manifest]
 
 
 def test_rerun_refuses_threads_in_recorded_argv(tmp_path, capsys):

@@ -86,6 +86,10 @@ def test_series_coefficients_match_survivors():
     assert all(coeffs[n] == seq[n - 1] for n in range(1, 1025))
 
 
+def test_classical_game_is_r1_at_p_one():
+    assert RuleSpec.deterministic() == RuleSpec.r1(1)
+
+
 def test_deterministic_simulation_agrees_with_closed_form():
     for n in (5, 41, 100, 257):
         sample = sample_survivor(RuleSpec.deterministic(), n, seed=123)

@@ -145,13 +145,13 @@ def test_single_run_matches_reference_state_machine():
                 assert run_path(rule, n, coins) == expected
 
 
-def _coin_paths(kind: str, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _coin_paths(rule: RuleSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     # step-major (n-1) x paths victim and knife coins: seeded random paths,
     # then all-p, all-not-p and alternating sequences
     steps = n - 1
     ones, alt = np.ones(steps, bool), np.arange(steps) % 2 == 0
-    if kind == "deterministic":
-        # the rule draws no coins and always takes the p-branch
+    if rule == RuleSpec.deterministic():
+        # the classical game's coins all take the p-branch
         return ones[:, None], ones[:, None]
     rng = np.random.default_rng(seed)
     victim = np.column_stack([rng.random((steps, 12)) < 0.5, ones, ~ones, alt, ~alt])
@@ -163,12 +163,12 @@ def _coin_paths(kind: str, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 @pytest.mark.parametrize(
     "rule",
     [RuleSpec.deterministic(), RuleSpec.r1(0.3), RuleSpec.r2(0.6), RuleSpec.r3(0.4, 0.7)],
-    ids=lambda r: r.kind.value,
+    ids=["deterministic", "r1", "r2", "r3"],
 )
 def test_backward_engine_matches_forward_paths(rule, n):
     # explicit coins fed to the sampling engine, checked path by path against step()
     kind = rule.kind.value
-    victim, knife = _coin_paths(kind, n, seed=n)
+    victim, knife = _coin_paths(rule, n, seed=n)
     survivors = _survivors(rule, n, victim, knife if kind == "r3" else None)
     for j in range(victim.shape[1]):
         coins = list(zip(victim[:, j], knife[:, j])) if kind == "r3" else list(victim[:, j])
@@ -202,6 +202,34 @@ def test_empirical_single_sample_is_point_mass():
 def test_empirical_deterministic_rule():
     dist = empirical_distribution(RuleSpec.deterministic(), 41, 100, seed=0)
     assert dist.counts[18] == 100
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 41, 500])
+@pytest.mark.parametrize(
+    "rule",
+    [RuleSpec.r1(0), RuleSpec.r1(1), RuleSpec.r2(0), RuleSpec.r2(1),
+     *(RuleSpec.r3(p, q) for p in (0, 1) for q in (0, 1))],
+    ids=lambda r: f"{r.kind.value}_{r.p}" + ("" if r.q is None else f"_{r.q}"),
+)
+def test_certain_coins_draw_nothing(rule, n, monkeypatch):
+    # every coin has probability 0 or 1: no stream is drawn, and every sample
+    # lands on the survivor that carries the DP's point mass
+    from josephus import prng
+
+    def no_stream(*args):
+        raise AssertionError("a certain rule drew a random stream")
+
+    monkeypatch.setattr(prng, "stream", no_stream)
+    if n >= 3:
+        probs = dp.distribution_for_rule(rule, n).probs
+        assert probs.max() == 1.0
+        survivor = int(np.argmax(probs))
+    else:
+        survivor = 0  # two-person convention: the holder removes the other
+    dist = empirical_distribution(rule, n, 1000, seed=3, chunk_size=64)
+    assert dist.counts[survivor] == 1000
+    for index in (0, 7):
+        assert sample_survivor(rule, n, seed=3, stream_index=index).survivor == survivor
 
 
 @pytest.mark.slow
