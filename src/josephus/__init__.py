@@ -12,7 +12,6 @@ from .analysis import (
     CltReport,
     DecayBoundFit,
     MomentRecord,
-    MomentReport,
     clt_experiment,
     concentration_mass,
     decay_bound_check,
@@ -62,7 +61,6 @@ __all__ = [
     "CltReport",
     "DecayBoundFit",
     "MomentRecord",
-    "MomentReport",
     "Method",
     "SurvivalDistribution",
     "RuleKind",

@@ -28,7 +28,6 @@ __all__ = [
     "concentration_mass",
     "near_masses",
     "MomentRecord",
-    "MomentReport",
     "moment_report",
     "DecayBoundFit",
     "decay_params_feasible",
@@ -133,14 +132,6 @@ class MomentRecord:
     g0: float
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    rule: RuleSpec
-    n_min: int
-    n_max: int
-    records: tuple[MomentRecord, ...]
-
-
 def _row_record(n: int, row: np.ndarray) -> MomentRecord:
     x = np.arange(n) / n
     c1 = 0.5 - x
@@ -155,14 +146,13 @@ def _row_record(n: int, row: np.ndarray) -> MomentRecord:
     return MomentRecord(n, mean, e1, e2, a1, a3, variance, third, _eta_row(row), float(row[0]))
 
 
-def moment_report(rule: RuleSpec, n_min: int, n_max: int) -> MomentReport:
+def moment_report(rule: RuleSpec, n_min: int, n_max: int) -> tuple[MomentRecord, ...]:
     """Per-N moment records for N in n_min..n_max under ``rule``."""
     if n_min < 3 or n_max < n_min:
         raise DomainError(f"need 3 <= n_min <= n_max, got {n_min}..{n_max}")
-    records = [
+    return tuple(
         _row_record(n, row) for n, row in dp.rows_for_rule(rule, n_max) if n >= n_min
-    ]
-    return MomentReport(rule, n_min, n_max, tuple(records))
+    )
 
 
 # --- exponential decay bounds ----------------------------------------------
@@ -212,9 +202,11 @@ def _gamma_cap(p: float, beta: float) -> float:
     )
 
 
-def decay_params_feasible(
-    p: float, grid_points: int = 400, rounds: int = 4
-) -> tuple[float, float]:
+_BETA_GRID_POINTS = 400
+_BETA_ROUNDS = 4
+
+
+def decay_params_feasible(p: float) -> tuple[float, float]:
     """(beta, gamma), both > 1, satisfying the four feasibility inequalities.
 
     Grid-plus-refinement search over beta maximising the largest feasible
@@ -226,13 +218,13 @@ def decay_params_feasible(
         raise DomainError(f"feasible decay parameters require 1/3 < p < 2/3, got p={p}")
     lo, hi = 1.0 + 1e-9, 4.0
     best_beta, best_gamma = lo, -math.inf
-    for _ in range(rounds):
-        betas = np.linspace(lo, hi, grid_points)
+    for _ in range(_BETA_ROUNDS):
+        betas = np.linspace(lo, hi, _BETA_GRID_POINTS)
         gammas = np.array([_gamma_cap(p, b) for b in betas])
         i = int(np.argmax(gammas))  # first max: ties resolve to smaller beta
         if gammas[i] > best_gamma:
             best_beta, best_gamma = float(betas[i]), float(gammas[i])
-        window = (hi - lo) / (grid_points / 10)
+        window = (hi - lo) / (_BETA_GRID_POINTS / 10)
         lo = max(1.0 + 1e-9, betas[i] - window)
         hi = betas[i] + window
     gamma = best_gamma * (1.0 - 1e-12)
@@ -430,7 +422,7 @@ def moment_scaling_check(n_max: int = 4000, k: int = 2, n_min: int = 50) -> Mome
         raise DomainError(f"moment scaling is checked for k in 1..3, got {k}")
     ns, ratios = [], []
     g0 = np.zeros(n_max + 1)
-    for rec in moment_report(RuleSpec.r1(0.5), 3, n_max).records:
+    for rec in moment_report(RuleSpec.r1(0.5), 3, n_max):
         g0[rec.n] = rec.g0
         if rec.n < n_min:
             continue
@@ -466,19 +458,28 @@ class SecondMomentSumReport:
         return self.band[1] / self.band[0]
 
 
-def second_moment_sum_check(l_max: int = 10000, grid_points: int = 25) -> SecondMomentSumReport:
-    """Certify S_L growing like ln L on a log-spaced grid up to l_max."""
+def _log_grid(start: int, l_max: int) -> np.ndarray:
+    """The distinct integer parts of 25 log-spaced L from ``start`` to ``l_max``.
+
+    ``geomspace`` returns both endpoints exactly, so the grid starts at
+    ``start`` and ends at ``l_max``.
+    """
+    return np.unique(np.geomspace(start, l_max, 25).astype(int))
+
+
+def second_moment_sum_check(l_max: int = 10000) -> SecondMomentSumReport:
+    """Certify S_L growing like ln L on ``_log_grid(100, l_max)``."""
     if l_max < 100:
         raise DomainError(f"l_max must be >= 100, got {l_max}")
     e2 = np.zeros(l_max + 1)
     e1 = np.zeros(l_max + 1)
     var = np.zeros(l_max + 1)
-    for rec in moment_report(RuleSpec.r1(0.5), 3, l_max).records:
+    for rec in moment_report(RuleSpec.r1(0.5), 3, l_max):
         e2[rec.n] = rec.phi2
         e1[rec.n] = rec.phi1
         var[rec.n] = rec.variance
     s = np.cumsum(e2)
-    grid = np.unique(np.append(np.geomspace(100, l_max, grid_points).astype(int), l_max))
+    grid = _log_grid(100, l_max)
     ratios = s[grid] / np.log(grid)
     top = ratios[grid >= l_max // 4]
     e1sq = e1**2
@@ -547,12 +548,11 @@ def clt_experiment(
     l_max: int = 10000,
     trials: int = 10000,
     seed: int = 0,
-    grid_points: int = 25,
 ) -> CltReport:
     """Drive the unbiased central-limit experiment.
 
     Exact DP supplies V_N and W_N for N = 3..l_max; B_L = sqrt(sum V_N) and
-    the kappa=1 Lyapunov ratio sum W_N / B_L^3 are recorded on a log grid.
+    the kappa=1 Lyapunov ratio sum W_N / B_L^3 are recorded on ``_log_grid``.
     Each trial draws one survivor per N by inverse-CDF from the exact row,
     using the per-N stream splitmix64(seed, N), so results are independent
     of evaluation order.  The inverse CDF is a guide-table lookup
@@ -568,9 +568,7 @@ def clt_experiment(
         raise DomainError(f"l_max must be >= 10, got {l_max}")
     # from 100, or from 3 when l_max <= 100, so the grid has at least two
     # points for the Lyapunov ratio to decrease over
-    start = 100 if l_max > 100 else 3
-    grid = np.unique(np.append(np.geomspace(start, l_max, grid_points).astype(int), l_max))
-    grid = grid[(grid >= 3) & (grid <= l_max)]
+    grid = _log_grid(100 if l_max > 100 else 3, l_max)
     cum_v = 0.0
     cum_w = 0.0
     e1_sum = 0.0

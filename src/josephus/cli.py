@@ -8,6 +8,7 @@ output is self-describing and re-runnable (``josephus rerun MANIFEST``).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -50,9 +51,10 @@ def _ratio(num, den, name: str) -> Fraction | None:
     return None if num is None else Fraction(num, den)
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str, kind=float) -> list:
+    """The comma-separated values of ``text``, each parsed by ``kind``."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise DomainError(f"cannot parse grid {text!r}: {exc}") from None
 
@@ -114,11 +116,9 @@ def cli(ctx, out, fmt, seed):
 @click.option("--n-range", default=None, help="Inclusive range A:B; emits CSV N,b_N.")
 @click.option("--series-check", type=int, default=None, metavar="D",
               help="Verify the generating-series coefficients up to degree D.")
-@click.option("--method", type=click.Choice(["recurrence", "closed-form", "rotation"]),
-              default="recurrence", show_default=True)
 @click.pass_context
-def det(ctx, n, n_range, series_check, method):
-    """Survivor of the classical deterministic game."""
+def det(ctx, n, n_range, series_check):
+    """Survivor of the classical deterministic game, by the halving recurrence."""
     if series_check is not None:
         coeffs = deterministic.generating_series_coefficients(series_check)
         expected = deterministic.survivor_sequence(series_check)
@@ -134,19 +134,14 @@ def det(ctx, n, n_range, series_check, method):
             raise DomainError(f"--n-range expects A:B, got {n_range!r}") from None
         if not 1 <= a <= b:
             raise DomainError(f"need 1 <= A <= B in --n-range, got {n_range!r}")
-        seq = deterministic.survivor_sequence(b, method=method)
+        seq = deterministic.survivor_sequence(b)
         _emit(ctx, f"det_{a}_{b}", ["N", "b_N"],
               ((i, int(seq[i - 1])) for i in range(a, b + 1)),
-              {"command": "det", "n_range": [a, b], "method": method})
+              {"command": "det", "n_range": [a, b]})
         return
     if n is None:
         raise DomainError("det requires one of --n, --n-range, --series-check")
-    fn = {
-        "recurrence": deterministic.survivor_recurrence,
-        "closed-form": deterministic.survivor_closed_form,
-        "rotation": deterministic.survivor_binary_rotation,
-    }[method]
-    click.echo(str(fn(n).survivor_one_based))
+    click.echo(str(deterministic.survivor_recurrence(n).survivor_one_based))
 
 
 def _given(**params) -> dict:
@@ -219,14 +214,9 @@ def simulate_cmd(ctx, rule, n, p, q, samples):
 def moments(ctx, rule, n_min, n_max, p, q):
     """Per-N moment sweep (mean, phi_k moments, variance, eta, g0)."""
     spec = _build_rule(rule, p, q)
-    report = analysis.moment_report(spec, n_min, n_max)
-    header = ["n", "mean", "phi1", "phi2", "abs_phi1", "abs_phi3",
-              "variance", "third_central", "eta", "g0"]
-    rows = (
-        (r.n, r.mean, r.phi1, r.phi2, r.abs_phi1, r.abs_phi3,
-         r.variance, r.third_central, r.eta, r.g0)
-        for r in report.records
-    )
+    records = analysis.moment_report(spec, n_min, n_max)
+    header = [f.name for f in dataclasses.fields(analysis.MomentRecord)]
+    rows = ([getattr(r, name) for name in header] for r in records)
     _emit(ctx, f"moments_{rule}_n{n_min}_{n_max}", header, rows,
           {"command": "moments", "n_min": n_min, "n_max": n_max,
            "rule": rule, **_given(p=p, q=q)})
@@ -357,7 +347,6 @@ def figure(ctx, variant, n, p_grid, q_grid, montecarlo, samples, gnuplot):
     if montecarlo:
         cfg.update(samples=samples, seed=ctx.obj["seed"])
     _write_run_manifest(ctx, f"figure_{variant}", paths, cfg)
-    click.echo(f"wrote {len(paths)} files + manifest under {ctx.obj['out']}")
 
 
 def _write_gnuplot_script(ctx, variant: str, csv_paths: list[Path]) -> Path:
@@ -372,9 +361,7 @@ def _write_gnuplot_script(ctx, variant: str, csv_paths: list[Path]) -> Path:
         f"plot {plots}\n"
         "pause -1\n"
     )
-    path = Path(ctx.obj["out"]) / f"figure_{variant}.gp"
-    io.atomic_write_text(path, text)
-    return path
+    return _sink(ctx, f"figure_{variant}", "gp", text)
 
 
 @cli.command()
@@ -383,9 +370,9 @@ def _write_gnuplot_script(ctx, variant: str, csv_paths: list[Path]) -> Path:
 @click.option("--delta", type=float, default=0.02, show_default=True)
 @click.pass_context
 def sweep(ctx, p_grid, n_list, delta):
-    """Empirical near-0 vs near-1/2 masses across p (exploratory, non-assertive)."""
+    """Exact-DP near-0 vs near-1/2 masses across p (exploratory, non-assertive)."""
     ps = _parse_grid(p_grid)
-    ns = [int(x) for x in _parse_grid(n_list)]
+    ns = _parse_grid(n_list, int)
     records = []
     for p in ps:
         for n in ns:
@@ -400,6 +387,7 @@ def sweep(ctx, p_grid, n_list, delta):
                 {"command": "sweep", "p_grid": ps, "n_list": ns, "delta": delta})
 
 
+# det manifests written by earlier versions record "method"; they must still rerun
 _CONFIG_KEYS = {
     "argv", "command", "variant", "n", "n_min", "n_max", "n_range", "n_list",
     "p", "q", "p_grid", "q_grid", "montecarlo", "samples", "seed",

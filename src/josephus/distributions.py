@@ -56,10 +56,6 @@ class SurvivalDistribution:
         """Normalized positions n/N the distribution lives on."""
         return np.arange(self.n_participants) / self.n_participants
 
-    def prob(self, n: int) -> float:
-        """Survival probability of participant ``n``, argument taken modulo N."""
-        return float(self.probs[n % self.n_participants])
-
     def total_variation(self, other: "SurvivalDistribution") -> float:
         if self.n_participants != other.n_participants:
             raise DomainError("total variation requires equal participant counts")

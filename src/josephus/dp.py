@@ -30,7 +30,7 @@ import numpy as np
 
 from .distributions import Method, SurvivalDistribution
 from .errors import DomainError
-from .rules import RuleKind, RuleSpec
+from .rules import RuleKind, RuleSpec, _check_prob
 
 __all__ = [
     "r1_rows",
@@ -54,11 +54,6 @@ def _check_n(n: int) -> None:
         raise DomainError(f"the recursion's base case is N=3; got N={n}")
 
 
-def _check_p(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must lie in [0, 1], got {p}")
-
-
 def _row_dtype(*probs) -> type:
     return object if any(isinstance(x, Fraction) for x in probs) else np.float64
 
@@ -73,7 +68,7 @@ def r1_rows(n_max: int, p: float) -> Iterator[tuple[int, np.ndarray]]:
     orientation).
     """
     _check_n(n_max)
-    _check_p(p)
+    _check_prob(p, "p")
     q = 1 - p
     g = np.array([0 * p, q, p], dtype=_row_dtype(p))
     yield 3, g
@@ -96,7 +91,7 @@ def r2_rows(n_max: int, p: float) -> Iterator[tuple[int, np.ndarray]]:
     rule never mirrors the circle).
     """
     _check_n(n_max)
-    _check_p(p)
+    _check_prob(p, "p")
     q = 1 - p
     f = np.array([0 * p, q, p], dtype=_row_dtype(p))
     yield 3, f
@@ -129,8 +124,8 @@ def r3_rows(n_max: int, p: float, q: float) -> Iterator[tuple[int, np.ndarray]]:
     trusted at large N.
     """
     _check_n(n_max)
-    _check_p(p)
-    _check_p(q)
+    _check_prob(p, "p")
+    _check_prob(q, "q")
     pq, pQ, Pq, PQ = p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)
     h = np.array([0 * p, 1 - p, p], dtype=_row_dtype(p, q))
     yield 3, h
@@ -180,7 +175,6 @@ def r3_distribution(n: int, p: float, q: float) -> SurvivalDistribution:
 
 
 def distribution_for_rule(rule: RuleSpec, n: int) -> SurvivalDistribution:
-    _check_n(n)
     return SurvivalDistribution(rule, n, _last_row(rows_for_rule(rule, n)), Method.EXACT_DP)
 
 
@@ -193,18 +187,15 @@ def _check_exact_cap(n: int) -> None:
 
 
 def r1_distribution_exact(n: int, p: Fraction) -> list[Fraction]:
-    _check_n(n)
     _check_exact_cap(n)
     return list(_last_row(r1_rows(n, Fraction(p))))
 
 
 def r2_distribution_exact(n: int, p: Fraction) -> list[Fraction]:
-    _check_n(n)
     _check_exact_cap(n)
     return list(_last_row(r2_rows(n, Fraction(p))))
 
 
 def r3_distribution_exact(n: int, p: Fraction, q: Fraction) -> list[Fraction]:
-    _check_n(n)
     _check_exact_cap(n)
     return list(_last_row(r3_rows(n, Fraction(p), Fraction(q))))

@@ -345,7 +345,7 @@ def test_clt_moments_match_moment_report():
     report = analysis.clt_experiment(300, 1000, 5)
     cum_v = cum_w = 0.0
     b_at, lyap_at = {}, {}
-    for rec in analysis.moment_report(RuleSpec.r1(0.5), 3, 300).records:
+    for rec in analysis.moment_report(RuleSpec.r1(0.5), 3, 300):
         cum_v += rec.variance
         cum_w += rec.third_central
         b_at[rec.n] = math.sqrt(cum_v)
@@ -413,14 +413,14 @@ def test_r2_argmax_tracks_limit_constant():
 def test_variance_identity():
     for rule_probs in (dp.r1_distribution(700, 0.5), dp.r2_distribution(300, 0.35)):
         rec = analysis.moment_report(rule_probs.rule, rule_probs.n_participants,
-                                     rule_probs.n_participants).records[-1]
+                                     rule_probs.n_participants)[-1]
         assert abs(rec.variance - (rec.phi2 - rec.phi1**2)) < 1e-12
 
 
 def test_moment_report_records():
-    report = analysis.moment_report(dp.r1_distribution(3, 0.5).rule, 3, 40)
-    assert report.records[0].n == 3
-    assert report.records[-1].n == 40
-    rec = report.records[0]
+    records = analysis.moment_report(dp.r1_distribution(3, 0.5).rule, 3, 40)
+    assert records[0].n == 3
+    assert records[-1].n == 40
+    rec = records[0]
     assert rec.phi2 == pytest.approx(1 / 36, abs=1e-15)
     assert rec.g0 == 0.0

@@ -1,5 +1,6 @@
 """Command-line surface: schemas, exit codes, manifests, reproducibility."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from josephus import dp
 from josephus.cli import main
-from josephus.io import file_sha256
+from josephus.io import config_hash, file_sha256
 
 
 def run_ok(argv, capsys):
@@ -37,6 +38,14 @@ def test_det_series_check(capsys):
 
 def test_det_requires_a_mode():
     assert main(["det"]) == 2
+
+
+def test_det_method_option_is_gone(tmp_path):
+    # the recurrence, closed form and binary rotation stay library functions
+    # that criterion C01 cross-checks; det prints the recurrence's value
+    assert main(["--out", str(tmp_path), "det", "--n-range", "1:5",
+                 "--method", "rotation"]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exact_csv_schema(capsys):
@@ -259,6 +268,13 @@ def test_figure_gnuplot_script(tmp_path, capsys):
     assert any(f["name"].endswith(".gp") for f in manifest["files"])
 
 
+def test_sweep_refuses_non_integer_n(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "sweep", "--p-grid", "0.5",
+                 "--n-list", "500.7"]) == 2
+    assert capsys.readouterr().err.startswith("domain error:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_jsonl_non_assertive(tmp_path, capsys):
     run_ok(["--out", str(tmp_path), "sweep", "--p-grid", "0.5",
             "--n-list", "100,200", "--delta", "0.02"], capsys)
@@ -289,6 +305,64 @@ def test_rerun_reproduces_monte_carlo_counts(tmp_path, capsys):
     (tmp_path / name).unlink()
     run_ok(["rerun", str(tmp_path / f"{name[:-4]}.manifest.json")], capsys)
     assert (tmp_path / name).read_bytes() == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["det", "--n-range", "1:20"],
+    ["exact", "--rule", "r1", "--n", "10", "--p", "0.3"],
+    ["oracle", "--rule", "r3", "--n", "6", "--p-num", "1", "--p-den", "2",
+     "--q-num", "1", "--q-den", "3"],
+    ["--seed", "4", "simulate", "--rule", "r3", "--n", "9", "--p", "0.4", "--q", "0.7",
+     "--samples", "50"],
+    ["--format", "jsonl", "moments", "--rule", "r2", "--p", "0.3", "--n-max", "12"],
+    ["decay", "--p", "0.5", "--n-max", "20"],
+    ["decay", "--unbiased", "--n-max", "60"],
+    ["--seed", "2", "clt", "--l-max", "10", "--trials", "1000"],
+    ["figure", "r3", "--n", "12", "--p-grid", "0.5", "--q-grid", "0.25,1", "--gnuplot"],
+    ["sweep", "--p-grid", "0.4", "--n-list", "10,20"],
+], ids=["det", "exact", "oracle", "simulate", "moments-jsonl", "decay-p", "decay-unbiased",
+        "clt", "figure-gnuplot", "sweep"])
+def test_rerun_round_trip_of_every_writing_command(tmp_path, argv, capsys):
+    # writing under --out prints nothing, and rerun prints one status line
+    assert run_ok(["--out", str(tmp_path), *argv], capsys) == ""
+    [manifest] = tmp_path.glob("*.manifest.json")
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != manifest}
+    assert sorted(written) == sorted(f["name"] for f in json.loads(manifest.read_text())["files"])
+    for name in written:
+        (tmp_path / name).unlink()
+    out = run_ok(["rerun", str(manifest)], capsys)
+    assert out == f"reproduced {len(written)} files under {tmp_path}\n"
+    assert {name: (tmp_path / name).read_bytes() for name in written} == written
+
+
+def test_rerun_of_det_manifest_recording_method(tmp_path, capsys):
+    # det manifests written while det had --method carry "method" in their config
+    run_ok(["--out", str(tmp_path), "det", "--n-range", "1:9"], capsys)
+    manifest = tmp_path / "det_1_9.manifest.json"
+    data = json.loads(manifest.read_text())
+    data["config"]["method"] = "recurrence"
+    data["hash"] = config_hash(data["config"], data["version"])
+    manifest.write_text(json.dumps(data))
+    target = tmp_path / "det_1_9.csv"
+    first = target.read_bytes()
+    target.unlink()
+    run_ok(["rerun", str(manifest)], capsys)
+    assert target.read_bytes() == first
+
+
+def test_rerun_refuses_method_in_recorded_argv(tmp_path, capsys):
+    # the recorded sha256 is that of the table, so only the refused option fails
+    table = run_ok(["det", "--n-range", "1:5"], capsys).encode()
+    argv = ["--out", str(tmp_path), "det", "--n-range", "1:5", "--method", "rotation"]
+    manifest = tmp_path / "det_1_5.manifest.json"
+    manifest.write_text(json.dumps({
+        "config": {"schema": 1, "argv": argv, "command": "det", "n_range": [1, 5],
+                   "method": "rotation"},
+        "files": [{"name": "det_1_5.csv", "sha256": hashlib.sha256(table).hexdigest()}],
+        "hash": "", "version": "0.1.0",
+    }))
+    assert main(["rerun", str(manifest)]) == 3
+    assert list(tmp_path.iterdir()) == [manifest]
 
 
 def test_rerun_refuses_output_it_does_not_reproduce(tmp_path, capsys):

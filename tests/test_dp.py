@@ -210,6 +210,17 @@ def test_small_n_rejected(n):
         dp.r2_distribution(n, 0.5)
     with pytest.raises(DomainError):
         dp.r3_distribution(n, 0.5, 0.5)
+    for exact, params in ((dp.r1_distribution_exact, (Fraction(1, 2),)),
+                          (dp.r2_distribution_exact, (Fraction(1, 2),)),
+                          (dp.r3_distribution_exact, (Fraction(1, 2), Fraction(1, 2)))):
+        with pytest.raises(DomainError, match="base case"):
+            exact(n, *params)
+
+
+@pytest.mark.parametrize("p,q,name", [(1.5, 0.5, "p"), (0.5, 1.5, "q"), (-0.1, 0.5, "p")])
+def test_r3_rows_names_the_parameter_out_of_range(p, q, name):
+    with pytest.raises(DomainError, match=f"{name} must lie in \\[0, 1\\]"):
+        next(dp.r3_rows(10, p, q))
 
 
 def test_rational_dp_cap():
