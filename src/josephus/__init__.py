@@ -18,21 +18,19 @@ from .analysis import (
     decay_params_feasible,
     eta,
     expectation_functional,
-    moment,
     moment_report,
     moment_scaling_check,
     second_moment_sum_check,
     unbiased_decay_check,
 )
 from .deterministic import (
-    DeterministicSurvivor,
     generating_series_coefficients,
     survivor_binary_rotation,
     survivor_closed_form,
     survivor_recurrence,
     survivor_sequence,
 )
-from .distributions import Method, SurvivalDistribution
+from .distributions import SurvivalDistribution
 from .dp import (
     r1_distribution,
     r2_distribution,
@@ -48,7 +46,6 @@ from .errors import (
 from .rules import RuleKind, RuleSpec
 from .simulate import (
     ProcessState,
-    SurvivorSample,
     empirical_distribution,
     initial_state,
     oracle_distribution,
@@ -61,13 +58,10 @@ __all__ = [
     "CltReport",
     "DecayBoundFit",
     "MomentRecord",
-    "Method",
     "SurvivalDistribution",
     "RuleKind",
     "RuleSpec",
     "ProcessState",
-    "SurvivorSample",
-    "DeterministicSurvivor",
     "JosephusError",
     "DomainError",
     "EnumerationCapError",
@@ -87,7 +81,6 @@ __all__ = [
     "sample_survivor",
     "empirical_distribution",
     "expectation_functional",
-    "moment",
     "eta",
     "concentration_mass",
     "moment_report",

@@ -23,7 +23,6 @@ __all__ = [
     "phi_k",
     "psi",
     "expectation_functional",
-    "moment",
     "eta",
     "concentration_mass",
     "near_masses",
@@ -33,7 +32,6 @@ __all__ = [
     "decay_params_feasible",
     "decay_bound_check",
     "unbiased_alpha_components",
-    "unbiased_alpha_feasible",
     "verify_unbiased_alpha",
     "unbiased_decay_check",
     "MomentScalingReport",
@@ -71,16 +69,6 @@ def expectation_functional(dist: SurvivalDistribution, phi: Callable) -> float:
     return float(np.dot(values, dist.probs))
 
 
-def moment(dist: SurvivalDistribution, k: int, absolute: bool = False) -> float:
-    """E[(1/2 - X)^k], or E[|1/2 - X|^k] when ``absolute``."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    values = (0.5 - dist.positions) ** k
-    if absolute:
-        values = np.abs(values)
-    return float(np.dot(values, dist.probs))
-
-
 def _eta_row(row: np.ndarray) -> float:
     n = len(row)
     idx = {0, 1 % n, 2 % n, (n - 1) % n, (n - 2) % n}
@@ -108,8 +96,11 @@ def near_masses(dist: SurvivalDistribution, delta: float = 0.02) -> tuple[float,
     """(mass near position 0 on the circle, mass near position 1/2).
 
     Near zero means [0, delta) united with (1-delta, 1]; near one-half
-    means [1/2-delta, 1/2+delta].
+    means [1/2-delta, 1/2+delta].  The two windows are disjoint and
+    nonempty only for 0 < delta <= 1/4, so any other delta is refused.
     """
+    if not 0.0 < delta <= 0.25:
+        raise DomainError(f"delta must lie in (0, 1/4], got {delta}")
     x = dist.positions
     near_zero = float(dist.probs[(x < delta) | (x > 1.0 - delta)].sum())
     return near_zero, concentration_mass(dist, delta)
@@ -165,31 +156,29 @@ class DecayBoundFit:
     ``k_fit`` is the smallest constant validating the bound on the swept
     range; ``k`` is the reported constant max(k_fit, 1).  ``max_violation``
     is the largest log-domain slack of the bound with constant ``k`` (<= 0
-    when the bound holds).  The unbiased variant records its (epsilon,
-    alpha) parametrisation, with beta = alpha^(2(1+eps)) and gamma = alpha.
-    ``k_fit_half`` is the same over N <= n_max // 2.  For every feasible
-    parameter tried the sup sits at N = 3 or 4, so it equals ``k_fit`` for
-    n_max >= 8 and ``stabilized`` can fail only at n_max 6-7.
+    when the bound holds).  The unbiased bound has beta = alpha^(2(1+eps))
+    and gamma = alpha.  ``k_fit_half`` is the same over N <= n_max // 2.
+    For every feasible parameter tried the sup sits at N = 3 or 4, so it
+    equals ``k_fit`` for n_max >= 8 and ``stabilized`` can fail only at
+    n_max 6-7.  The fit holds only what it computed; p, n_max, epsilon and
+    alpha are the caller's inputs.
     """
 
-    p: float
     beta: float
     gamma: float
     k: float
     k_fit: float
     k_fit_half: float
     max_violation: float
-    n_max: int
-    epsilon: float | None = None
-    alpha: float | None = None
 
     @property
     def stabilization_ratio(self) -> float:
         """k_fit over the full range divided by k_fit over the first half."""
         return self.k_fit / self.k_fit_half
 
-    def stabilized(self, tolerance: float = 0.05) -> bool:
-        return self.stabilization_ratio <= 1.0 + tolerance
+    def stabilized(self) -> bool:
+        """Whether k_fit grew by at most 5% from the first half to the full range."""
+        return self.stabilization_ratio <= 1.05
 
 
 def _gamma_cap(p: float, beta: float) -> float:
@@ -233,10 +222,12 @@ def decay_params_feasible(p: float) -> tuple[float, float]:
     return best_beta, gamma
 
 
-def _fit_constant(log_slack: Iterable[tuple[int, np.ndarray]], **fields) -> DecayBoundFit:
+def _fit_constant(
+    log_slack: Iterable[tuple[int, np.ndarray]], n_max: int, beta: float, gamma: float
+) -> DecayBoundFit:
     # log_slack yields (N, log(g_N) minus the log of the bound with K = 1);
     # its sup over N <= n_max and over N <= n_max // 2 gives k_fit, k_fit_half
-    half = fields["n_max"] // 2
+    half = n_max // 2
     sup_full, sup_half = -math.inf, -math.inf
     for n, vals in log_slack:
         top = float(vals.max())
@@ -245,18 +236,12 @@ def _fit_constant(log_slack: Iterable[tuple[int, np.ndarray]], **fields) -> Deca
         sup_full = max(sup_full, top)
     if sup_half == -math.inf:
         raise DomainError(
-            f"n_max must be >= 6 so that N <= n_max // 2 holds a row, got {fields['n_max']}"
+            f"n_max must be >= 6 so that N <= n_max // 2 holds a row, got {n_max}"
         )
     k_fit = math.exp(sup_full)
     k_fit_half = math.exp(sup_half)
     k = max(k_fit, 1.0)
-    return DecayBoundFit(
-        k=k,
-        k_fit=k_fit,
-        k_fit_half=k_fit_half,
-        max_violation=sup_full - math.log(k),
-        **fields,
-    )
+    return DecayBoundFit(beta, gamma, k, k_fit, k_fit_half, sup_full - math.log(k))
 
 
 def decay_bound_check(p: float, n_max: int = 500) -> DecayBoundFit:
@@ -278,7 +263,7 @@ def decay_bound_check(p: float, n_max: int = 500) -> DecayBoundFit:
                 vals = np.log(row) + n * log_gamma - dist * log_beta
             yield n, vals
 
-    return _fit_constant(log_slack(), p=p, beta=beta, gamma=gamma, n_max=n_max)
+    return _fit_constant(log_slack(), n_max, beta, gamma)
 
 
 def unbiased_alpha_components(epsilon: float, alpha: float) -> tuple[float, float]:
@@ -287,10 +272,6 @@ def unbiased_alpha_components(epsilon: float, alpha: float) -> tuple[float, floa
         alpha ** (2.0 + 4.0 * (1.0 + epsilon)),
         alpha ** (1.0 - 4.0 * (1.0 + epsilon)) + alpha ** (1.0 + 2.0 * (1.0 + epsilon)),
     )
-
-
-def unbiased_alpha_feasible(epsilon: float, alpha: float) -> bool:
-    return max(unbiased_alpha_components(epsilon, alpha)) <= 2.0
 
 
 def verify_unbiased_alpha(epsilon: float, alpha: float) -> None:
@@ -331,15 +312,7 @@ def unbiased_decay_check(
                 vals = np.log(half_row) + (n - rate * j) * log_alpha
             yield n, vals
 
-    return _fit_constant(
-        log_slack(),
-        p=0.5,
-        beta=alpha**rate,
-        gamma=alpha,
-        n_max=n_max,
-        epsilon=epsilon,
-        alpha=alpha,
-    )
+    return _fit_constant(log_slack(), n_max, alpha**rate, alpha)
 
 
 # --- moment scaling ---------------------------------------------------------
@@ -349,7 +322,6 @@ def unbiased_decay_check(
 class MomentScalingReport:
     """Ratios E[|phi_k|] / (ln N / N)^(k/2) over a window of N."""
 
-    k: int
     n_values: np.ndarray
     ratios: np.ndarray
     sup_full: float
@@ -436,7 +408,7 @@ def moment_scaling_check(n_max: int = 4000, k: int = 2, n_min: int = 50) -> Mome
     if k == 1:
         slope, r2 = g0_exponential_fit(n_min, min(n_max, 1000), g0=g0)
     return MomentScalingReport(
-        k, ns, ratios, float(ratios.max()), float(top.max()), slope, r2
+        ns, ratios, float(ratios.max()), float(top.max()), slope, r2
     )
 
 
@@ -510,9 +482,6 @@ class CltReport:
     ``mean_shift``.
     """
 
-    l_max: int
-    trials: int
-    seed: int
     l_values: np.ndarray
     b_l: np.ndarray
     lyapunov_ratio: np.ndarray
@@ -598,9 +567,6 @@ def clt_experiment(
     z_centered = sums_centered / b_final
     z_mid = sums_mid / b_final
     return CltReport(
-        l_max=l_max,
-        trials=trials,
-        seed=seed,
         l_values=grid,
         b_l=np.array([b_at[int(g)] for g in grid]),
         lyapunov_ratio=np.array([lyap_at[int(g)] for g in grid]),

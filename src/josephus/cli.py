@@ -20,7 +20,6 @@ import click
 import numpy as np
 
 from . import __version__, analysis, deterministic, dp, io, simulate
-from .distributions import Method
 from .errors import CheckFailure, DomainError
 from .rules import RuleKind, RuleSpec
 
@@ -141,7 +140,14 @@ def det(ctx, n, n_range, series_check):
         return
     if n is None:
         raise DomainError("det requires one of --n, --n-range, --series-check")
-    click.echo(str(deterministic.survivor_recurrence(n).survivor_one_based))
+    click.echo(str(deterministic.survivor_recurrence(n)))
+
+
+def _refuse_given(ctx, mode: str, *names: str) -> None:
+    """Refuse the options ``names`` that were passed explicitly but ``mode`` ignores."""
+    for name in names:
+        if ctx.get_parameter_source(name) is not click.core.ParameterSource.DEFAULT:
+            raise DomainError(f"{mode} does not use --{name}; omit it")
 
 
 def _given(**params) -> dict:
@@ -233,29 +239,31 @@ def decay(ctx, p, unbiased, epsilon, alpha, n_max):
     """Fit exponential survival-decay constants; exit 3 if K has not stabilised."""
     if unbiased == (p is not None):
         raise DomainError("pass exactly one of --p or --unbiased")
+    if n_max is None:
+        n_max = 1000 if unbiased else 500
     if unbiased:
-        fit = analysis.unbiased_decay_check(
-            1000 if n_max is None else n_max, epsilon, alpha
-        )
-        slope, r2 = analysis.g0_exponential_fit(50, min(fit.n_max, 1000))
+        p = 0.5
+        fit = analysis.unbiased_decay_check(n_max, epsilon, alpha)
+        slope, r2 = analysis.g0_exponential_fit(50, min(n_max, 1000))
         extra = {"epsilon": epsilon, "alpha": alpha, "g0_log_slope": slope, "g0_log_r2": r2}
         cfg = {"command": "decay", "unbiased": True, "epsilon": epsilon,
-               "alpha": alpha, "n_max": fit.n_max}
+               "alpha": alpha, "n_max": n_max}
     else:
-        fit = analysis.decay_bound_check(p, 500 if n_max is None else n_max)
+        _refuse_given(ctx, "decay --p", "epsilon", "alpha")
+        fit = analysis.decay_bound_check(p, n_max)
         extra = {}
-        cfg = {"command": "decay", "p": p, "n_max": fit.n_max}
+        cfg = {"command": "decay", "p": p, "n_max": n_max}
     record = {
-        "p": fit.p, "beta": fit.beta, "gamma": fit.gamma, "k": fit.k,
+        "p": p, "beta": fit.beta, "gamma": fit.gamma, "k": fit.k,
         "k_fit": fit.k_fit, "k_fit_half": fit.k_fit_half,
         "stabilization_ratio": fit.stabilization_ratio,
-        "max_violation": fit.max_violation, "n_max": fit.n_max, **extra,
+        "max_violation": fit.max_violation, "n_max": n_max, **extra,
     }
     _emit_jsonl(ctx, "decay", [record], cfg)
     if not fit.stabilized():
         raise CheckFailure(
             f"fitted K grew by {100 * (fit.stabilization_ratio - 1):.2f}% "
-            f"between N <= {fit.n_max // 2} and N <= {fit.n_max}"
+            f"between N <= {n_max // 2} and N <= {n_max}"
         )
 
 
@@ -271,8 +279,8 @@ def clt(ctx, l_max, trials):
         for l, b, r in zip(report.l_values, report.b_l, report.lyapunov_ratio)
     ]
     records.append({
-        "ensemble": True, "l_max": report.l_max, "trials": report.trials,
-        "seed": report.seed, "ks_distance": report.ks_distance,
+        "ensemble": True, "l_max": l_max, "trials": trials,
+        "seed": ctx.obj["seed"], "ks_distance": report.ks_distance,
         "ks_distance_midpoint": report.ks_distance_midpoint,
         "mean_shift": report.mean_shift,
         "normalized_sums": report.normalized_sums.tolist(),
@@ -307,7 +315,7 @@ def _figure_one(ctx, variant, n, spec, montecarlo, samples):
     # calibration confirms the 0.03N tolerance (p in [0.4, 0.5], large N)
     if (
         variant == "r2"
-        and dist.method is Method.EXACT_DP
+        and not montecarlo
         and n >= 1000
         and 0.4 - 1e-12 <= p <= 0.5 + 1e-12
     ):
@@ -333,6 +341,8 @@ def figure(ctx, variant, n, p_grid, q_grid, montecarlo, samples, gnuplot):
     """Reproduce one figure set: one CSV per grid point plus a manifest."""
     if ctx.obj.get("out") is None:
         raise DomainError("figure requires --out DIR")
+    if not montecarlo:
+        _refuse_given(ctx, "figure without --montecarlo", "samples")
     ps = _parse_grid(p_grid) if p_grid else _FIGURE_DEFAULTS[variant]
     qs = _parse_grid(q_grid) if q_grid else (_R3_DEFAULT_AXIS if variant == "r3" else [None])
     # every point is checked before the first file is written
@@ -424,6 +434,9 @@ def rerun(manifest):
         code = main(_override_out(argv, tmp))
         if code != 0:
             raise CheckFailure(f"rerun exited with code {code}")
+        # after the run, so that a recorded run which no longer runs fails as a check
+        if not files:
+            raise DomainError("manifest lists no files, so the rerun verified nothing")
         new = [Path(tmp) / f["name"] for f in files]
         bad = [path.name for path, f in zip(new, files)
                if not path.is_file() or io.file_sha256(path) != f["sha256"]]

@@ -1,14 +1,16 @@
 """The classical (fully deterministic) elimination game.
 
-Three independent computations of the survivor's position are provided --
-the halving recurrence, the closed form ``2l + 1`` with ``N = 2^m + l``,
-and a cyclic rotation of the binary digits -- together with the exact
-power-series expansion whose coefficients reproduce the survivor sequence.
+Three independent computations of the survivor's one-based position b_N
+are provided -- the halving recurrence, the closed form ``2l + 1`` with
+``N = 2^m + l``, and a cyclic rotation of the binary digits -- together
+with the exact power-series expansion whose coefficients reproduce the
+survivor sequence.  Each scalar function returns b_N as an ``int``, the
+value ``survivor_sequence`` holds at index N-1; the zero-based label of
+the simulation modules is b_N - 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -16,7 +18,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "DeterministicSurvivor",
     "survivor_recurrence",
     "survivor_closed_form",
     "survivor_binary_rotation",
@@ -25,29 +26,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DeterministicSurvivor:
-    """Survivor of the deterministic game among ``n_participants`` people.
-
-    ``survivor_zero_based`` is the label in 0..N-1; ``survivor_one_based``
-    is the same position counted from 1 (always odd).
-    """
-
-    n_participants: int
-    survivor_zero_based: int
-    survivor_one_based: int
-
-
 def _require_positive(n: int) -> None:
     if n < 1:
         raise DomainError(f"participant count must be >= 1, got {n}")
 
 
-def _result(n: int, one_based: int) -> DeterministicSurvivor:
-    return DeterministicSurvivor(n, one_based - 1, one_based)
-
-
-def survivor_recurrence(n: int) -> DeterministicSurvivor:
+def survivor_recurrence(n: int) -> int:
     """Survivor via ``b(N) = 2 b(N//2) - (-1)^N`` with ``b(1) = 1``.
 
     Walks the binary digits of N below the top bit, most significant
@@ -58,21 +42,21 @@ def survivor_recurrence(n: int) -> DeterministicSurvivor:
     b = 1
     for digit in bin(n)[3:]:
         b = 2 * b + (1 if digit == "1" else -1)
-    return _result(n, b)
+    return b
 
 
-def survivor_closed_form(n: int) -> DeterministicSurvivor:
+def survivor_closed_form(n: int) -> int:
     """Survivor via ``b = 2l + 1`` where ``N = 2^m + l`` with ``0 <= l < 2^m``."""
     _require_positive(n)
     high = 1 << (n.bit_length() - 1)
-    return _result(n, 2 * (n - high) + 1)
+    return 2 * (n - high) + 1
 
 
-def survivor_binary_rotation(n: int) -> DeterministicSurvivor:
+def survivor_binary_rotation(n: int) -> int:
     """Survivor via a one-position left cyclic rotation of N's binary digits."""
     _require_positive(n)
     digits = bin(n)[2:]
-    return _result(n, int(digits[1:] + digits[0], 2))
+    return int(digits[1:] + digits[0], 2)
 
 
 def survivor_sequence(n_max: int, method: str = "recurrence") -> np.ndarray:
@@ -101,7 +85,7 @@ def survivor_sequence(n_max: int, method: str = "recurrence") -> np.ndarray:
         return 2 * (idx - high) + 1
     if method == "rotation":
         return np.array(
-            [survivor_binary_rotation(n).survivor_one_based for n in range(1, n_max + 1)],
+            [survivor_binary_rotation(n) for n in range(1, n_max + 1)],
             dtype=np.int64,
         )
     raise DomainError(f"unknown method {method!r}")

@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .distributions import Method, SurvivalDistribution
+from .distributions import SurvivalDistribution
 from .errors import DomainError
 from .rules import RuleKind, RuleSpec, _check_prob
 
@@ -175,7 +175,7 @@ def r3_distribution(n: int, p: float, q: float) -> SurvivalDistribution:
 
 
 def distribution_for_rule(rule: RuleSpec, n: int) -> SurvivalDistribution:
-    return SurvivalDistribution(rule, n, _last_row(rows_for_rule(rule, n)), Method.EXACT_DP)
+    return SurvivalDistribution(_last_row(rows_for_rule(rule, n)))
 
 
 # --- exact-rational variants (cross-check for the float DP) ---------------

@@ -28,13 +28,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import prng
-from .distributions import Method, SurvivalDistribution
+from .distributions import SurvivalDistribution
 from .errors import DomainError, EnumerationCapError, InvalidStateError
 from .rules import RuleKind, RuleSpec
 
 __all__ = [
     "ProcessState",
-    "SurvivorSample",
     "initial_state",
     "step",
     "run_path",
@@ -72,19 +71,6 @@ class ProcessState:
             raise InvalidStateError(f"knife holder {self.knife} is not alive")
         if self.direction not in (RIGHT, LEFT):
             raise InvalidStateError(f"direction must be +1 or -1, got {self.direction}")
-
-
-@dataclass(frozen=True)
-class SurvivorSample:
-    """Outcome of one seeded run: who survived among N participants."""
-
-    rule: RuleSpec
-    n_participants: int
-    survivor: int
-    normalized_position: float
-    rng_seed: int
-    path_length: int
-    stream_index: int = 0
 
 
 def initial_state(rule: RuleSpec, n: int) -> ProcessState:
@@ -200,13 +186,7 @@ def oracle_distribution(rule: RuleSpec, n: int) -> SurvivalDistribution:
         exact[alive[0]] += weight
     if sum(exact) != 1:
         raise InvalidStateError("oracle weights do not sum to one")  # pragma: no cover
-    return SurvivalDistribution(
-        rule,
-        n,
-        np.array([float(x) for x in exact]),
-        Method.EXACT_ORACLE,
-        exact=tuple(exact),
-    )
+    return SurvivalDistribution([float(x) for x in exact], exact=tuple(exact))
 
 
 # --- seeded sampling --------------------------------------------------------
@@ -282,10 +262,8 @@ def _survivors(
     return s
 
 
-def sample_survivor(
-    rule: RuleSpec, n: int, seed: int, stream_index: int = 0
-) -> SurvivorSample:
-    """Run the process once from stream ``stream_index`` derived from ``seed``.
+def sample_survivor(rule: RuleSpec, n: int, seed: int, stream_index: int = 0) -> int:
+    """The survivor's label in 0..N-1 for one run from stream ``stream_index`` of ``seed``.
 
     Identical (rule, N, seed, stream_index) always yields the identical
     survivor; streams follow the SplitMix64/Philox scheme in ``prng``.  This
@@ -295,8 +273,7 @@ def sample_survivor(
     """
     if n < 2:
         raise DomainError(f"sampling requires N >= 2, got N={n}")
-    survivor = int(_survivors(rule, n, *_coins(rule, n, seed, stream_index, 1))[0])
-    return SurvivorSample(rule, n, survivor, survivor / n, seed, n - 1, stream_index)
+    return int(_survivors(rule, n, *_coins(rule, n, seed, stream_index, 1))[0])
 
 
 def empirical_distribution(
@@ -329,12 +306,4 @@ def empirical_distribution(
             m = min(chunk_size, samples - start)
             survivors = _survivors(rule, n, *_coins(rule, n, seed, start, m))
             counts += np.bincount(survivors, minlength=n)
-    return SurvivalDistribution(
-        rule,
-        n,
-        counts / samples,
-        Method.MONTE_CARLO,
-        mc_samples=samples,
-        counts=counts,
-        seed=seed,
-    )
+    return SurvivalDistribution(counts / samples, counts=counts)

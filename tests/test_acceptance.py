@@ -118,7 +118,7 @@ def test_criterion_05_middle_range_decay():
             gamma * ((1 - p) * beta + p / beta**2),
         )
         fit = analysis.decay_bound_check(p, n_max=500)
-        good = gamma > 1 and max(ineqs) <= 1 and fit.stabilized(0.05)
+        good = gamma > 1 and max(ineqs) <= 1 and fit.stabilized()
         ok = ok and good
         details.append(f"p={p}: gamma={gamma:.4f} ratio={fit.stabilization_ratio:.4f}")
     elapsed = time.monotonic() - start
@@ -143,7 +143,7 @@ def test_criterion_06_unbiased_decay_as_stated():
     inequality_ok = max(c1, c2) <= 2.0
     try:
         fit = analysis.unbiased_decay_check(1000, 0.05, 1.03)
-        k_ok = fit.stabilized(0.05)
+        k_ok = fit.stabilized()
         k_detail = f"K ratio {fit.stabilization_ratio:.4f}"
     except DomainError as exc:
         k_ok = False
@@ -291,14 +291,14 @@ def test_supplement_deterministic_sample_matches_survivors():
     # spot confirmation that seeded simulation, DP endpoint and the closed
     # form all name the same survivor
     for n in (41, 100, 2000):
-        expected = deterministic.survivor_closed_form(n).survivor_zero_based
-        assert sample_survivor(RuleSpec.deterministic(), n, seed=1).survivor == expected
+        expected = deterministic.survivor_closed_form(n) - 1
+        assert sample_survivor(RuleSpec.deterministic(), n, seed=1) == expected
         assert dp.r1_distribution(n, 1.0).probs[expected] == 1.0
-    assert deterministic.survivor_closed_form(2000).survivor_zero_based == 1952
+    assert deterministic.survivor_closed_form(2000) - 1 == 1952
 
 
 def test_supplement_unbiased_decay_substance_at_feasible_params():
     # the substance criterion C06 aims at, run where the inequality holds
     fit = analysis.unbiased_decay_check(1000, 0.05, 1.008)
-    assert fit.stabilized(0.05)
+    assert fit.stabilized()
     assert fit.max_violation <= 0.0

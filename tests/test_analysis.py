@@ -48,9 +48,10 @@ def test_expectation_bounded_by_sup_norm(n, p, a, b):
 
 def test_moment_examples():
     dist = dp.r1_distribution(3, 0.5)
-    assert analysis.moment(dist, 2) == pytest.approx(1 / 36, abs=1e-15)
+    m2 = analysis.expectation_functional(dist, analysis.phi_k(2))
+    assert m2 == pytest.approx(1 / 36, abs=1e-15)
     for n, p in ((10, 0.2), (55, 0.8)):
-        m2 = analysis.moment(dp.r1_distribution(n, p), 2)
+        m2 = analysis.expectation_functional(dp.r1_distribution(n, p), analysis.phi_k(2))
         assert 0.0 <= m2 <= 0.25
 
 
@@ -99,17 +100,16 @@ def test_decay_bound_fit_stabilizes(p):
     assert math.isfinite(fit.k_fit)
     assert fit.k >= 1.0
     assert fit.max_violation <= 0.0
-    assert fit.stabilized(0.05)
+    assert fit.stabilized()
 
 
 def test_unbiased_alpha_inequality_components():
     # small alpha passes; the stated pair (0.05, 1.03) genuinely fails the
     # second component, and alpha=1.2 fails the first
-    assert analysis.unbiased_alpha_feasible(0.05, 1.008)
-    assert analysis.unbiased_alpha_feasible(0.25, 1.03)
+    assert max(analysis.unbiased_alpha_components(0.05, 1.008)) <= 2.0
+    assert max(analysis.unbiased_alpha_components(0.25, 1.03)) <= 2.0
     c1, c2 = analysis.unbiased_alpha_components(0.05, 1.03)
     assert c1 <= 2.0 < c2
-    assert not analysis.unbiased_alpha_feasible(0.05, 1.03)
     c1, _ = analysis.unbiased_alpha_components(0.05, 1.2)
     assert c1 > 2.0
 
@@ -125,9 +125,9 @@ def test_verify_unbiased_alpha_names_the_violation():
 def test_unbiased_decay_fit(eps, alpha):
     fit = analysis.unbiased_decay_check(500, eps, alpha)
     assert math.isfinite(fit.k_fit)
-    assert fit.stabilized(0.05)
+    assert fit.stabilized()
     assert fit.max_violation <= 0.0
-    assert fit.alpha == alpha
+    assert fit.gamma == alpha
 
 
 def test_unbiased_decay_rejects_infeasible_alpha():
@@ -180,7 +180,7 @@ def test_fit_constant_half_window_is_floor_half(n_max):
     # the decay sups above are attained at N = 3 or 4, so pin the
     # half-window N <= n_max // 2 with a log-slack that grows with N
     slack = ((n, np.array([-1.0, n / 100.0])) for n in range(3, n_max + 1))
-    fit = analysis._fit_constant(slack, n_max=n_max, p=0.5, beta=2.0, gamma=2.0)
+    fit = analysis._fit_constant(slack, n_max, beta=2.0, gamma=2.0)
     assert fit.k_fit == math.exp(n_max / 100.0)
     assert fit.k_fit_half == math.exp((n_max // 2) / 100.0)
     assert fit.max_violation == 0.0
@@ -411,14 +411,13 @@ def test_r2_argmax_tracks_limit_constant():
 
 
 def test_variance_identity():
-    for rule_probs in (dp.r1_distribution(700, 0.5), dp.r2_distribution(300, 0.35)):
-        rec = analysis.moment_report(rule_probs.rule, rule_probs.n_participants,
-                                     rule_probs.n_participants)[-1]
+    for rule, n in ((RuleSpec.r1(0.5), 700), (RuleSpec.r2(0.35), 300)):
+        rec = analysis.moment_report(rule, n, n)[-1]
         assert abs(rec.variance - (rec.phi2 - rec.phi1**2)) < 1e-12
 
 
 def test_moment_report_records():
-    records = analysis.moment_report(dp.r1_distribution(3, 0.5).rule, 3, 40)
+    records = analysis.moment_report(RuleSpec.r1(0.5), 3, 40)
     assert records[0].n == 3
     assert records[-1].n == 40
     rec = records[0]

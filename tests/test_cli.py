@@ -109,7 +109,13 @@ def test_oracle_rational_csv(capsys):
     ["exact", "--rule", "r1u", "--n", "5", "--q", "0.3"],
     ["oracle", "--rule", "deterministic", "--n", "5", "--p-num", "1", "--p-den", "3"],
     ["figure", "r1", "--n", "20", "--q-grid", "0.3"],
-], ids=["r1-q", "deterministic-p", "r1u-q", "oracle-deterministic-p", "figure-r1-q-grid"])
+    # a mode refuses what it ignores, even a value equal to the default
+    ["decay", "--p", "0.5", "--alpha", "2.0"],
+    ["decay", "--p", "0.5", "--epsilon", "9"],
+    ["decay", "--p", "0.5", "--alpha", "1.008"],
+    ["figure", "r1", "--n", "20", "--samples", "10"],
+], ids=["r1-q", "deterministic-p", "r1u-q", "oracle-deterministic-p", "figure-r1-q-grid",
+        "decay-p-alpha", "decay-p-epsilon", "decay-p-default-alpha", "figure-dp-samples"])
 def test_parameters_a_rule_does_not_take_are_refused(tmp_path, argv, capsys):
     assert main(["--out", str(tmp_path), *argv]) == 2
     assert capsys.readouterr().err.startswith("domain error:")
@@ -184,6 +190,16 @@ def test_decay_unbiased_short_fit_window_is_domain_error(capsys):
 def test_decay_unstabilized_fit_exits_three(tmp_path):
     # over a range this short the fitted constant is still growing
     assert main(["--out", str(tmp_path), "decay", "--p", "0.5", "--n-max", "6"]) == 3
+
+
+@pytest.mark.parametrize("mode,n_max,p", [(["--unbiased"], 1000, 0.5),
+                                         (["--p", "0.45"], 500, 0.45)])
+def test_decay_default_n_max_is_recorded(tmp_path, mode, n_max, p, capsys):
+    run_ok(["--out", str(tmp_path), "decay", *mode], capsys)
+    rec = json.loads((tmp_path / "decay.jsonl").read_text())
+    assert (rec["n_max"], rec["p"]) == (n_max, p)
+    config = json.loads((tmp_path / "decay.manifest.json").read_text())["config"]
+    assert config["n_max"] == n_max
 
 
 def test_clt_command(tmp_path, capsys):
@@ -271,6 +287,15 @@ def test_figure_gnuplot_script(tmp_path, capsys):
 def test_sweep_refuses_non_integer_n(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "sweep", "--p-grid", "0.5",
                  "--n-list", "500.7"]) == 2
+    assert capsys.readouterr().err.startswith("domain error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("delta", ["-1", "0", "0.7"])
+def test_sweep_refuses_delta_outside_quarter(tmp_path, delta, capsys):
+    # the near-0 and near-1/2 windows are disjoint and nonempty only for 0 < delta <= 1/4
+    assert main(["--out", str(tmp_path), "sweep", "--p-grid", "0.5",
+                 "--n-list", "100", "--delta", delta]) == 2
     assert capsys.readouterr().err.startswith("domain error:")
     assert list(tmp_path.iterdir()) == []
 
@@ -407,6 +432,19 @@ def test_rerun_rejects_unknown_config_keys(tmp_path):
     assert main(["rerun", str(manifest)]) == 2
 
 
+def test_rerun_refuses_manifest_without_files(tmp_path, capsys):
+    # a manifest that lists no files verifies nothing
+    manifest = tmp_path / "det_1_5.manifest.json"
+    manifest.write_text(json.dumps({
+        "config": {"schema": 1, "argv": ["det", "--n-range", "1:5"], "command": "det",
+                   "n_range": [1, 5]},
+        "files": [], "hash": "", "version": "0.1.0",
+    }))
+    assert main(["rerun", str(manifest)]) == 2
+    assert capsys.readouterr().err.startswith("domain error:")
+    assert list(tmp_path.iterdir()) == [manifest]
+
+
 @pytest.mark.parametrize("entry", [
     {"name": "det_1_5.csv"},
     {"name": "../det_1_5.csv", "sha256": "0" * 64},
@@ -443,3 +481,17 @@ def test_bad_flag_is_usage_error():
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "0.1.0" in capsys.readouterr().out
+
+
+def test_every_exported_name_resolves():
+    # catches an export left behind by a deleted name
+    import importlib
+    import pkgutil
+
+    import josephus
+
+    modules = [josephus, *(importlib.import_module(f"josephus.{m.name}")
+                           for m in pkgutil.iter_modules(josephus.__path__))]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"

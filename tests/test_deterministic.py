@@ -25,26 +25,26 @@ def brute_force_survivor(n: int) -> int:
     "n,expected_b", [(1, 1), (2, 1), (41, 19), (6, 5), (2**64, 1), (2**100 + 5, 11)]
 )
 def test_known_survivors(n, expected_b):
-    assert det.survivor_recurrence(n).survivor_one_based == expected_b
-    assert det.survivor_closed_form(n).survivor_one_based == expected_b
-    assert det.survivor_binary_rotation(n).survivor_one_based == expected_b
+    assert det.survivor_recurrence(n) == expected_b
+    assert det.survivor_closed_form(n) == expected_b
+    assert det.survivor_binary_rotation(n) == expected_b
 
 
 def test_survivor_matches_brute_force_simulation():
     for n in range(1, 130):
         expected = brute_force_survivor(n)
-        assert det.survivor_recurrence(n).survivor_zero_based == expected
+        assert det.survivor_recurrence(n) - 1 == expected
 
 
 def test_binary_rotation_examples():
-    assert det.survivor_binary_rotation(0b110).survivor_one_based == 0b101
-    assert det.survivor_binary_rotation(0b101001).survivor_one_based == 0b010011
-    assert det.survivor_binary_rotation(1).survivor_one_based == 1
+    assert det.survivor_binary_rotation(0b110) == 0b101
+    assert det.survivor_binary_rotation(0b101001) == 0b010011
+    assert det.survivor_binary_rotation(1) == 1
 
 
 def test_powers_of_two_survivor_is_one():
     for m in range(0, 20):
-        assert det.survivor_closed_form(2**m).survivor_one_based == 1
+        assert det.survivor_closed_form(2**m) == 1
 
 
 @pytest.mark.parametrize("method", ["recurrence", "closed-form", "rotation"])
@@ -56,24 +56,24 @@ def test_sequence_methods_agree_to_1e5(method):
 def test_sequence_matches_scalar_api():
     seq = det.survivor_sequence(500)
     for n in (1, 2, 3, 17, 499, 500):
-        assert seq[n - 1] == det.survivor_recurrence(n).survivor_one_based
+        assert seq[n - 1] == det.survivor_recurrence(n)
 
 
 @given(st.integers(min_value=1, max_value=10**12))
 def test_survivor_is_odd_and_in_range(n):
-    b = det.survivor_closed_form(n).survivor_one_based
+    b = det.survivor_closed_form(n)
     assert b % 2 == 1
     assert 1 <= b <= n
-    assert det.survivor_recurrence(n).survivor_one_based == b
-    assert det.survivor_binary_rotation(n).survivor_one_based == b
+    assert det.survivor_recurrence(n) == b
+    assert det.survivor_binary_rotation(n) == b
 
 
 def test_normalized_position_has_two_accumulation_points():
     # a_N/N = 0 along powers of two, but >= 1/2 along N = 3 * 2^(m-1)
     for m in range(2, 22):
-        assert det.survivor_closed_form(2**m).survivor_zero_based == 0
+        assert det.survivor_closed_form(2**m) - 1 == 0
         n = 3 * 2 ** (m - 1)
-        a = det.survivor_closed_form(n).survivor_zero_based
+        a = det.survivor_closed_form(n) - 1
         assert a / n >= 0.5
 
 
@@ -93,7 +93,14 @@ def test_classical_game_is_r1_at_p_one():
 def test_deterministic_simulation_agrees_with_closed_form():
     for n in (5, 41, 100, 257):
         sample = sample_survivor(RuleSpec.deterministic(), n, seed=123)
-        assert sample.survivor == det.survivor_closed_form(n).survivor_zero_based
+        assert sample == det.survivor_closed_form(n) - 1
+
+
+@pytest.mark.parametrize("fn", [det.survivor_recurrence, det.survivor_closed_form,
+                                det.survivor_binary_rotation])
+def test_scalar_survivor_is_an_int(fn):
+    for n in (1, 41, 2**70 + 3):
+        assert type(fn(n)) is int
 
 
 @pytest.mark.parametrize("fn", [det.survivor_recurrence, det.survivor_closed_form,

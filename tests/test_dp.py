@@ -64,7 +64,7 @@ def test_r1_r2_coincide_at_half(n):
 
 @pytest.mark.parametrize("n", [3, 8, 41, 200])
 def test_r1_deterministic_endpoint(n):
-    survivor = survivor_closed_form(n).survivor_zero_based
+    survivor = survivor_closed_form(n) - 1
     probs = dp.r1_distribution(n, 1.0).probs
     assert probs[survivor] == 1.0
     assert probs.sum() == 1.0
@@ -72,7 +72,7 @@ def test_r1_deterministic_endpoint(n):
 
 def test_r3_deterministic_endpoint():
     for n in (3, 9, 33):
-        survivor = survivor_closed_form(n).survivor_zero_based
+        survivor = survivor_closed_form(n) - 1
         probs = dp.r3_distribution(n, 1.0, 1.0).probs
         assert probs[survivor] == 1.0
 

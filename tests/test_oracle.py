@@ -34,7 +34,7 @@ def test_r3_deterministic_coins_give_point_mass():
     assert dist.exact == (Fraction(0), Fraction(0), Fraction(1))
     for n in (5, 9, 12):
         dist = oracle_distribution(RuleSpec.r3(Fraction(1), Fraction(1)), n)
-        assert dist.exact[survivor_closed_form(n).survivor_zero_based] == 1
+        assert dist.exact[survivor_closed_form(n) - 1] == 1
 
 
 def test_oracle_weights_sum_to_one_exactly():

@@ -92,27 +92,24 @@ def test_every_path_removes_one_per_step(n, coins, kind):
 
 def test_run_path_r3_pairs():
     survivor = run_path(RuleSpec.r3(0.5, 0.5), 4, [(True, True), (True, True), (True, True)])
-    assert survivor == survivor_closed_form(4).survivor_zero_based
+    assert survivor == survivor_closed_form(4) - 1
 
 
 def test_deterministic_sample_is_seed_independent():
     for seed in (0, 1, 2**63):
-        sample = sample_survivor(RuleSpec.deterministic(), 41, seed)
-        assert sample.survivor == 18
-        assert sample.path_length == 40
-        assert sample.normalized_position == 18 / 41
+        assert sample_survivor(RuleSpec.deterministic(), 41, seed) == 18
 
 
 def test_r1_p1_recovers_classical_survivor():
     for n in (5, 17, 64, 200):
-        expected = survivor_closed_form(n).survivor_zero_based
+        expected = survivor_closed_form(n) - 1
         for seed in (3, 99):
-            assert sample_survivor(RuleSpec.r1(1.0), n, seed).survivor == expected
+            assert sample_survivor(RuleSpec.r1(1.0), n, seed) == expected
 
 
 def test_r1_p0_is_deterministic_near_midpoint():
     for n in (100, 1000, 2000):
-        survivors = {sample_survivor(RuleSpec.r1(0.0), n, seed).survivor for seed in range(5)}
+        survivors = {sample_survivor(RuleSpec.r1(0.0), n, seed) for seed in range(5)}
         assert len(survivors) == 1
         a = survivors.pop()
         assert abs(a / n - 0.5) <= 2 / n
@@ -123,7 +120,7 @@ def test_sampling_is_reproducible():
     b = sample_survivor(R1H, 200, seed=777)
     assert a == b
     c = sample_survivor(R1H, 200, seed=778)
-    assert isinstance(c.survivor, int)
+    assert isinstance(c, int)
 
 
 def test_single_run_matches_reference_state_machine():
@@ -133,7 +130,7 @@ def test_single_run_matches_reference_state_machine():
     for rule in (RuleSpec.r1(0.3), RuleSpec.r2(0.6), RuleSpec.r3(0.4, 0.7)):
         for seed in (1, 5):
             for n in (2, 3, 7, 30, 200, 500):
-                expected = sample_survivor(rule, n, seed).survivor
+                expected = sample_survivor(rule, n, seed)
                 u = prng.stream(seed).random(2 * (n - 1))
                 if rule.kind.value == "r3":
                     coins = [
@@ -181,7 +178,7 @@ def test_empirical_aggregates_individual_streams():
     dist = empirical_distribution(rule, n, samples, seed, chunk_size=16)
     counts = np.zeros(n, dtype=int)
     for s in range(samples):
-        counts[sample_survivor(rule, n, seed, stream_index=s).survivor] += 1
+        counts[sample_survivor(rule, n, seed, stream_index=s)] += 1
     assert np.array_equal(dist.counts, counts)
 
 
@@ -196,7 +193,7 @@ def test_empirical_single_sample_is_point_mass():
     dist = empirical_distribution(R1H, 25, 1, seed=11)
     assert dist.counts.sum() == 1
     assert dist.probs.max() == 1.0
-    assert dist.mc_samples == 1
+    assert dist.n_participants == 25
 
 
 def test_empirical_deterministic_rule():
@@ -229,7 +226,7 @@ def test_certain_coins_draw_nothing(rule, n, monkeypatch):
     dist = empirical_distribution(rule, n, 1000, seed=3, chunk_size=64)
     assert dist.counts[survivor] == 1000
     for index in (0, 7):
-        assert sample_survivor(rule, n, seed=3, stream_index=index).survivor == survivor
+        assert sample_survivor(rule, n, seed=3, stream_index=index) == survivor
 
 
 @pytest.mark.slow
