@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-import scipy.stats
 
 from . import dp, prng
 from .distributions import SurvivalDistribution
@@ -566,6 +565,7 @@ def clt_experiment(
     b_final = math.sqrt(cum_v)
     z_centered = sums_centered / b_final
     z_mid = sums_mid / b_final
+    import scipy.stats  # here, not at module level: only this check needs scipy
     return CltReport(
         l_values=grid,
         b_l=np.array([b_at[int(g)] for g in grid]),

@@ -58,20 +58,17 @@ def _parse_grid(text: str, kind=float) -> list:
         raise DomainError(f"cannot parse grid {text!r}: {exc}") from None
 
 
-def _emit(ctx, name: str, header, rows, config) -> Path | None:
-    """Print a table to stdout, or write it under --out with its manifest.
+def _emit(ctx, name: str, header, columns, config) -> Path | None:
+    """Print a table, given by columns, to stdout, or write it under --out with its manifest.
 
     Tabular commands honour the global --format: csv (default) or one
     JSON record per row.
     """
-    header = list(header)
     if ctx.obj.get("format") == "jsonl":
-        return _emit_jsonl(ctx, name, (dict(zip(header, row)) for row in rows), config)
-    return _sink(ctx, name, "csv", io.csv_text(header, rows), config)
-
-
-def _emit_jsonl(ctx, name: str, records, config) -> Path | None:
-    return _sink(ctx, name, "jsonl", io.jsonl_text(records), config)
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+        records = (dict(zip(header, row)) for row in zip(*columns))
+        return _sink(ctx, name, "jsonl", io.jsonl_text(records), config)
+    return _sink(ctx, name, "csv", io.csv_text(header, columns), config)
 
 
 def _sink(ctx, name: str, ext: str, text: str, config: dict | None = None) -> Path | None:
@@ -134,8 +131,7 @@ def det(ctx, n, n_range, series_check):
         if not 1 <= a <= b:
             raise DomainError(f"need 1 <= A <= B in --n-range, got {n_range!r}")
         seq = deterministic.survivor_sequence(b)
-        _emit(ctx, f"det_{a}_{b}", ["N", "b_N"],
-              ((i, int(seq[i - 1])) for i in range(a, b + 1)),
+        _emit(ctx, f"det_{a}_{b}", ["N", "b_N"], [range(a, b + 1), seq[a - 1:]],
               {"command": "det", "n_range": [a, b]})
         return
     if n is None:
@@ -166,7 +162,7 @@ def exact(ctx, rule, n, p, q):
     dist = dp.distribution_for_rule(_build_rule(rule, p, q), n)
     given = _given(p=p, q=q)
     name = f"exact_{rule}_n{n}" + "".join(f"_{k}{v:g}" for k, v in given.items())
-    _emit(ctx, name, ["n", "prob"], enumerate(dist.probs.tolist()),
+    _emit(ctx, name, ["n", "prob"], [range(n), dist.probs],
           {"command": "exact", "n": n, "rule": rule, **given})
 
 
@@ -183,10 +179,10 @@ def oracle(ctx, rule, n, p_num, p_den, q_num, q_den):
     p, q = _ratio(p_num, p_den, "p"), _ratio(q_num, q_den, "q")
     spec = _build_rule(rule, p, q)
     dist = simulate.oracle_distribution(spec, n)
-    rows = [(i, frac.numerator, frac.denominator) for i, frac in enumerate(dist.exact)]
+    columns = [range(n), [f.numerator for f in dist.exact], [f.denominator for f in dist.exact]]
     cfg = {"command": "oracle", "rule": rule, "n": n,
            **_given(p_num=p_num, p_den=p_den, q_num=q_num, q_den=q_den)}
-    _emit(ctx, f"oracle_{rule}_n{n}", ["n", "num", "den"], rows, cfg)
+    _emit(ctx, f"oracle_{rule}_n{n}", ["n", "num", "den"], columns, cfg)
 
 
 @cli.command("simulate")
@@ -201,11 +197,8 @@ def simulate_cmd(ctx, rule, n, p, q, samples):
     spec = _build_rule(rule, p, q)
     seed = ctx.obj["seed"]
     dist = simulate.empirical_distribution(spec, n, samples, seed)
-    rows = (
-        (i, int(dist.counts[i]), dist.probs[i].item()) for i in range(n)
-    )
     name = f"simulate_{rule}_n{n}_s{samples}_seed{seed}"
-    _emit(ctx, name, ["n", "count", "freq"], rows,
+    _emit(ctx, name, ["n", "count", "freq"], [range(n), dist.counts, dist.probs],
           {"command": "simulate", "n": n, "samples": samples, "seed": seed,
            "rule": rule, **_given(p=p, q=q)})
 
@@ -222,8 +215,8 @@ def moments(ctx, rule, n_min, n_max, p, q):
     spec = _build_rule(rule, p, q)
     records = analysis.moment_report(spec, n_min, n_max)
     header = [f.name for f in dataclasses.fields(analysis.MomentRecord)]
-    rows = ([getattr(r, name) for name in header] for r in records)
-    _emit(ctx, f"moments_{rule}_n{n_min}_{n_max}", header, rows,
+    columns = list(zip(*map(dataclasses.astuple, records)))
+    _emit(ctx, f"moments_{rule}_n{n_min}_{n_max}", header, columns,
           {"command": "moments", "n_min": n_min, "n_max": n_max,
            "rule": rule, **_given(p=p, q=q)})
 
@@ -259,7 +252,7 @@ def decay(ctx, p, unbiased, epsilon, alpha, n_max):
         "stabilization_ratio": fit.stabilization_ratio,
         "max_violation": fit.max_violation, "n_max": n_max, **extra,
     }
-    _emit_jsonl(ctx, "decay", [record], cfg)
+    _sink(ctx, "decay", "jsonl", io.jsonl_text([record]), cfg)
     if not fit.stabilized():
         raise CheckFailure(
             f"fitted K grew by {100 * (fit.stabilization_ratio - 1):.2f}% "
@@ -286,9 +279,8 @@ def clt(ctx, l_max, trials):
         "normalized_sums": report.normalized_sums.tolist(),
         "normalized_sums_midpoint": report.normalized_sums_midpoint.tolist(),
     })
-    _emit_jsonl(ctx, f"clt_L{l_max}_T{trials}", records,
-                {"command": "clt", "l_max": l_max, "trials": trials,
-                 "seed": ctx.obj["seed"]})
+    _sink(ctx, f"clt_L{l_max}_T{trials}", "jsonl", io.jsonl_text(records),
+          {"command": "clt", "l_max": l_max, "trials": trials, "seed": ctx.obj["seed"]})
     if not np.all(np.diff(report.b_l) > 0):
         raise CheckFailure("B_L is not strictly increasing")
     if report.lyapunov_ratio[-1] >= report.lyapunov_ratio[0]:
@@ -310,7 +302,7 @@ def _figure_one(ctx, variant, n, spec, montecarlo, samples):
         dist = dp.distribution_for_rule(spec, n)
     p, q = spec.p, spec.q
     name = f"fig_{variant}_n{n}_p{p:g}" + (f"_q{q:g}" if q is not None else "")
-    path = _sink(ctx, name, "csv", io.csv_text(["n", "prob"], enumerate(dist.probs.tolist())))
+    path = _sink(ctx, name, "csv", io.csv_text(["n", "prob"], [range(n), dist.probs]))
     # the argmax approaches (3p-1)N slowly; enforce only where the N=2000
     # calibration confirms the 0.03N tolerance (p in [0.4, 0.5], large N)
     if (
@@ -393,8 +385,8 @@ def sweep(ctx, p_grid, n_list, delta):
                 "mass_near_zero": near_zero, "mass_near_half": near_half,
                 "assertive": False,
             })
-    _emit_jsonl(ctx, "sweep", records,
-                {"command": "sweep", "p_grid": ps, "n_list": ns, "delta": delta})
+    _sink(ctx, "sweep", "jsonl", io.jsonl_text(records),
+          {"command": "sweep", "p_grid": ps, "n_list": ns, "delta": delta})
 
 
 # det manifests written by earlier versions record "method"; they must still rerun

@@ -5,6 +5,11 @@ either printed or written; files are written atomically (temp file +
 rename) so concurrent grid members never interleave.  Lines end in
 "\\n" and floats print with 17 significant digits, so exact reruns are
 byte-identical.
+
+``csv_text`` takes a table by columns (ranges, sequences or 1-D numpy
+arrays), picks each column's format once (``%.17g`` if every value is a
+float, ``%s`` if none is, the per-value rule if mixed) and formats
+``_BLOCK_ROWS`` rows at a time, so only one block's row strings exist at once.
 """
 
 from __future__ import annotations
@@ -14,20 +19,14 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 
 SCHEMA_VERSION = 1
-
-
-def fmt(value) -> str:
-    """Render a value for CSV: floats at 17 significant digits."""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+_BLOCK_ROWS = 1 << 16
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -44,26 +43,34 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def csv_text(header: Iterable[str], columns: Sequence[Sequence]) -> str:
+    """The CSV text of a table given as equally long columns, header line first."""
+    n = len(columns[0]) if columns else 0
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    formats = [_column_format(c) for c in columns]
+    columns = [c if f else [format(v, ".17g") if isinstance(v, float) else str(v) for v in c]
+               for c, f in zip(columns, formats)]
+    line = ",".join(f or "%s" for f in formats) + "\n"
+    parts = [",".join(header) + "\n"]
+    for start in range(0, n, _BLOCK_ROWS):
+        block = [c[start:start + _BLOCK_ROWS] for c in columns]
+        block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+        parts.append("".join(map(line.__mod__, zip(*block))))
+    return "".join(parts)
+
+
+def _column_format(column) -> str | None:
+    """``%.17g`` if every value is a float, ``%s`` if none is, None if mixed."""
+    if isinstance(column, np.ndarray) and column.dtype.kind != "O":
+        return "%.17g" if column.dtype.kind == "f" else "%s"
+    kinds = {False} if isinstance(column, range) else {isinstance(v, float) for v in column}
+    return None if len(kinds) > 1 else ("%.17g" if True in kinds else "%s")
 
 
 def jsonl_text(records: Iterable[Mapping]) -> str:
-    return "".join(
-        json.dumps(rec, sort_keys=True, default=json_default) + "\n" for rec in records
-    )
-
-
-def json_default(value):
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"cannot serialise {type(value)!r}")
+    """One JSON object per line; the records hold plain Python values."""
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
 
 
 def config_hash(config: Mapping, version: str) -> str:

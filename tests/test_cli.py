@@ -275,6 +275,27 @@ def test_global_format_jsonl_for_tabular_commands(tmp_path, capsys):
                     {"N": 3, "b_N": 3}, {"N": 4, "b_N": 1}]
 
 
+@pytest.mark.parametrize("argv, types", [
+    (["det", "--n-range", "3:40"], [int, int]),
+    (["exact", "--rule", "r3", "--n", "30", "--p", "0.4", "--q", "0.75"], [int, float]),
+    (["oracle", "--rule", "r2", "--n", "8", "--p-num", "3", "--p-den", "10"], [int, int, int]),
+    (["simulate", "--rule", "r1", "--n", "20", "--p", "0.4", "--samples", "500"],
+     [int, int, float]),
+    (["moments", "--rule", "r2", "--p", "0.3", "--n-max", "12"], [int] + [float] * 9),
+], ids=["det", "exact", "oracle", "simulate", "moments"])
+def test_jsonl_records_are_the_csv_rows(argv, types, capsys):
+    # both formats render the same plain Python values, one record per CSV row
+    lines = run_ok(argv, capsys).splitlines()
+    records = [json.loads(l) for l in run_ok(["--format", "jsonl", *argv], capsys).splitlines()]
+    header = lines[0].split(",")
+    assert len(records) == len(lines) - 1
+    for line, rec in zip(lines[1:], records):
+        assert list(rec) == sorted(header)
+        assert [type(rec[h]) for h in header] == types
+        assert line == ",".join(
+            format(rec[h], ".17g") if isinstance(rec[h], float) else str(rec[h]) for h in header)
+
+
 def test_figure_gnuplot_script(tmp_path, capsys):
     run_ok(["--out", str(tmp_path), "figure", "r1", "--n", "30",
             "--p-grid", "0.4,0.6", "--gnuplot"], capsys)
