@@ -319,18 +319,25 @@ def unbiased_decay_check(
 
 @dataclass(frozen=True)
 class MomentScalingReport:
-    """Ratios E[|phi_k|] / (ln N / N)^(k/2) over a window of N."""
+    """Sups of E[|phi_k|] / (ln N / N)^(k/2) over windows of N, indexed by k - 1.
 
-    n_values: np.ndarray
-    ratios: np.ndarray
-    sup_full: float
-    sup_top_window: float
-    exponential_slope: float | None = None  # k=1 only: slope of log|E[phi_1]|
-    exponential_r2: float | None = None
+    The windows are the sweep [n_min, n_max], [n_max/4, n_max/2) and the
+    top [n_max/2, n_max]; an empty window's sup is -inf.
+    """
+
+    sup_full: tuple[float, float, float]
+    sup_previous_window: tuple[float, float, float]
+    sup_top_window: tuple[float, float, float]
+    exponential_slope: float
+    exponential_r2: float
 
     @property
-    def bounded_trend(self) -> bool:
-        return math.isfinite(self.sup_full) and self.sup_top_window <= self.sup_full
+    def bounded_trend(self) -> tuple[bool, bool, bool]:
+        """Per k: the top window's sup is finite and at most the previous window's."""
+        return tuple(
+            math.isfinite(top) and top <= prev
+            for top, prev in zip(self.sup_top_window, self.sup_previous_window)
+        )
 
 
 def _log_linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -381,34 +388,33 @@ def g0_exponential_fit(
     return slope, r2
 
 
-def moment_scaling_check(n_max: int = 4000, k: int = 2, n_min: int = 50) -> MomentScalingReport:
-    """Check E[|phi_k|] against the (ln N / N)^(k/2) envelope, unbiased rule.
+def moment_scaling_check(n_max: int = 4000, n_min: int = 50) -> MomentScalingReport:
+    """Check E[|phi_k|], k = 1, 2, 3, against the (ln N / N)^(k/2) envelope, unbiased rule.
 
-    Bounded-trend pass: the ratio's maximum over the top window
-    [n_max/2, n_max] must not exceed the full-range maximum.  For k = 1 the
-    signed first moment additionally decays exponentially; its log-slope
-    fit (over N <= 1000, zero entries excluded) is attached.
+    Bounded-trend pass, per k: the ratio's sup over the top window
+    [n_max/2, n_max] must not exceed its sup over the disjoint window
+    [n_max/4, n_max/2) before it.  The signed first moment additionally
+    decays exponentially; the log-slope fit of g_N(0) over
+    [n_min, min(n_max, 1000)], zero entries excluded, is attached.
     """
-    if k not in (1, 2, 3):
-        raise DomainError(f"moment scaling is checked for k in 1..3, got {k}")
     ns, ratios = [], []
     g0 = np.zeros(n_max + 1)
     for rec in moment_report(RuleSpec.r1(0.5), 3, n_max):
         g0[rec.n] = rec.g0
         if rec.n < n_min:
             continue
-        abs_moment = (rec.abs_phi1, rec.phi2, rec.abs_phi3)[k - 1]
+        scale = math.log(rec.n) / rec.n
         ns.append(rec.n)
-        ratios.append(abs_moment / (math.log(rec.n) / rec.n) ** (k / 2.0))
-    ns = np.array(ns)
-    ratios = np.array(ratios)
-    top = ratios[ns >= n_max // 2]
-    slope = r2 = None
-    if k == 1:
-        slope, r2 = g0_exponential_fit(n_min, min(n_max, 1000), g0=g0)
-    return MomentScalingReport(
-        ns, ratios, float(ratios.max()), float(top.max()), slope, r2
-    )
+        ratios.append([m / scale ** (k / 2.0)
+                       for k, m in ((1, rec.abs_phi1), (2, rec.phi2), (3, rec.abs_phi3))])
+    slope, r2 = g0_exponential_fit(n_min, min(n_max, 1000), g0=g0)  # refuses an empty sweep
+    ns, ratios = np.array(ns), np.array(ratios)
+
+    def sup(mask) -> tuple[float, float, float]:
+        return tuple(np.max(ratios[mask], axis=0, initial=-math.inf).tolist())
+
+    previous = (ns >= n_max // 4) & (ns < n_max // 2)
+    return MomentScalingReport(sup(slice(None)), sup(previous), sup(ns >= n_max // 2), slope, r2)
 
 
 @dataclass(frozen=True)

@@ -167,7 +167,7 @@ def exact(ctx, rule, n, p, q):
 
 
 @cli.command()
-@click.option("--rule", type=click.Choice(["deterministic", "r1", "r2", "r3"]), required=True)
+@click.option("--rule", type=click.Choice(sorted(_RULES)), required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--p-num", type=int, default=None)
 @click.option("--p-den", type=int, default=None)

@@ -59,36 +59,23 @@ def survivor_binary_rotation(n: int) -> int:
     return int(digits[1:] + digits[0], 2)
 
 
-def survivor_sequence(n_max: int, method: str = "recurrence") -> np.ndarray:
+def survivor_sequence(n_max: int) -> np.ndarray:
     """One-based survivors for all N in 1..n_max as an int64 array.
 
-    ``method`` selects the computation: "recurrence" fills dyadic blocks
-    bottom-up from the halving recurrence, "closed-form" vectorises the
-    ``2l + 1`` formula, "rotation" rotates binary digits (scalar loop).
+    Fills dyadic blocks [2^k, 2^(k+1)) bottom-up from the halving
+    recurrence, one vectorised step per block.  The scalar
+    ``survivor_closed_form`` and ``survivor_binary_rotation`` are its
+    independent references.
     """
     _require_positive(n_max)
-    if method == "recurrence":
-        b = np.zeros(n_max + 1, dtype=np.int64)
-        b[1] = 1
-        k = 1
-        while 2**k <= n_max:
-            idx = np.arange(2**k, min(2 ** (k + 1), n_max + 1), dtype=np.int64)
-            b[idx] = 2 * b[idx >> 1] - (1 - 2 * (idx & 1))
-            k += 1
-        return b[1:]
-    if method == "closed-form":
-        idx = np.arange(1, n_max + 1, dtype=np.int64)
-        if n_max >= 2**53:
-            raise DomainError("vectorised closed form supports N < 2**53")
-        _, exp = np.frexp(idx.astype(np.float64))
-        high = np.int64(1) << (exp.astype(np.int64) - 1)
-        return 2 * (idx - high) + 1
-    if method == "rotation":
-        return np.array(
-            [survivor_binary_rotation(n) for n in range(1, n_max + 1)],
-            dtype=np.int64,
-        )
-    raise DomainError(f"unknown method {method!r}")
+    b = np.zeros(n_max + 1, dtype=np.int64)
+    b[1] = 1
+    k = 1
+    while 2**k <= n_max:
+        idx = np.arange(2**k, min(2 ** (k + 1), n_max + 1), dtype=np.int64)
+        b[idx] = 2 * b[idx >> 1] - (1 - 2 * (idx & 1))
+        k += 1
+    return b[1:]
 
 
 def generating_series_coefficients(max_degree: int) -> list[int]:

@@ -191,6 +191,8 @@ def oracle_distribution(rule: RuleSpec, n: int) -> SurvivalDistribution:
 
 # --- seeded sampling --------------------------------------------------------
 
+_CHUNK = 4096  # samples per pass of the sampling engine
+
 
 def _coin_probs(rule: RuleSpec) -> list[float]:
     """Probabilities of one step's coins: the victim coin, then r3's knife coin."""
@@ -277,11 +279,7 @@ def sample_survivor(rule: RuleSpec, n: int, seed: int, stream_index: int = 0) ->
 
 
 def empirical_distribution(
-    rule: RuleSpec,
-    n: int,
-    samples: int,
-    seed: int,
-    chunk_size: int = 4096,
+    rule: RuleSpec, n: int, samples: int, seed: int
 ) -> SurvivalDistribution:
     """Aggregate ``samples`` independent seeded runs into a histogram.
 
@@ -289,10 +287,10 @@ def empirical_distribution(
     exactly as ``sample_survivor`` would with that derived stream, so the
     result is a pure function of (rule, N, samples, seed) regardless of
     chunking or execution order.  Samples run through the engine
-    ``chunk_size`` at a time; a chunk holds (N-1) x chunk_size coin
-    booleans (twice that for r3), drawn sample-major and copied once to
-    step-major, and one label per sample.  When every coin is certain the
-    engine runs once and its survivor takes all ``samples``.
+    ``_CHUNK`` = 4096 at a time; a chunk holds (N-1) x 4096 coin booleans
+    (twice that for r3), drawn sample-major and copied once to step-major,
+    and one label per sample.  When every coin is certain the engine runs
+    once and its survivor takes all ``samples``.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
@@ -302,8 +300,8 @@ def empirical_distribution(
     if _certain(rule):  # every sample takes the same path
         counts[_survivors(rule, n, *_coins(rule, n, seed, 0, 1))] = samples
     else:
-        for start in range(0, samples, chunk_size):
-            m = min(chunk_size, samples - start)
+        for start in range(0, samples, _CHUNK):
+            m = min(_CHUNK, samples - start)
             survivors = _survivors(rule, n, *_coins(rule, n, seed, start, m))
             counts += np.bincount(survivors, minlength=n)
     return SurvivalDistribution(counts / samples, counts=counts)

@@ -230,11 +230,35 @@ def test_g0_exponential_fit_refuses_short_g0():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_moment_scaling_bounded(k):
-    report = analysis.moment_scaling_check(n_max=1500, k=k, n_min=50)
-    assert report.bounded_trend
+    report = analysis.moment_scaling_check(n_max=1500, n_min=50)
+    assert report.bounded_trend[k - 1]
     if k == 1:
         assert report.exponential_slope < -0.01
         assert report.exponential_r2 >= 0.99
+
+
+@pytest.mark.parametrize("n_max", [1500, 1503])
+def test_moment_scaling_windows_match_an_inline_sup(n_max):
+    # the three windows' sups, recomputed from moment_report record by record
+    n_min = 50
+    sups = {"full": [-math.inf] * 3, "prev": [-math.inf] * 3, "top": [-math.inf] * 3}
+    for rec in analysis.moment_report(RuleSpec.r1(0.5), 3, n_max):
+        if rec.n < n_min:
+            continue
+        windows = ["full"]
+        if rec.n >= n_max // 2:
+            windows.append("top")
+        elif rec.n >= n_max // 4:
+            windows.append("prev")
+        for k, moment in enumerate((rec.abs_phi1, rec.phi2, rec.abs_phi3), start=1):
+            ratio = moment / (math.log(rec.n) / rec.n) ** (k / 2.0)
+            for window in windows:
+                sups[window][k - 1] = max(sups[window][k - 1], ratio)
+    report = analysis.moment_scaling_check(n_max=n_max, n_min=n_min)
+    assert report.sup_full == tuple(sups["full"])
+    assert report.sup_previous_window == tuple(sups["prev"])
+    assert report.sup_top_window == tuple(sups["top"])
+    assert report.bounded_trend == tuple(t <= p for t, p in zip(sups["top"], sups["prev"]))
 
 
 def test_second_moment_sum_band():

@@ -103,6 +103,14 @@ def test_oracle_rational_csv(capsys):
     assert lines[1:] == ["0,0,1", "1,7,10", "2,3,10"]
 
 
+def test_oracle_r1u_is_r1_at_one_half(capsys):
+    # every rule command offers the same rule names; r1u is r1 at p = 1/2
+    alias = run_ok(["oracle", "--rule", "r1u", "--n", "9"], capsys)
+    assert alias == run_ok(["oracle", "--rule", "r1", "--n", "9", "--p-num", "1", "--p-den", "2"],
+                           capsys)
+    assert alias.splitlines()[2] == "1,7,64"
+
+
 @pytest.mark.parametrize("argv", [
     ["exact", "--rule", "r1", "--n", "5", "--p", "0.3", "--q", "0.5"],
     ["exact", "--rule", "deterministic", "--n", "5", "--p", "0.3"],

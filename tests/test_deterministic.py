@@ -49,8 +49,10 @@ def test_powers_of_two_survivor_is_one():
 
 @pytest.mark.parametrize("method", ["recurrence", "closed-form", "rotation"])
 def test_sequence_methods_agree_to_1e5(method):
-    base = det.survivor_sequence(100_000, "recurrence")
-    assert np.array_equal(base, det.survivor_sequence(100_000, method))
+    scalar = {"recurrence": det.survivor_recurrence, "closed-form": det.survivor_closed_form,
+              "rotation": det.survivor_binary_rotation}[method]
+    base = det.survivor_sequence(100_000)
+    assert np.array_equal(base, [scalar(n) for n in range(1, 100_001)])
 
 
 def test_sequence_matches_scalar_api():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from josephus import dp
+from josephus import dp, simulate
 from josephus.deterministic import survivor_closed_form
 from josephus.errors import DomainError, InvalidStateError
 from josephus.rules import RuleSpec
@@ -172,20 +172,23 @@ def test_backward_engine_matches_forward_paths(rule, n):
         assert survivors[j] == run_path(rule, n, coins)
 
 
-def test_empirical_aggregates_individual_streams():
+def test_empirical_aggregates_individual_streams(monkeypatch):
     rule = RuleSpec.r3(0.35, 0.6)
     n, samples, seed = 19, 60, 4242
-    dist = empirical_distribution(rule, n, samples, seed, chunk_size=16)
+    monkeypatch.setattr(simulate, "_CHUNK", 16)
+    dist = empirical_distribution(rule, n, samples, seed)
     counts = np.zeros(n, dtype=int)
     for s in range(samples):
         counts[sample_survivor(rule, n, seed, stream_index=s)] += 1
     assert np.array_equal(dist.counts, counts)
 
 
-def test_empirical_is_chunk_size_invariant():
+def test_empirical_is_chunk_size_invariant(monkeypatch):
     rule = RuleSpec.r1(0.42)
-    base = empirical_distribution(rule, 31, 500, seed=5, chunk_size=7)
-    other = empirical_distribution(rule, 31, 500, seed=5, chunk_size=499)
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    base = empirical_distribution(rule, 31, 500, seed=5)
+    monkeypatch.setattr(simulate, "_CHUNK", 499)
+    other = empirical_distribution(rule, 31, 500, seed=5)
     assert np.array_equal(base.counts, other.counts)
 
 
@@ -223,7 +226,7 @@ def test_certain_coins_draw_nothing(rule, n, monkeypatch):
         survivor = int(np.argmax(probs))
     else:
         survivor = 0  # two-person convention: the holder removes the other
-    dist = empirical_distribution(rule, n, 1000, seed=3, chunk_size=64)
+    dist = empirical_distribution(rule, n, 1000, seed=3)
     assert dist.counts[survivor] == 1000
     for index in (0, 7):
         assert sample_survivor(rule, n, seed=3, stream_index=index) == survivor
@@ -235,7 +238,7 @@ def test_mc_matches_dp_within_five_standard_errors():
     # (exact zeros) must never be sampled at all
     n, samples, seed = 50, 1_000_000, 20240811
     exact = dp.r1_distribution(n, 0.5).probs
-    emp = empirical_distribution(R1H, n, samples, seed, chunk_size=65536)
+    emp = empirical_distribution(R1H, n, samples, seed)
     se = np.sqrt(exact * (1.0 - exact) / samples)
     zero = exact == 0.0
     assert np.all(emp.counts[zero] == 0)
@@ -246,8 +249,7 @@ def test_mc_matches_dp_within_five_standard_errors():
 @pytest.mark.slow
 def test_empirical_r2_mode_tracks_limit_constant():
     # histogram mode at p=0.45 lands within 0.03N of (3p-1)N = 0.35N
-    emp = empirical_distribution(RuleSpec.r2(0.45), 2000, 100_000, seed=424242,
-                                 chunk_size=8192)
+    emp = empirical_distribution(RuleSpec.r2(0.45), 2000, 100_000, seed=424242)
     mode = int(np.argmax(emp.counts))
     assert abs(mode - 0.35 * 2000) <= 0.03 * 2000
 
@@ -270,7 +272,7 @@ def test_mc_total_variation_at_n2000():
     # 1e5 seeded runs against the exact unbiased distribution at N=2000
     n, samples, seed = 2000, 100_000, 12345
     exact = dp.r1_distribution(n, 0.5)
-    emp = empirical_distribution(R1H, n, samples, seed, chunk_size=8192)
+    emp = empirical_distribution(R1H, n, samples, seed)
     assert emp.total_variation(exact) <= 0.02
 
 
