@@ -19,3 +19,7 @@ class InvalidStateError(JosephusError):
 
 class CheckFailure(JosephusError):
     """A check command's documented postcondition does not hold."""
+
+
+class KernelBuildError(JosephusError, RuntimeError):
+    """The compiled sampling kernel could not be built (for instance, no gcc)."""

@@ -9,6 +9,11 @@ Two fixed, named algorithms with published constants:
 * Philox4x64 (counter-based, as shipped by numpy) turns each key into an
   independent uniform stream.  Identical (seed, index) always reproduces
   the identical stream, on every platform.
+
+``stream`` is the reference implementation of this contract.  The CLT
+harness draws through it; the Monte Carlo sampler draws through a C copy
+of both algorithms (``simulate``'s compiled kernel), which the tests hold
+to ``stream(seed, index).random(k)`` bit for bit.
 """
 
 from __future__ import annotations

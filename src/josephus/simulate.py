@@ -5,15 +5,24 @@ Two views of one set of process semantics:
 * ``step`` -- readable forward transition on an immutable ring, used by
   the exhaustive oracle, by ``run_path`` and by tests as the reference;
 * ``sample_survivor`` and ``empirical_distribution`` -- seeded sampling
-  through one vectorised engine that simulates no ring: it draws each
-  sample's coins, then walks the rounds backwards from the last two
-  participants, relabeling the survivor with the inverse of each round's
-  relabeling map (the maps of the ``dp`` recursions).  Samples are
-  processed in chunks of step-major coin rows, (N-1) x chunk booleans.
+  through one compiled kernel (``_sampler.c``) that simulates no ring: per
+  sample it draws the coins into one buffer, then walks the rounds
+  backwards from the last two participants, relabeling the survivor with
+  the inverse of each round's relabeling map (the maps of the ``dp``
+  recursions).
 
-A single run is the engine applied to one sample, so a batch run
-reproduces single runs bit for bit; tests assert this and check the engine
-against ``run_path`` path by path.  Coins are booleans: ``True`` is the
+Stream contract: sample ``s`` of seed ``S`` reads the uniforms of
+``prng.stream(S, s)`` -- SplitMix64 key, numpy's Philox4x64-10 -- which the
+kernel reproduces bit for bit in C; ``prng.stream`` is the reference the
+tests hold it to.  The kernel is compiled with gcc on the first sampling
+call, not at import, and cached in ``__pycache__`` beside its source under
+a name keyed by the sha256 of the source and flags.  There is no other
+engine: without gcc, sampling raises ``KernelBuildError``.
+
+A single run is the kernel applied to one sample, so a batch run
+reproduces single runs bit for bit; tests assert this and check the
+kernel's walk, fed explicit coins through ``_survivors``, against
+``run_path`` path by path.  Coins are booleans: ``True`` is the
 probability-``p`` branch (and the probability-``q`` branch for the knife
 coin of the two-coin rule).  When every coin is certain (probability 0 or
 1, as in the classical game, r1 at ``p = 1``) no uniform is drawn and every
@@ -22,14 +31,21 @@ sample takes the one possible path.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import shutil
+import tempfile
+import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
-from . import prng
 from .distributions import SurvivalDistribution
-from .errors import DomainError, EnumerationCapError, InvalidStateError
+from .errors import DomainError, EnumerationCapError, InvalidStateError, KernelBuildError
+from .prng import _MASK64
 from .rules import RuleKind, RuleSpec
 
 __all__ = [
@@ -189,9 +205,66 @@ def oracle_distribution(rule: RuleSpec, n: int) -> SurvivalDistribution:
     return SurvivalDistribution([float(x) for x in exact], exact=tuple(exact))
 
 
-# --- seeded sampling --------------------------------------------------------
+# --- seeded sampling: the compiled kernel -----------------------------------
 
-_CHUNK = 4096  # samples per pass of the sampling engine
+_SOURCE = Path(__file__).with_name("_sampler.c")
+_CACHE_DIR = _SOURCE.parent / "__pycache__"
+# exact float semantics: no fused multiply-add, no -ffast-math, no -march=native
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_KIND_CODES = {RuleKind.R1: 1, RuleKind.R2: 2, RuleKind.R3: 3}
+_kernel_lock = threading.Lock()
+_kernel_lib = None
+
+
+def _library_path() -> Path:
+    """Cached shared library for the current source and flags."""
+    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
+    return _CACHE_DIR / f"_sampler-{key[:16]}.so"
+
+
+def _build(path: Path) -> None:
+    """Compile ``_sampler.c`` to ``path`` through a temporary file and ``os.replace``."""
+    import subprocess  # only a build needs it; importing josephus stays as light as before
+
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        raise KernelBuildError(
+            "the Monte Carlo sampler compiles its C kernel with gcc, and no gcc is on PATH"
+        )
+    path.parent.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    os.close(fd)
+    try:
+        proc = subprocess.run([gcc, *_CFLAGS, "-o", tmp, str(_SOURCE)],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise KernelBuildError(f"gcc could not build {_SOURCE.name}:\n{proc.stderr}")
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+
+
+def _kernel():
+    """The sampling kernel, compiled on first use and loaded with ``ctypes``."""
+    global _kernel_lib
+    with _kernel_lock:
+        if _kernel_lib is None:
+            path = _library_path()
+            if not path.exists():
+                _build(path)
+            lib = ctypes.CDLL(str(path))
+            f64, u8, i64 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+                            for t in (np.float64, np.uint8, np.int64))
+            c_int, c_i64, c_u64, c_f64 = (ctypes.c_int, ctypes.c_int64, ctypes.c_uint64,
+                                          ctypes.c_double)
+            stream = [c_int, c_i64, c_f64, c_f64, c_u64, c_u64]  # kind, n, p, q, seed, index
+            lib.josephus_draw.argtypes = [*stream, f64, u8, u8]
+            lib.josephus_walk.argtypes = [c_int, c_i64, c_i64, u8, u8, i64]
+            lib.josephus_sample.argtypes = [*stream, c_i64, f64, u8, u8, i64]
+            for fn in (lib.josephus_draw, lib.josephus_walk, lib.josephus_sample):
+                fn.restype = None
+            _kernel_lib = lib
+    return _kernel_lib
 
 
 def _coin_probs(rule: RuleSpec) -> list[float]:
@@ -204,33 +277,49 @@ def _certain(rule: RuleSpec) -> bool:
     return set(_coin_probs(rule)) <= {0.0, 1.0}
 
 
-def _coins(
-    rule: RuleSpec, n: int, seed: int, start: int, count: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Coins of streams ``start .. start+count-1`` as ``(victim, knife)`` rows.
+def _stream_args(rule: RuleSpec, n: int, seed: int, index: int) -> list:
+    """Kernel arguments naming the coins of stream ``index`` of ``seed``.
 
-    Each is a step-major (n-1) x count boolean array: row ``t`` holds every
-    sample's coin for step ``t``.  ``knife`` is None except for the two-coin
-    rule, whose stream alternates victim and knife uniforms.  Certain coins
-    draw no stream: a uniform in [0, 1) is below 1 and never below 0.
+    ``splitmix64`` takes the seed mod 2^64, so -1 and 2^64 - 1 are one seed;
+    both are passed reduced, never left to ``ctypes`` truncation.
     """
-    threshold = np.tile(_coin_probs(rule), n - 1)
-    if _certain(rule):
-        coins = np.broadcast_to(threshold == 1, (count, threshold.size))
-    else:
-        coins = np.empty((count, threshold.size), dtype=bool)
-        for i in range(count):
-            np.less(prng.stream(seed, start + i).random(threshold.size), threshold,
-                    out=coins[i])
-    if rule.kind is RuleKind.R3:
-        return np.ascontiguousarray(coins[:, 0::2].T), np.ascontiguousarray(coins[:, 1::2].T)
-    return np.ascontiguousarray(coins.T), None
+    q = rule.q_float if rule.kind is RuleKind.R3 else 0.0
+    return [_KIND_CODES[rule.kind], n, rule.p_float, q, int(seed) & _MASK64, index & _MASK64]
+
+
+def _scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's per-sample buffers: 2(N-1) uniforms, N-1 victim and N-1 knife coins."""
+    return np.empty(2 * (n - 1)), np.empty(n - 1, np.uint8), np.empty(n - 1, np.uint8)
+
+
+def _draws(rule: RuleSpec, n: int, seed: int, index: int) -> tuple[np.ndarray, ...]:
+    """``(uniforms, victim, knife)`` the kernel draws for sample ``index``.
+
+    The uniforms are the first N-1 of the stream (2(N-1) for r3, victim and
+    knife alternating), and each coin is ``uniform < p`` (``< q`` for r3's
+    knife).  For r1 and r2 the knife coins are unused.
+    """
+    u, victim, knife = _scratch(n)
+    _kernel().josephus_draw(*_stream_args(rule, n, seed, index), u, victim, knife)
+    used = 2 * (n - 1) if rule.kind is RuleKind.R3 else n - 1
+    return u[:used], victim.view(bool), knife.view(bool)
+
+
+def _sample_counts(rule: RuleSpec, n: int, seed: int, first: int, count: int) -> np.ndarray:
+    """Survivor counts of samples ``first .. first+count-1``, in one kernel call.
+
+    The kernel draws each sample's coins into one buffer and walks back; it
+    holds one sample's uniforms at a time.
+    """
+    counts = np.zeros(n, dtype=np.int64)
+    _kernel().josephus_sample(*_stream_args(rule, n, seed, first), count, *_scratch(n), counts)
+    return counts
 
 
 def _survivors(
-    rule: RuleSpec, n: int, victim: np.ndarray, knife: np.ndarray | None
+    rule: RuleSpec, n: int, victim: np.ndarray, knife: np.ndarray | None = None
 ) -> np.ndarray:
-    """Survivor of every sample (column) of step-major coin rows from ``_coins``.
+    """Survivor of every path (column) of step-major (N-1) x paths coin arrays.
 
     Backward relabeling, the coin-dependent Josephus recurrence: each round
     relabels the survivors so the new knife holder is 0, and by the
@@ -238,30 +327,31 @@ def _survivors(
     Starting from label 0 in the 2-person round, round M = 3..N maps the
     survivor's label ``s`` in the (M-1)-person frame back to the M-person
     frame, reading coin row N-M, so the coins are used in reverse.  The maps
-    are the inverses of the relabelings in the ``dp`` recursions.
+    are the inverses of the relabelings in the ``dp`` recursions.  This is
+    the kernel's walk, the one ``_sample_counts`` runs on drawn coins;
+    ``knife`` is given exactly for r3.
     """
-    kind = rule.kind
-    s = np.zeros(victim.shape[1], dtype=np.intp)
-    for m in range(3, n + 1):
-        ahead = s + 2  # victim right (and pass right for r3): s -> (s+2) mod M
-        ahead[ahead == m] = 0
-        if kind is RuleKind.R2:
-            other = s - 1  # stab left: s -> (s-1) mod (M-1)
-            other[other < 0] = m - 2
-        elif kind is RuleKind.R3:
-            pass_right = knife[n - m]
-            swap = np.where(s < 2, s - 1, s)  # victim right, pass left: 0 -> M-1, 1 -> 0
-            swap[swap < 0] = m - 1
-            ahead = np.where(pass_right, ahead, swap)
-            fwd = s + 1  # victim left, pass right: s -> (s+1) mod (M-1)
-            fwd[fwd == m - 1] = 0
-            back = s - 1  # victim left, pass left: s -> (s-1) mod (M-1)
-            back[back < 0] = m - 2
-            other = np.where(pass_right, fwd, back)
-        else:
-            other = m - 2 - s  # r1 flips direction: the circle is mirrored
-        s = np.where(victim[n - m], ahead, other)
-    return s
+    if (knife is None) == (rule.kind is RuleKind.R3):
+        raise DomainError("knife coins must be given exactly for the rule r3")
+    victim = np.ascontiguousarray(victim, dtype=bool)
+    knife = victim if knife is None else np.ascontiguousarray(knife, dtype=bool)
+    if victim.ndim != 2 or victim.shape[0] != n - 1 or knife.shape != victim.shape:
+        raise DomainError(f"coins must be (N-1) x paths arrays with N={n}, "
+                          f"got {victim.shape} and {knife.shape}")
+    out = np.empty(victim.shape[1], dtype=np.int64)
+    _kernel().josephus_walk(_KIND_CODES[rule.kind], n, victim.shape[1], victim.view(np.uint8),
+                            knife.view(np.uint8), out)
+    return out
+
+
+def _certain_survivor(rule: RuleSpec, n: int) -> int:
+    """The one possible survivor when every coin is certain.
+
+    A uniform in [0, 1) is below 1 and never below 0, so such a rule draws
+    no stream: its coins are known.
+    """
+    coins = [np.full((n - 1, 1), x == 1) for x in _coin_probs(rule)]
+    return int(_survivors(rule, n, *coins)[0])
 
 
 def sample_survivor(rule: RuleSpec, n: int, seed: int, stream_index: int = 0) -> int:
@@ -269,13 +359,17 @@ def sample_survivor(rule: RuleSpec, n: int, seed: int, stream_index: int = 0) ->
 
     Identical (rule, N, seed, stream_index) always yields the identical
     survivor; streams follow the SplitMix64/Philox scheme in ``prng``.  This
-    is the sampling engine run on a single sample, so
+    is the sampling kernel run on a single sample, so
     ``empirical_distribution`` aggregates exactly these runs over
     ``stream_index = 0 .. samples-1``.
     """
     if n < 2:
         raise DomainError(f"sampling requires N >= 2, got N={n}")
-    return int(_survivors(rule, n, *_coins(rule, n, seed, stream_index, 1))[0])
+    if stream_index < 0:
+        raise DomainError(f"stream index must be nonnegative, got {stream_index}")
+    if _certain(rule):
+        return _certain_survivor(rule, n)
+    return int(np.argmax(_sample_counts(rule, n, seed, stream_index, 1)))
 
 
 def empirical_distribution(
@@ -285,23 +379,18 @@ def empirical_distribution(
 
     Sample ``s`` consumes the uniform stream of key ``splitmix64(seed, s)``,
     exactly as ``sample_survivor`` would with that derived stream, so the
-    result is a pure function of (rule, N, samples, seed) regardless of
-    chunking or execution order.  Samples run through the engine
-    ``_CHUNK`` = 4096 at a time; a chunk holds (N-1) x 4096 coin booleans
-    (twice that for r3), drawn sample-major and copied once to step-major,
-    and one label per sample.  When every coin is certain the engine runs
-    once and its survivor takes all ``samples``.
+    result is a pure function of (rule, N, samples, seed).  All samples run
+    in one kernel call, which holds one sample's N-1 uniforms (2(N-1) for
+    r3) at a time.  When every coin is certain no stream is drawn and the
+    one possible survivor takes all ``samples``.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     if n < 2:
         raise DomainError(f"sampling requires N >= 2, got N={n}")
-    counts = np.zeros(n, dtype=np.int64)
-    if _certain(rule):  # every sample takes the same path
-        counts[_survivors(rule, n, *_coins(rule, n, seed, 0, 1))] = samples
+    if _certain(rule):
+        counts = np.zeros(n, dtype=np.int64)
+        counts[_certain_survivor(rule, n)] = samples
     else:
-        for start in range(0, samples, _CHUNK):
-            m = min(_CHUNK, samples - start)
-            survivors = _survivors(rule, n, *_coins(rule, n, seed, start, m))
-            counts += np.bincount(survivors, minlength=n)
+        counts = _sample_counts(rule, n, seed, 0, samples)
     return SurvivalDistribution(counts / samples, counts=counts)

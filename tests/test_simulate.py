@@ -1,6 +1,8 @@
 """Process state machine, seeded sampling, and Monte Carlo consistency."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from josephus import dp, simulate
 from josephus.deterministic import survivor_closed_form
-from josephus.errors import DomainError, InvalidStateError
+from josephus.errors import DomainError, InvalidStateError, KernelBuildError
 from josephus.rules import RuleSpec
 from josephus.simulate import (
     LEFT,
@@ -172,24 +174,90 @@ def test_backward_engine_matches_forward_paths(rule, n):
         assert survivors[j] == run_path(rule, n, coins)
 
 
-def test_empirical_aggregates_individual_streams(monkeypatch):
-    rule = RuleSpec.r3(0.35, 0.6)
+def test_walk_refuses_coins_of_the_wrong_shape():
+    # the C walk reads (N-1) x paths coins, and r3's knife coins, unchecked
+    coins, r3 = np.ones((4, 3), bool), RuleSpec.r3(0.5, 0.5)
+    for bad in ((R1H, 6, coins, None), (R1H, 5, coins[0], None), (R1H, 5, coins, coins),
+                (r3, 5, coins, None), (r3, 5, coins, coins[:, :2])):
+        with pytest.raises(DomainError):
+            _survivors(*bad)
+
+
+def test_empirical_aggregates_individual_streams():
     n, samples, seed = 19, 60, 4242
-    monkeypatch.setattr(simulate, "_CHUNK", 16)
-    dist = empirical_distribution(rule, n, samples, seed)
-    counts = np.zeros(n, dtype=int)
-    for s in range(samples):
-        counts[sample_survivor(rule, n, seed, stream_index=s)] += 1
-    assert np.array_equal(dist.counts, counts)
+    for rule in (RuleSpec.r1(0.42), RuleSpec.r3(0.35, 0.6)):
+        dist = empirical_distribution(rule, n, samples, seed)
+        survivors = [sample_survivor(rule, n, seed, stream_index=s) for s in range(samples)]
+        assert np.array_equal(dist.counts, np.bincount(survivors, minlength=n))
 
 
-def test_empirical_is_chunk_size_invariant(monkeypatch):
-    rule = RuleSpec.r1(0.42)
-    monkeypatch.setattr(simulate, "_CHUNK", 7)
-    base = empirical_distribution(rule, 31, 500, seed=5)
-    monkeypatch.setattr(simulate, "_CHUNK", 499)
-    other = empirical_distribution(rule, 31, 500, seed=5)
-    assert np.array_equal(base.counts, other.counts)
+# seeds reduce mod 2^64 (-1 is 2^64 - 1); lengths cross Philox's 4-word blocks
+STREAM_SEEDS = (0, 5, 2**63 + 7, 2**64 - 1, -1, 2**64 + 5)
+STREAM_INDICES = (0, 1, 999, 2**40)
+STREAM_STEPS = (1, 3, 4, 5, 998, 1999)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize(
+    "rule", [RuleSpec.r1(0.42), RuleSpec.r3(0.35, 0.6)], ids=["one_coin", "r3_alternating"]
+)
+def test_kernel_draws_equal_prng_stream(rule, seed):
+    # the C kernel's uniforms are prng.stream's bit for bit, one per step or a
+    # (victim, knife) pair per step, and its coins threshold them with u < p
+    from josephus import prng
+
+    two_coin = rule.kind.value == "r3"
+    for index in STREAM_INDICES:
+        for steps in STREAM_STEPS:
+            u, victim, knife = simulate._draws(rule, steps + 1, seed, index)
+            ref = prng.stream(seed, index).random(2 * steps if two_coin else steps)
+            assert np.array_equal(u, ref), (index, steps)
+            if two_coin:
+                assert np.array_equal(victim, ref[0::2] < rule.p_float)
+                assert np.array_equal(knife, ref[1::2] < rule.q_float)
+            else:
+                assert np.array_equal(victim, ref < rule.p_float)
+
+
+def test_kernel_build_without_gcc_names_gcc(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulate, "_CACHE_DIR", tmp_path)
+    monkeypatch.setattr(simulate, "_kernel_lib", None)
+    monkeypatch.setattr(simulate.shutil, "which", lambda name: None)
+    with pytest.raises(KernelBuildError, match="gcc"):
+        empirical_distribution(R1H, 10, 5, seed=0)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_importing_the_cli_neither_builds_nor_loads_the_kernel():
+    import subprocess
+    import sys
+
+    # the kernel is built and loaded together, on the first sampling call
+    probe = "import josephus.cli, josephus.simulate as s; assert s._kernel_lib is None"
+    src = str(Path(simulate.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", probe], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+def _count_builds(tmp_path, monkeypatch) -> list:
+    # a fresh, empty kernel cache whose builds are recorded
+    monkeypatch.setattr(simulate, "_CACHE_DIR", tmp_path)
+    monkeypatch.setattr(simulate, "_kernel_lib", None)
+    builds, build = [], simulate._build
+    monkeypatch.setattr(simulate, "_build", lambda path: (builds.append(path), build(path)))
+    return builds
+
+
+def test_kernel_is_built_once_then_loaded_from_cache(tmp_path, monkeypatch):
+    builds = _count_builds(tmp_path, monkeypatch)
+    expected = empirical_distribution(R1H, 30, 200, seed=1).counts
+    assert len(builds) == 1
+    assert [path.name for path in tmp_path.iterdir()] == [builds[0].name]
+    mtime = builds[0].stat().st_mtime_ns
+    monkeypatch.setattr(simulate, "_kernel_lib", None)  # as in a new process
+    assert np.array_equal(empirical_distribution(R1H, 30, 200, seed=1).counts, expected)
+    assert len(builds) == 1
+    assert builds[0].stat().st_mtime_ns == mtime
 
 
 def test_empirical_single_sample_is_point_mass():
@@ -212,14 +280,12 @@ def test_empirical_deterministic_rule():
     ids=lambda r: f"{r.kind.value}_{r.p}" + ("" if r.q is None else f"_{r.q}"),
 )
 def test_certain_coins_draw_nothing(rule, n, monkeypatch):
-    # every coin has probability 0 or 1: no stream is drawn, and every sample
-    # lands on the survivor that carries the DP's point mass
-    from josephus import prng
+    # every coin has probability 0 or 1: the kernel draws no uniform, and every
+    # sample lands on the survivor that carries the DP's point mass
+    def no_draws(*args):
+        raise AssertionError("a certain rule drew uniforms")
 
-    def no_stream(*args):
-        raise AssertionError("a certain rule drew a random stream")
-
-    monkeypatch.setattr(prng, "stream", no_stream)
+    monkeypatch.setattr(simulate, "_sample_counts", no_draws)
     if n >= 3:
         probs = dp.distribution_for_rule(rule, n).probs
         assert probs.max() == 1.0
@@ -254,17 +320,19 @@ def test_empirical_r2_mode_tracks_limit_constant():
     assert abs(mode - 0.35 * 2000) <= 0.03 * 2000
 
 
-def test_empirical_is_thread_safe_and_schedule_independent():
+def test_empirical_is_thread_safe_and_schedule_independent(tmp_path, monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
 
     rule = RuleSpec.r2(0.3)
     expected = empirical_distribution(rule, 23, 300, seed=8).counts
+    builds = _count_builds(tmp_path, monkeypatch)  # the four threads race to build the kernel
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(
             lambda _: empirical_distribution(rule, 23, 300, seed=8).counts, range(4)
         ))
     for counts in results:
         assert np.array_equal(counts, expected)
+    assert len(builds) == 1
 
 
 @pytest.mark.slow
