@@ -7,11 +7,11 @@
  * (x >> 11) * 2^-53.  Philox is Salmon et al., "Parallel Random Numbers: As
  * Easy as 1, 2, 3" (SC'11), with numpy's round layout and constants.
  *
- * Coins: a coin is u < p, as np.less thresholds it.  r1 and r2 read one
- * uniform per step; r3 reads a (victim, knife) pair per step.
- *
- * Walk: the survivor of one coin path, by backward relabeling from the
- * knife holder of the last two-person round (see simulate._survivors).
+ * Walk: the survivor of one sample, by backward relabeling from the knife
+ * holder of the last two-person round (see simulate).  It reads each step's
+ * coins straight from the sample's uniforms: a coin is u < p, as np.less
+ * thresholds it.  r1 and r2 read one uniform per step; r3 reads a
+ * (victim, knife) pair per step.  There are no coin buffers.
  *
  * Build with -ffp-contract=off and without -ffast-math: the only float
  * operations are exact, and they must stay so.
@@ -57,8 +57,8 @@ static void philox4x64_10(uint64_t ctr, uint64_t key, uint64_t out[4])
     out[3] = x3;
 }
 
-/* The first k uniforms of stream (seed, index). */
-static void uniforms(uint64_t seed, uint64_t index, int64_t k, double *u)
+/* The first k uniforms of stream (seed, index) into u[0..k-1]. */
+void josephus_uniforms(uint64_t seed, uint64_t index, int64_t k, double *u)
 {
     uint64_t key = splitmix64(seed, index), block[4];
     for (int64_t i = 0; i < k; i += 4) {
@@ -68,60 +68,50 @@ static void uniforms(uint64_t seed, uint64_t index, int64_t k, double *u)
     }
 }
 
-/* Sample `index`'s uniforms into u (n-1 of them, 2(n-1) for r3) and its
- * coins into victim[0..n-2] and, for r3, knife[0..n-2]. */
-void josephus_draw(int kind, int64_t n, double p, double q, uint64_t seed,
-                   uint64_t index, double *u, uint8_t *victim, uint8_t *knife)
+/* Survivor of the sample whose uniforms are u: n-1 of them for r1 and r2,
+ * 2(n-1) for r3.  Step t's coin is u[t] < p, or for r3 the victim coin
+ * u[2t] < p and the knife coin u[2t+1] < q.  Round M = 3..N maps the
+ * survivor's label s in the (M-1)-person frame back to the M-person frame,
+ * reading step N-M. */
+int64_t josephus_walk(int kind, int64_t n, double p, double q, const double *u)
 {
-    int64_t steps = n - 1;
-    if (kind == R3) {
-        uniforms(seed, index, 2 * steps, u);
-        for (int64_t t = 0; t < steps; t++) {
-            victim[t] = u[2 * t] < p;
-            knife[t] = u[2 * t + 1] < q;
-        }
-    } else {
-        uniforms(seed, index, steps, u);
-        for (int64_t t = 0; t < steps; t++)
-            victim[t] = u[t] < p;
+    int64_t s = 0;
+    for (int64_t m = 3; m <= n; m++) {
+        int64_t t = n - m;
+        int64_t ahead = s + 2 == m ? 0 : s + 2;  /* victim right (pass right for r3) */
+        if (kind == R1)
+            s = u[t] < p ? ahead : m - 2 - s;  /* a flip mirrors the circle */
+        else if (kind == R2)
+            s = u[t] < p ? ahead : s == 0 ? m - 2 : s - 1;
+        else if (u[2 * t] < p)  /* r3, victim right; pass left: 0 -> M-1, 1 -> 0 */
+            s = u[2 * t + 1] < q ? ahead : s == 0 ? m - 1 : s == 1 ? 0 : s;
+        else  /* r3, victim left: pass right s -> s+1, pass left s -> s-1, mod M-1 */
+            s = u[2 * t + 1] < q ? (s + 1 == m - 1 ? 0 : s + 1) : s == 0 ? m - 2 : s - 1;
     }
+    return s;
 }
 
-/* Survivor of each of `count` coin paths into out[0..count-1].  Coins are
- * step-major: step t of path j is victim[t * count + j] (knife likewise, read
- * only for r3).  Round M = 3..N maps the survivor's label s in the
- * (M-1)-person frame back to the M-person frame, reading step N-M. */
-void josephus_walk(int kind, int64_t n, int64_t count, const uint8_t *victim,
-                   const uint8_t *knife, int64_t *out)
+static int certain(double x)
 {
-    for (int64_t j = 0; j < count; j++) {
-        int64_t s = 0;
-        for (int64_t m = 3; m <= n; m++) {
-            int64_t t = (n - m) * count + j;
-            int64_t ahead = s + 2 == m ? 0 : s + 2;  /* victim right (pass right for r3) */
-            if (kind == R1)
-                s = victim[t] ? ahead : m - 2 - s;  /* a flip mirrors the circle */
-            else if (kind == R2)
-                s = victim[t] ? ahead : s == 0 ? m - 2 : s - 1;
-            else if (victim[t])  /* r3, victim right; pass left: 0 -> M-1, 1 -> 0 */
-                s = knife[t] ? ahead : s == 0 ? m - 1 : s == 1 ? 0 : s;
-            else  /* r3, victim left: pass right s -> s+1, pass left s -> s-1, mod M-1 */
-                s = knife[t] ? (s + 1 == m - 1 ? 0 : s + 1) : s == 0 ? m - 2 : s - 1;
-        }
-        out[j] = s;
-    }
+    return x == 0 || x == 1;
 }
 
 /* Add the survivor of each of samples first .. first+count-1 to counts[].
- * u, victim and knife are scratch buffers of 2(n-1), n-1 and n-1 entries. */
+ * u is a scratch buffer of n-1 uniforms (2(n-1) for r3); q is 0 for r1 and
+ * r2.  When every coin is certain, every uniform in [0, 1) gives the same
+ * coins: no stream is drawn, and one walk over zeros takes all `count`. */
 void josephus_sample(int kind, int64_t n, double p, double q, uint64_t seed,
-                     uint64_t first, int64_t count, double *u, uint8_t *victim,
-                     uint8_t *knife, int64_t *counts)
+                     uint64_t first, int64_t count, double *u, int64_t *counts)
 {
+    int64_t k = kind == R3 ? 2 * (n - 1) : n - 1;
+    if (certain(p) && certain(q)) {
+        for (int64_t i = 0; i < k; i++)
+            u[i] = 0;
+        counts[josephus_walk(kind, n, p, q, u)] += count;
+        return;
+    }
     for (int64_t i = 0; i < count; i++) {
-        int64_t s;
-        josephus_draw(kind, n, p, q, seed, first + (uint64_t)i, u, victim, knife);
-        josephus_walk(kind, n, 1, victim, knife, &s);
-        counts[s]++;
+        josephus_uniforms(seed, first + (uint64_t)i, k, u);
+        counts[josephus_walk(kind, n, p, q, u)]++;
     }
 }

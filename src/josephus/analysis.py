@@ -359,8 +359,11 @@ def g0_exponential_fit(
     the fit.  A window in which some other N has g_N(0) below the smallest
     normal float (underflow, from N near 13,000) is refused, as is one
     with fewer than two points left to fit.  A caller-supplied ``g0`` is
-    indexed by N and must reach N = n_max.
+    indexed by N and must reach N = n_max.  The window starts at the DP's
+    base case N=3 or later.
     """
+    if n_min < 3:
+        raise DomainError(f"g_N(0) starts at the DP's base case N=3, got n_min={n_min}")
     if g0 is None:
         g0 = np.zeros(n_max + 1)
         for n, row in dp.r1_rows(n_max, 0.5):

@@ -115,6 +115,10 @@ def cli(ctx, out, fmt, seed):
 @click.pass_context
 def det(ctx, n, n_range, series_check):
     """Survivor of the classical deterministic game, by the halving recurrence."""
+    modes = _given(n=n, n_range=n_range, series_check=series_check)
+    if len(modes) != 1:
+        raise DomainError("det takes exactly one of --n, --n-range, --series-check, got "
+                          f"{len(modes)}")
     if series_check is not None:
         coeffs = deterministic.generating_series_coefficients(series_check)
         expected = deterministic.survivor_sequence(series_check)
@@ -134,8 +138,6 @@ def det(ctx, n, n_range, series_check):
         _emit(ctx, f"det_{a}_{b}", ["N", "b_N"], [range(a, b + 1), seq[a - 1:]],
               {"command": "det", "n_range": [a, b]})
         return
-    if n is None:
-        raise DomainError("det requires one of --n, --n-range, --series-check")
     click.echo(str(deterministic.survivor_recurrence(n)))
 
 
@@ -406,6 +408,15 @@ def _override_out(argv: list[str], out_dir: str) -> list[str]:
     return ["--out", out_dir, *(a for a in argv if not a.startswith("--out="))]
 
 
+def _command_of(argv: list[str]) -> str | None:
+    """The command ``argv`` runs: its first token past the global options and their values."""
+    valued = {opt for param in cli.params if not param.is_flag for opt in param.opts}
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        i += 2 if argv[i] in valued else 1
+    return argv[i] if i < len(argv) else None
+
+
 @cli.command()
 @click.argument("manifest", type=click.Path(exists=True, dir_okay=False))
 def rerun(manifest):
@@ -415,8 +426,10 @@ def rerun(manifest):
     config = data.get("config", {})
     io.validate_config(config, allowed_keys=_CONFIG_KEYS)
     argv = config.get("argv")
-    if not argv:
-        raise DomainError("manifest config does not record the run's arguments")
+    if not argv or not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+        raise DomainError("manifest config does not record the run's arguments as strings")
+    if _command_of(argv) == "rerun":
+        raise DomainError("manifest records a rerun, which writes no files of its own")
     files = data.get("files", [])
     if not all(isinstance(f, dict) and isinstance(f.get("sha256"), str)
                and isinstance(f.get("name"), str) and Path(f["name"]).name == f["name"]

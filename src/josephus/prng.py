@@ -13,7 +13,9 @@ Two fixed, named algorithms with published constants:
 ``stream`` is the reference implementation of this contract.  The CLT
 harness draws through it; the Monte Carlo sampler draws through a C copy
 of both algorithms (``simulate``'s compiled kernel), which the tests hold
-to ``stream(seed, index).random(k)`` bit for bit.
+to ``stream(seed, index).random(k)`` bit for bit.  The kernel's walk reads
+its coins straight from those uniforms, and draws none when every coin is
+certain.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ Two views of one set of process semantics:
   the exhaustive oracle, by ``run_path`` and by tests as the reference;
 * ``sample_survivor`` and ``empirical_distribution`` -- seeded sampling
   through one compiled kernel (``_sampler.c``) that simulates no ring: per
-  sample it draws the coins into one buffer, then walks the rounds
-  backwards from the last two participants, relabeling the survivor with
-  the inverse of each round's relabeling map (the maps of the ``dp``
-  recursions).
+  sample it draws the uniforms into one buffer, then walks the rounds
+  backwards from the last two participants, reading each step's coins
+  straight from the uniforms and relabeling the survivor with the inverse
+  of each round's relabeling map (the maps of the ``dp`` recursions).
 
 Stream contract: sample ``s`` of seed ``S`` reads the uniforms of
 ``prng.stream(S, s)`` -- SplitMix64 key, numpy's Philox4x64-10 -- which the
@@ -19,13 +19,14 @@ call, not at import, and cached in ``__pycache__`` beside its source under
 a name keyed by the sha256 of the source and flags.  There is no other
 engine: without gcc, sampling raises ``KernelBuildError``.
 
+The coin rule lives only in the kernel's walk: a coin is ``u < p`` (and
+``u < q`` for the knife coin of the two-coin rule), ``True`` being the
+probability-``p`` branch that ``step`` takes.  There are no coin buffers.
 A single run is the kernel applied to one sample, so a batch run
-reproduces single runs bit for bit; tests assert this and check the
-kernel's walk, fed explicit coins through ``_survivors``, against
-``run_path`` path by path.  Coins are booleans: ``True`` is the
-probability-``p`` branch (and the probability-``q`` branch for the knife
-coin of the two-coin rule).  When every coin is certain (probability 0 or
-1, as in the classical game, r1 at ``p = 1``) no uniform is drawn and every
+reproduces single runs bit for bit; tests assert this, and check the
+walk, fed explicit uniforms through ``_walk``, against ``run_path`` path
+by path.  When every coin is certain (probability 0 or 1, as in the
+classical game, r1 at ``p = 1``) the kernel draws no uniform and every
 sample takes the one possible path.
 """
 
@@ -253,105 +254,69 @@ def _kernel():
             if not path.exists():
                 _build(path)
             lib = ctypes.CDLL(str(path))
-            f64, u8, i64 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
-                            for t in (np.float64, np.uint8, np.int64))
+            f64, i64 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+                        for t in (np.float64, np.int64))
             c_int, c_i64, c_u64, c_f64 = (ctypes.c_int, ctypes.c_int64, ctypes.c_uint64,
                                           ctypes.c_double)
-            stream = [c_int, c_i64, c_f64, c_f64, c_u64, c_u64]  # kind, n, p, q, seed, index
-            lib.josephus_draw.argtypes = [*stream, f64, u8, u8]
-            lib.josephus_walk.argtypes = [c_int, c_i64, c_i64, u8, u8, i64]
-            lib.josephus_sample.argtypes = [*stream, c_i64, f64, u8, u8, i64]
-            for fn in (lib.josephus_draw, lib.josephus_walk, lib.josephus_sample):
-                fn.restype = None
+            rule = [c_int, c_i64, c_f64, c_f64]  # kind, n, p, q
+            lib.josephus_uniforms.argtypes = [c_u64, c_u64, c_i64, f64]
+            lib.josephus_uniforms.restype = None
+            lib.josephus_walk.argtypes = [*rule, f64]
+            lib.josephus_walk.restype = c_i64
+            lib.josephus_sample.argtypes = [*rule, c_u64, c_u64, c_i64, f64, i64]
+            lib.josephus_sample.restype = None
             _kernel_lib = lib
     return _kernel_lib
 
 
-def _coin_probs(rule: RuleSpec) -> list[float]:
-    """Probabilities of one step's coins: the victim coin, then r3's knife coin."""
-    return [rule.p_float, rule.q_float] if rule.kind is RuleKind.R3 else [rule.p_float]
+def _rule_args(rule: RuleSpec, n: int) -> list:
+    """The kernel's ``kind, n, p, q``; q is 0 for the one-coin rules."""
+    q = rule.q_float if rule.kind is RuleKind.R3 else 0.0
+    return [_KIND_CODES[rule.kind], n, rule.p_float, q]
 
 
-def _certain(rule: RuleSpec) -> bool:
-    """Whether every coin of ``rule`` has probability 0 or 1."""
-    return set(_coin_probs(rule)) <= {0.0, 1.0}
+def _stream_length(rule: RuleSpec, n: int) -> int:
+    """Uniforms one sample reads: one per step, a (victim, knife) pair for r3."""
+    return (2 if rule.kind is RuleKind.R3 else 1) * (n - 1)
 
 
-def _stream_args(rule: RuleSpec, n: int, seed: int, index: int) -> list:
-    """Kernel arguments naming the coins of stream ``index`` of ``seed``.
+def _uniforms(seed: int, index: int, k: int) -> np.ndarray:
+    """The first ``k`` uniforms of stream ``index`` of ``seed``, as the kernel draws them.
 
     ``splitmix64`` takes the seed mod 2^64, so -1 and 2^64 - 1 are one seed;
     both are passed reduced, never left to ``ctypes`` truncation.
     """
-    q = rule.q_float if rule.kind is RuleKind.R3 else 0.0
-    return [_KIND_CODES[rule.kind], n, rule.p_float, q, int(seed) & _MASK64, index & _MASK64]
+    u = np.empty(k)
+    _kernel().josephus_uniforms(int(seed) & _MASK64, index & _MASK64, k, u)
+    return u
 
 
-def _scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel's per-sample buffers: 2(N-1) uniforms, N-1 victim and N-1 knife coins."""
-    return np.empty(2 * (n - 1)), np.empty(n - 1, np.uint8), np.empty(n - 1, np.uint8)
+def _walk(rule: RuleSpec, n: int, u) -> int:
+    """The survivor the kernel's walk reads from one sample's uniforms ``u``.
 
-
-def _draws(rule: RuleSpec, n: int, seed: int, index: int) -> tuple[np.ndarray, ...]:
-    """``(uniforms, victim, knife)`` the kernel draws for sample ``index``.
-
-    The uniforms are the first N-1 of the stream (2(N-1) for r3, victim and
-    knife alternating), and each coin is ``uniform < p`` (``< q`` for r3's
-    knife).  For r1 and r2 the knife coins are unused.
+    The walk starts from the knife holder of the last two-person round, who
+    wins by the two-person convention of ``step``, and maps that label back
+    through rounds 3..N with the inverse of each round's relabeling, so it
+    reads the uniforms in reverse.  ``u`` holds N-1 uniforms (2(N-1) for r3, victim and knife alternating);
+    the C walk reads it unchecked, so its length is checked here.
     """
-    u, victim, knife = _scratch(n)
-    _kernel().josephus_draw(*_stream_args(rule, n, seed, index), u, victim, knife)
-    used = 2 * (n - 1) if rule.kind is RuleKind.R3 else n - 1
-    return u[:used], victim.view(bool), knife.view(bool)
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    if u.shape != (_stream_length(rule, n),):
+        raise DomainError(f"a sample of rule {rule.kind.value} at N={n} reads "
+                          f"{_stream_length(rule, n)} uniforms, got shape {u.shape}")
+    return _kernel().josephus_walk(*_rule_args(rule, n), u)
 
 
 def _sample_counts(rule: RuleSpec, n: int, seed: int, first: int, count: int) -> np.ndarray:
     """Survivor counts of samples ``first .. first+count-1``, in one kernel call.
 
-    The kernel draws each sample's coins into one buffer and walks back; it
-    holds one sample's uniforms at a time.
+    The kernel draws each sample's uniforms into one buffer and walks it;
+    when every coin is certain it draws nothing and walks once.
     """
     counts = np.zeros(n, dtype=np.int64)
-    _kernel().josephus_sample(*_stream_args(rule, n, seed, first), count, *_scratch(n), counts)
+    _kernel().josephus_sample(*_rule_args(rule, n), int(seed) & _MASK64, first & _MASK64,
+                              count, np.empty(_stream_length(rule, n)), counts)
     return counts
-
-
-def _survivors(
-    rule: RuleSpec, n: int, victim: np.ndarray, knife: np.ndarray | None = None
-) -> np.ndarray:
-    """Survivor of every path (column) of step-major (N-1) x paths coin arrays.
-
-    Backward relabeling, the coin-dependent Josephus recurrence: each round
-    relabels the survivors so the new knife holder is 0, and by the
-    two-person convention of ``step`` the holder of the last two wins.
-    Starting from label 0 in the 2-person round, round M = 3..N maps the
-    survivor's label ``s`` in the (M-1)-person frame back to the M-person
-    frame, reading coin row N-M, so the coins are used in reverse.  The maps
-    are the inverses of the relabelings in the ``dp`` recursions.  This is
-    the kernel's walk, the one ``_sample_counts`` runs on drawn coins;
-    ``knife`` is given exactly for r3.
-    """
-    if (knife is None) == (rule.kind is RuleKind.R3):
-        raise DomainError("knife coins must be given exactly for the rule r3")
-    victim = np.ascontiguousarray(victim, dtype=bool)
-    knife = victim if knife is None else np.ascontiguousarray(knife, dtype=bool)
-    if victim.ndim != 2 or victim.shape[0] != n - 1 or knife.shape != victim.shape:
-        raise DomainError(f"coins must be (N-1) x paths arrays with N={n}, "
-                          f"got {victim.shape} and {knife.shape}")
-    out = np.empty(victim.shape[1], dtype=np.int64)
-    _kernel().josephus_walk(_KIND_CODES[rule.kind], n, victim.shape[1], victim.view(np.uint8),
-                            knife.view(np.uint8), out)
-    return out
-
-
-def _certain_survivor(rule: RuleSpec, n: int) -> int:
-    """The one possible survivor when every coin is certain.
-
-    A uniform in [0, 1) is below 1 and never below 0, so such a rule draws
-    no stream: its coins are known.
-    """
-    coins = [np.full((n - 1, 1), x == 1) for x in _coin_probs(rule)]
-    return int(_survivors(rule, n, *coins)[0])
 
 
 def sample_survivor(rule: RuleSpec, n: int, seed: int, stream_index: int = 0) -> int:
@@ -367,8 +332,6 @@ def sample_survivor(rule: RuleSpec, n: int, seed: int, stream_index: int = 0) ->
         raise DomainError(f"sampling requires N >= 2, got N={n}")
     if stream_index < 0:
         raise DomainError(f"stream index must be nonnegative, got {stream_index}")
-    if _certain(rule):
-        return _certain_survivor(rule, n)
     return int(np.argmax(_sample_counts(rule, n, seed, stream_index, 1)))
 
 
@@ -381,16 +344,12 @@ def empirical_distribution(
     exactly as ``sample_survivor`` would with that derived stream, so the
     result is a pure function of (rule, N, samples, seed).  All samples run
     in one kernel call, which holds one sample's N-1 uniforms (2(N-1) for
-    r3) at a time.  When every coin is certain no stream is drawn and the
-    one possible survivor takes all ``samples``.
+    r3) at a time.  When every coin is certain the kernel draws no stream
+    and the one possible survivor takes all ``samples``.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     if n < 2:
         raise DomainError(f"sampling requires N >= 2, got N={n}")
-    if _certain(rule):
-        counts = np.zeros(n, dtype=np.int64)
-        counts[_certain_survivor(rule, n)] = samples
-    else:
-        counts = _sample_counts(rule, n, seed, 0, samples)
+    counts = _sample_counts(rule, n, seed, 0, samples)
     return SurvivalDistribution(counts / samples, counts=counts)

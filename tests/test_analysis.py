@@ -207,6 +207,15 @@ def test_g0_exponential_fit_needs_two_points():
         analysis.g0_exponential_fit(50, 51)  # 51 is a structural zero
 
 
+@pytest.mark.parametrize("n_min", [-1, 0, 1, 2])
+def test_g0_exponential_fit_starts_at_the_base_case(n_min):
+    with pytest.raises(DomainError, match="base case N=3"):
+        analysis.g0_exponential_fit(n_min, 100)
+    with pytest.raises(DomainError, match="base case N=3"):
+        analysis.g0_exponential_fit(n_min, 100, g0=_synthetic_g0(100))
+    assert analysis.g0_exponential_fit(3, 100)[0] < 0
+
+
 def _synthetic_g0(n_max):
     ns = np.arange(n_max + 1)
     return np.where(ns % 3 != 0, np.exp(-0.06 * ns), 0.0)

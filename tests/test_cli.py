@@ -40,6 +40,18 @@ def test_det_requires_a_mode():
     assert main(["det"]) == 2
 
 
+@pytest.mark.parametrize("modes", [
+    ["--n", "41", "--series-check", "8"],
+    ["--n", "41", "--n-range", "1:3"],
+    ["--n-range", "1:3", "--series-check", "8"],
+    ["--n", "41", "--n-range", "1:3", "--series-check", "8"],
+], ids=["n-series", "n-range", "range-series", "all"])
+def test_det_refuses_more_than_one_mode(modes, tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "det", *modes]) == 2
+    assert "exactly one of" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_det_method_option_is_gone(tmp_path):
     # the recurrence, closed form and binary rotation stay library functions
     # that criterion C01 cross-checks; det prints the recurrence's value
@@ -450,6 +462,33 @@ def test_rerun_handles_out_equals_form(tmp_path, capsys):
     target.unlink()
     run_ok(["rerun", str(tmp_path / "det_1_5.manifest.json")], capsys)
     assert target.read_bytes() == first
+
+
+@pytest.mark.parametrize("prefix", [[], ["--seed", "3"], ["--format", "csv"]],
+                         ids=["bare", "seed", "format"])
+def test_rerun_refuses_a_manifest_that_reruns(tmp_path, prefix, capsys):
+    # a manifest recording a rerun of itself would recurse without end
+    manifest = tmp_path / "loop.manifest.json"
+    manifest.write_text(json.dumps({
+        "config": {"schema": 1, "argv": [*prefix, "rerun", str(manifest)]},
+        "files": [{"name": "det_1_5.csv", "sha256": "0" * 64}], "hash": "", "version": "0.1.0",
+    }))
+    assert main(["rerun", str(manifest)]) == 2
+    assert "records a rerun" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [manifest]
+
+
+@pytest.mark.parametrize("argv", [None, [], "det --n 5", ["det", "--n", 5]],
+                         ids=["missing", "empty", "string", "number"])
+def test_rerun_refuses_argv_that_is_not_strings(tmp_path, argv, capsys):
+    manifest = tmp_path / "det.manifest.json"
+    manifest.write_text(json.dumps({
+        "config": {"schema": 1, "argv": argv},
+        "files": [{"name": "det.csv", "sha256": "0" * 64}], "hash": "", "version": "0.1.0",
+    }))
+    assert main(["rerun", str(manifest)]) == 2
+    assert "arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [manifest]
 
 
 def test_rerun_rejects_unknown_config_keys(tmp_path):

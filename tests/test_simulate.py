@@ -16,7 +16,7 @@ from josephus.simulate import (
     LEFT,
     RIGHT,
     ProcessState,
-    _survivors,
+    _walk,
     empirical_distribution,
     initial_state,
     run_path,
@@ -144,18 +144,19 @@ def test_single_run_matches_reference_state_machine():
                 assert run_path(rule, n, coins) == expected
 
 
-def _coin_paths(rule: RuleSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    # step-major (n-1) x paths victim and knife coins: seeded random paths,
-    # then all-p, all-not-p and alternating sequences
-    steps = n - 1
-    ones, alt = np.ones(steps, bool), np.arange(steps) % 2 == 0
-    if rule == RuleSpec.deterministic():
-        # the classical game's coins all take the p-branch
-        return ones[:, None], ones[:, None]
-    rng = np.random.default_rng(seed)
-    victim = np.column_stack([rng.random((steps, 12)) < 0.5, ones, ~ones, alt, ~alt])
-    knife = np.column_stack([rng.random((steps, 12)) < 0.5, ones, ~ones, alt, alt])
-    return victim, knife
+def _uniform_paths(rule: RuleSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    # one sample's uniforms per row, and the coin thresholds they are read
+    # against (p, and q at r3's knife positions): seeded random rows, then
+    # rows of uniforms equal to the threshold and one ulp below it, in runs
+    # and alternating by position and by step
+    width = 2 if rule.kind.value == "r3" else 1
+    pos = np.arange(width * (n - 1))
+    at = np.resize([rule.p_float, rule.q_float] if width == 2 else [rule.p_float], pos.size)
+    below = np.nextafter(at, 0.0)
+    by_step = (pos // width) % 2 == 0
+    rows = [at, below, np.where(pos % 2 == 0, below, at), np.where(pos % 2 == 0, at, below),
+            np.where(by_step, below, at)]
+    return np.vstack([np.random.default_rng(seed).random((12, pos.size)), *rows]), at
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 64, 500])
@@ -165,22 +166,25 @@ def _coin_paths(rule: RuleSpec, n: int, seed: int) -> tuple[np.ndarray, np.ndarr
     ids=["deterministic", "r1", "r2", "r3"],
 )
 def test_backward_engine_matches_forward_paths(rule, n):
-    # explicit coins fed to the sampling engine, checked path by path against step()
-    kind = rule.kind.value
-    victim, knife = _coin_paths(rule, n, seed=n)
-    survivors = _survivors(rule, n, victim, knife if kind == "r3" else None)
-    for j in range(victim.shape[1]):
-        coins = list(zip(victim[:, j], knife[:, j])) if kind == "r3" else list(victim[:, j])
-        assert survivors[j] == run_path(rule, n, coins)
+    # explicit uniforms fed to the kernel's walk, checked path by path against
+    # step() on the coins u < p (u < q for r3's knife)
+    paths, thresholds = _uniform_paths(rule, n, seed=n)
+    for u in paths:
+        coins = u < thresholds
+        if rule.kind.value == "r3":
+            coins = list(zip(coins[0::2], coins[1::2]))
+        assert _walk(rule, n, u) == run_path(rule, n, coins)
 
 
 def test_walk_refuses_coins_of_the_wrong_shape():
-    # the C walk reads (N-1) x paths coins, and r3's knife coins, unchecked
-    coins, r3 = np.ones((4, 3), bool), RuleSpec.r3(0.5, 0.5)
-    for bad in ((R1H, 6, coins, None), (R1H, 5, coins[0], None), (R1H, 5, coins, coins),
-                (r3, 5, coins, None), (r3, 5, coins, coins[:, :2])):
+    # the C walk reads N-1 uniforms, 2(N-1) for r3, unchecked
+    u, r3 = np.zeros(4), RuleSpec.r3(0.5, 0.5)
+    for bad in ((R1H, 6, u), (R1H, 5, u[:, None]), (R1H, 5, np.zeros(5)),
+                (r3, 5, u), (r3, 5, np.zeros(9)), (r3, 5, np.zeros((4, 2)))):
         with pytest.raises(DomainError):
-            _survivors(*bad)
+            _walk(*bad)
+    assert _walk(R1H, 5, u) == run_path(R1H, 5, [True] * 4)
+    assert _walk(r3, 5, np.zeros(8)) == run_path(r3, 5, [(True, True)] * 4)
 
 
 def test_empirical_aggregates_individual_streams():
@@ -203,20 +207,15 @@ STREAM_STEPS = (1, 3, 4, 5, 998, 1999)
 )
 def test_kernel_draws_equal_prng_stream(rule, seed):
     # the C kernel's uniforms are prng.stream's bit for bit, one per step or a
-    # (victim, knife) pair per step, and its coins threshold them with u < p
+    # (victim, knife) pair per step
     from josephus import prng
 
     two_coin = rule.kind.value == "r3"
     for index in STREAM_INDICES:
         for steps in STREAM_STEPS:
-            u, victim, knife = simulate._draws(rule, steps + 1, seed, index)
-            ref = prng.stream(seed, index).random(2 * steps if two_coin else steps)
-            assert np.array_equal(u, ref), (index, steps)
-            if two_coin:
-                assert np.array_equal(victim, ref[0::2] < rule.p_float)
-                assert np.array_equal(knife, ref[1::2] < rule.q_float)
-            else:
-                assert np.array_equal(victim, ref < rule.p_float)
+            k = 2 * steps if two_coin else steps
+            u = simulate._uniforms(seed, index, k)
+            assert np.array_equal(u, prng.stream(seed, index).random(k)), (index, steps)
 
 
 def test_kernel_build_without_gcc_names_gcc(tmp_path, monkeypatch):
@@ -226,6 +225,17 @@ def test_kernel_build_without_gcc_names_gcc(tmp_path, monkeypatch):
     with pytest.raises(KernelBuildError, match="gcc"):
         empirical_distribution(R1H, 10, 5, seed=0)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    import subprocess
+
+    # the kernel's own flags plus every common warning, each an error
+    flags = [*simulate._CFLAGS, "-Wall", "-Wextra", "-Werror"]
+    out = tmp_path / "kernel.so"
+    proc = subprocess.run(["gcc", *flags, "-o", str(out), str(simulate._SOURCE)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_importing_the_cli_neither_builds_nor_loads_the_kernel():
@@ -279,19 +289,20 @@ def test_empirical_deterministic_rule():
      *(RuleSpec.r3(p, q) for p in (0, 1) for q in (0, 1))],
     ids=lambda r: f"{r.kind.value}_{r.p}" + ("" if r.q is None else f"_{r.q}"),
 )
-def test_certain_coins_draw_nothing(rule, n, monkeypatch):
-    # every coin has probability 0 or 1: the kernel draws no uniform, and every
-    # sample lands on the survivor that carries the DP's point mass
-    def no_draws(*args):
-        raise AssertionError("a certain rule drew uniforms")
-
-    monkeypatch.setattr(simulate, "_sample_counts", no_draws)
+def test_certain_coins_draw_nothing(rule, n):
+    # every coin has probability 0 or 1: the kernel draws no uniform but walks
+    # zeros once, and every sample lands on the survivor that carries the DP's
+    # point mass
     if n >= 3:
         probs = dp.distribution_for_rule(rule, n).probs
         assert probs.max() == 1.0
         survivor = int(np.argmax(probs))
     else:
         survivor = 0  # two-person convention: the holder removes the other
+    u, counts = np.full(simulate._stream_length(rule, n), 0.5), np.zeros(n, np.int64)
+    simulate._kernel().josephus_sample(*simulate._rule_args(rule, n), 3, 0, 1000, u, counts)
+    assert not u.any(), "a certain rule drew uniforms"
+    assert counts[survivor] == 1000
     dist = empirical_distribution(rule, n, 1000, seed=3)
     assert dist.counts[survivor] == 1000
     for index in (0, 7):
