@@ -1,4 +1,5 @@
-/* Seeded sampling kernel of josephus.simulate.
+/* Seeded kernel of josephus.simulate's sampler and josephus.analysis's CLT
+ * trial draws.
  *
  * Streams: sample i of master seed S reads the uniforms of numpy's
  * Philox4x64-10 keyed (splitmix64(S, i), 0) with a zero counter, bit for
@@ -13,8 +14,14 @@
  * thresholds it.  r1 and r2 read one uniform per step; r3 reads a
  * (victim, knife) pair per step.  There are no coin buffers.
  *
- * Build with -ffp-contract=off and without -ffast-math: the only float
- * operations are exact, and they must stay so.
+ * CLT draws: one N of the trial ensemble reads stream (S, N), one uniform
+ * per trial, and draws by inverse CDF through a guide table (Chen & Asau
+ * 1974), exactly the index np.searchsorted(cdf, u, side="right") returns,
+ * clipped to N-1.  Each trial's two sums are updated as numpy's `+=` of
+ * `d/N - mean` and `d/N - 0.5` round them.
+ *
+ * Build with -ffp-contract=off and without -ffast-math: each float
+ * operation must round once, as numpy's does.
  */
 
 #include <stdint.h>
@@ -57,6 +64,11 @@ static void philox4x64_10(uint64_t ctr, uint64_t key, uint64_t out[4])
     out[3] = x3;
 }
 
+static double uniform(uint64_t word)
+{
+    return (double)(word >> 11) * 0x1.0p-53;
+}
+
 /* The first k uniforms of stream (seed, index) into u[0..k-1]. */
 void josephus_uniforms(uint64_t seed, uint64_t index, int64_t k, double *u)
 {
@@ -64,7 +76,7 @@ void josephus_uniforms(uint64_t seed, uint64_t index, int64_t k, double *u)
     for (int64_t i = 0; i < k; i += 4) {
         philox4x64_10((uint64_t)(i / 4) + 1, key, block);
         for (int64_t j = 0; j < 4 && i + j < k; j++)
-            u[i + j] = (double)(block[j] >> 11) * 0x1.0p-53;
+            u[i + j] = uniform(block[j]);
     }
 }
 
@@ -113,5 +125,60 @@ void josephus_sample(int kind, int64_t n, double p, double q, uint64_t seed,
     for (int64_t i = 0; i < count; i++) {
         josephus_uniforms(seed, first + (uint64_t)i, k, u);
         counts[josephus_walk(kind, n, p, q, u)]++;
+    }
+}
+
+/* Guide table of a nondecreasing cdf[0..n-1]: with K the smallest power of
+ * two >= n, guide[b] is the number of entries <= b/K, the index a
+ * side="right" binary search returns for b/K.  Returns K. */
+static int64_t guide_table(int64_t n, const double *cdf, int64_t *guide)
+{
+    int64_t k = 1;
+    while (k < n)
+        k *= 2;
+    for (int64_t b = 0, d = 0; b < k; b++) {
+        while (d < n && cdf[d] <= (double)b / (double)k)
+            d++;
+        guide[b] = d;
+    }
+    return k;
+}
+
+/* The index np.searchsorted(cdf, u, side="right") returns, for u in [0, 1).
+ * u*K is exact, so bucket b = floor(u*K) has b/K <= u, and its guide entry
+ * never overshoots the answer; the lookup steps forward from it. */
+static int64_t lookup(int64_t n, const double *cdf, const int64_t *guide, int64_t k, double u)
+{
+    int64_t d = guide[(int64_t)(u * (double)k)];
+    while (d < n && cdf[d] <= u)
+        d++;
+    return d;
+}
+
+/* out[j] = lookup of u[j] in cdf[0..n-1], for j < m; guide holds K entries. */
+void josephus_inverse_cdf(int64_t n, const double *cdf, int64_t m, const double *u,
+                          int64_t *guide, int64_t *out)
+{
+    int64_t k = guide_table(n, cdf, guide);
+    for (int64_t j = 0; j < m; j++)
+        out[j] = lookup(n, cdf, guide, k, u[j]);
+}
+
+/* One N of the CLT ensemble.  Trial i draws d by lookup of uniform i of
+ * stream (seed, n) in cdf[0..n-1], clipped to n-1, then adds d/n - mean to
+ * centered[i] and d/n - 0.5 to mid[i].  guide holds K entries. */
+void josephus_clt_draws(uint64_t seed, int64_t n, const double *cdf, double mean,
+                        int64_t trials, int64_t *guide, double *centered, double *mid)
+{
+    int64_t k = guide_table(n, cdf, guide);
+    uint64_t key = splitmix64(seed, (uint64_t)n), block[4];
+    for (int64_t i = 0; i < trials; i += 4) {
+        philox4x64_10((uint64_t)(i / 4) + 1, key, block);
+        for (int64_t j = 0; j < 4 && i + j < trials; j++) {
+            int64_t d = lookup(n, cdf, guide, k, uniform(block[j]));
+            double x = (double)(d < n ? d : n - 1) / (double)n;
+            centered[i + j] += x - mean;
+            mid[i + j] += x - 0.5;
+        }
     }
 }

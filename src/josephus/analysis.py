@@ -13,7 +13,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from . import dp, prng
+from . import dp, simulate
 from .distributions import SurvivalDistribution
 from .errors import DomainError
 from .rules import RuleSpec
@@ -501,23 +501,15 @@ class CltReport:
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, u, side="right")`` through a guide table.
+    """``np.searchsorted(cdf, u, side="right")`` through the kernel's guide table.
 
-    ``cdf`` is nondecreasing and every ``u`` lies in [0, 1).  With K the
-    smallest power of two >= len(cdf), ``u*K`` is exact, so bucket
-    b = floor(u*K) satisfies b/K <= u and its guide entry (the answer for
-    b/K) never overshoots the answer for u (Chen & Asau 1974).  Two
-    vectorised forward steps resolve almost every draw; the rest fall back
-    to the binary search.
+    ``cdf`` (nondecreasing) and ``u`` (each in [0, 1)) are C-contiguous
+    float64.  This is the lookup ``clt_experiment``'s draws make, fed
+    explicit uniforms.
     """
-    k = 1 << (len(cdf) - 1).bit_length()
-    start = np.searchsorted(cdf, np.arange(k) / k, side="right")
-    draws = start[(u * k).astype(np.intp)]
-    ext = np.append(cdf, np.inf)
-    for _ in range(2):
-        draws += ext[draws] <= u
-    todo = np.flatnonzero(ext[draws] <= u)
-    draws[todo] = np.searchsorted(cdf, u[todo], side="right")
+    draws = np.empty(len(u), dtype=np.int64)
+    guide = np.empty(1 << (len(cdf) - 1).bit_length(), dtype=np.int64)
+    simulate._kernel().josephus_inverse_cdf(len(cdf), cdf, len(u), u, guide, draws)
     return draws
 
 
@@ -532,10 +524,10 @@ def clt_experiment(
     the kappa=1 Lyapunov ratio sum W_N / B_L^3 are recorded on ``_log_grid``.
     Each trial draws one survivor per N by inverse-CDF from the exact row,
     using the per-N stream splitmix64(seed, N), so results are independent
-    of evaluation order.  The inverse CDF is a guide-table lookup
-    (``_inverse_cdf``): a power-of-two bucket count makes each bucket's
-    start exact, and the lookup only steps forward from it, so every draw is
-    the index a binary search of the CDF returns.  The Kolmogorov-Smirnov
+    of evaluation order.  The draws run in ``simulate``'s compiled kernel,
+    one call per N, by a guide-table lookup (``_inverse_cdf``) that only
+    steps forward from its bucket's exact start, so every draw is the
+    index a binary search of the CDF returns.  The Kolmogorov-Smirnov
     distance of the normalised trial sums to the standard normal is
     computed for both centerings.
     """
@@ -554,6 +546,8 @@ def clt_experiment(
     sums_centered = np.zeros(trials)
     sums_mid = np.zeros(trials)
     grid_set = set(int(g) for g in grid)
+    kernel = simulate._kernel()
+    guide = np.empty(1 << (l_max - 1).bit_length(), dtype=np.int64)
     for n, row in dp.r1_rows(l_max, 0.5):
         x = np.arange(n) / n
         mean = float(np.dot(x, row))
@@ -561,13 +555,8 @@ def clt_experiment(
         cum_v += float(np.dot(centered * centered, row))
         cum_w += float(np.dot(np.abs(centered) ** 3, row))
         e1_sum += 0.5 - mean
-        cdf = np.cumsum(row)
-        u = prng.stream(seed, n).random(trials)
-        draws = _inverse_cdf(cdf, u)
-        np.clip(draws, 0, n - 1, out=draws)
-        positions = draws / n
-        sums_centered += positions - mean
-        sums_mid += positions - 0.5
+        kernel.josephus_clt_draws(seed % 2**64, n, np.cumsum(row), mean, trials,
+                                  guide, sums_centered, sums_mid)
         if n in grid_set:
             b_at[n] = math.sqrt(cum_v)
             lyap_at[n] = cum_w / b_at[n] ** 3

@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import __version__, analysis, deterministic, dp, io, simulate
-from .errors import CheckFailure, DomainError
+from .errors import CheckFailure, DomainError, KernelBuildError
 from .rules import RuleKind, RuleSpec
 
 # rule name -> (kind, fixed p); the aliases are named points of r1
@@ -470,6 +470,9 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         click.echo(f"check failed: {exc}", err=True)
         return 3
+    except KernelBuildError as exc:
+        click.echo(f"error: {exc}", err=True)
+        return 1
     return 0
 
 

@@ -22,4 +22,4 @@ class CheckFailure(JosephusError):
 
 
 class KernelBuildError(JosephusError, RuntimeError):
-    """The compiled sampling kernel could not be built (for instance, no gcc)."""
+    """The C kernel of the sampler and the CLT harness could not be built (say, no gcc)."""

@@ -10,12 +10,12 @@ Two fixed, named algorithms with published constants:
   independent uniform stream.  Identical (seed, index) always reproduces
   the identical stream, on every platform.
 
-``stream`` is the reference implementation of this contract.  The CLT
-harness draws through it; the Monte Carlo sampler draws through a C copy
-of both algorithms (``simulate``'s compiled kernel), which the tests hold
-to ``stream(seed, index).random(k)`` bit for bit.  The kernel's walk reads
+``stream`` is the reference implementation of this contract.  Both
+the Monte Carlo sampler and the CLT harness draw through a C copy of both
+algorithms (``simulate``'s compiled kernel), which the tests hold to
+``stream(seed, index).random(k)`` bit for bit.  The kernel's walk reads
 its coins straight from those uniforms, and draws none when every coin is
-certain.
+certain; its CLT pass reads one uniform per trial from stream N.
 """
 
 from __future__ import annotations

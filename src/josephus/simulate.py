@@ -14,10 +14,11 @@ Two views of one set of process semantics:
 Stream contract: sample ``s`` of seed ``S`` reads the uniforms of
 ``prng.stream(S, s)`` -- SplitMix64 key, numpy's Philox4x64-10 -- which the
 kernel reproduces bit for bit in C; ``prng.stream`` is the reference the
-tests hold it to.  The kernel is compiled with gcc on the first sampling
-call, not at import, and cached in ``__pycache__`` beside its source under
-a name keyed by the sha256 of the source and flags.  There is no other
-engine: without gcc, sampling raises ``KernelBuildError``.
+tests hold it to.  The same kernel runs ``analysis.clt_experiment``'s
+trial draws.  It is compiled with gcc on the first call, not at import, and
+cached in ``__pycache__`` beside its source under a name keyed by the sha256
+of the source and flags.  There is no other engine: without gcc, sampling
+and the CLT draws raise ``KernelBuildError``.
 
 The coin rule lives only in the kernel's walk: a coin is ``u < p`` (and
 ``u < q`` for the knife coin of the two-coin rule), ``True`` being the
@@ -230,7 +231,8 @@ def _build(path: Path) -> None:
     gcc = shutil.which("gcc")
     if gcc is None:
         raise KernelBuildError(
-            "the Monte Carlo sampler compiles its C kernel with gcc, and no gcc is on PATH"
+            "the Monte Carlo sampler and the clt harness compile their C kernel with gcc, "
+            "and no gcc is on PATH"
         )
     path.parent.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
@@ -246,7 +248,7 @@ def _build(path: Path) -> None:
 
 
 def _kernel():
-    """The sampling kernel, compiled on first use and loaded with ``ctypes``."""
+    """The kernel of the sampler and CLT draws, compiled on first use and loaded by ``ctypes``."""
     global _kernel_lib
     with _kernel_lock:
         if _kernel_lib is None:
@@ -265,6 +267,10 @@ def _kernel():
             lib.josephus_walk.restype = c_i64
             lib.josephus_sample.argtypes = [*rule, c_u64, c_u64, c_i64, f64, i64]
             lib.josephus_sample.restype = None
+            lib.josephus_inverse_cdf.argtypes = [c_i64, f64, c_i64, f64, i64, i64]
+            lib.josephus_inverse_cdf.restype = None
+            lib.josephus_clt_draws.argtypes = [c_u64, c_i64, f64, c_f64, c_i64, i64, f64, f64]
+            lib.josephus_clt_draws.restype = None
             _kernel_lib = lib
     return _kernel_lib
 

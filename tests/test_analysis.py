@@ -1,12 +1,13 @@
 """Functionals, decay bounds, moment scaling, and the CLT harness."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from josephus import analysis, dp, prng
+from josephus import analysis, dp, prng, simulate
 from josephus.errors import DomainError
 from josephus.rules import RuleSpec
 
@@ -371,6 +372,55 @@ def test_clt_sums_match_binary_search_reference():
         draws = np.clip(np.searchsorted(np.cumsum(row), u, side="right"), 0, n - 1)
         sums += draws / n - mean
     assert np.array_equal(report.normalized_sums, sums / math.sqrt(cum_v))
+
+
+def _clt_numpy_sums(l_max, trials, seed):
+    # the numpy draw pass: prng streams, binary search, clip, then both sums
+    centered, mid = np.zeros(trials), np.zeros(trials)
+    cum_v = 0.0
+    for n, row in dp.r1_rows(l_max, 0.5):
+        x = np.arange(n) / n
+        mean = float(np.dot(x, row))
+        dev = x - mean
+        cum_v += float(np.dot(dev * dev, row))
+        u = prng.stream(seed, n).random(trials)
+        positions = np.clip(np.searchsorted(np.cumsum(row), u, side="right"), 0, n - 1) / n
+        centered += positions - mean
+        mid += positions - 0.5
+    b = math.sqrt(cum_v)
+    return centered / b, mid / b
+
+
+@pytest.mark.parametrize("trials", [1001, 1003])
+def test_clt_kernel_sums_match_numpy_reference(trials):
+    # 1001 and 1003 trials end in a partial Philox block; -1 and 2^64-1 are one seed
+    reports = [analysis.clt_experiment(200, trials, seed) for seed in (-1, 2**64 - 1)]
+    centered, mid = _clt_numpy_sums(200, trials, -1)
+    for report in reports:
+        assert np.array_equal(report.normalized_sums, centered)
+        assert np.array_equal(report.normalized_sums_midpoint, mid)
+    for field in dataclasses.fields(analysis.CltReport):
+        assert np.array_equal(getattr(reports[0], field.name), getattr(reports[1], field.name))
+
+
+@pytest.mark.parametrize("cdf, clips", [
+    (np.array([0.25, 0.5, 0.75, 1.0 - 2.0**-52]), False),
+    (np.array([0.0, 0.0, 1.0, 1.0, 1.0]), False),
+    # a CDF ending at 1/2: about half the draws land past the last label
+    (np.array([0.1, 0.2, 0.2, 0.5]), True),
+], ids=["last_below_one", "point_mass", "defective"])
+def test_clt_kernel_pass_clips_to_last_label(cdf, clips):
+    n, trials, seed, mean = len(cdf), 1003, 3, 0.3
+    rng = np.random.default_rng(0)
+    centered, mid = rng.random(trials), rng.random(trials)
+    draws = np.searchsorted(cdf, prng.stream(seed, n).random(trials), side="right")
+    assert (draws == n).any() == clips
+    x = np.clip(draws, 0, n - 1) / n
+    expected = centered + (x - mean), mid + (x - 0.5)
+    guide = np.empty(8, dtype=np.int64)
+    simulate._kernel().josephus_clt_draws(seed, n, cdf, mean, trials, guide, centered, mid)
+    assert np.array_equal(centered, expected[0])
+    assert np.array_equal(mid, expected[1])
 
 
 def test_clt_moments_match_moment_report():

@@ -227,6 +227,26 @@ def test_kernel_build_without_gcc_names_gcc(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--rule", "r1", "--n", "10", "--p", "0.5", "--samples", "5"],
+    ["clt", "--l-max", "20", "--trials", "1000"],
+], ids=["simulate", "clt"])
+def test_cli_without_gcc_exits_1_with_one_error_line(command, tmp_path, monkeypatch, capsys):
+    from josephus.cli import main
+
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    cache.mkdir()
+    monkeypatch.setattr(simulate, "_CACHE_DIR", cache)
+    monkeypatch.setattr(simulate, "_kernel_lib", None)
+    monkeypatch.setattr(simulate.shutil, "which", lambda name: None)
+    assert main(["--out", str(out), *command]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and "gcc" in err and err.count("\n") == 1
+    assert not out.exists() or list(out.iterdir()) == []
+    assert list(cache.iterdir()) == []
+
+
 def test_kernel_source_compiles_without_warnings(tmp_path):
     import subprocess
 
