@@ -1,5 +1,7 @@
 /* Seeded kernel of josephus.simulate's sampler and josephus.analysis's CLT
- * trial draws.
+ * trial draws.  Only simulate's typed entries (_uniforms, _walk,
+ * _sample_counts, _inverse_cdf, _clt_draws) call it; they size every buffer
+ * it fills and check what it reads unchecked.
  *
  * Streams: sample i of master seed S reads the uniforms of numpy's
  * Philox4x64-10 keyed (splitmix64(S, i), 0) with a zero counter, bit for
@@ -15,10 +17,10 @@
  * (victim, knife) pair per step.  There are no coin buffers.
  *
  * CLT draws: one N of the trial ensemble reads stream (S, N), one uniform
- * per trial, and draws by inverse CDF through a guide table (Chen & Asau
- * 1974), exactly the index np.searchsorted(cdf, u, side="right") returns,
- * clipped to N-1.  Each trial's two sums are updated as numpy's `+=` of
- * `d/N - mean` and `d/N - 0.5` round them.
+ * per trial, and draws by inverse CDF through a guide table, exactly the
+ * index np.searchsorted(cdf, u, side="right") returns (see
+ * simulate._inverse_cdf), clipped to N-1.  Each trial's two sums are
+ * updated as numpy's `+=` of `d/N - mean` and `d/N - 0.5` round them.
  *
  * Build with -ffp-contract=off and without -ffast-math: each float
  * operation must round once, as numpy's does.
@@ -128,9 +130,8 @@ void josephus_sample(int kind, int64_t n, double p, double q, uint64_t seed,
     }
 }
 
-/* Guide table of a nondecreasing cdf[0..n-1]: with K the smallest power of
- * two >= n, guide[b] is the number of entries <= b/K, the index a
- * side="right" binary search returns for b/K.  Returns K. */
+/* guide[b] = the number of cdf[0..n-1] <= b/K, K the least power of two >= n.
+ * Returns K. */
 static int64_t guide_table(int64_t n, const double *cdf, int64_t *guide)
 {
     int64_t k = 1;
@@ -144,9 +145,8 @@ static int64_t guide_table(int64_t n, const double *cdf, int64_t *guide)
     return k;
 }
 
-/* The index np.searchsorted(cdf, u, side="right") returns, for u in [0, 1).
- * u*K is exact, so bucket b = floor(u*K) has b/K <= u, and its guide entry
- * never overshoots the answer; the lookup steps forward from it. */
+/* np.searchsorted(cdf, u, side="right") for u in [0, 1), stepping forward
+ * from u's bucket (see simulate._inverse_cdf). */
 static int64_t lookup(int64_t n, const double *cdf, const int64_t *guide, int64_t k, double u)
 {
     int64_t d = guide[(int64_t)(u * (double)k)];

@@ -500,19 +500,6 @@ class CltReport:
     ks_distance_midpoint: float
 
 
-def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, u, side="right")`` through the kernel's guide table.
-
-    ``cdf`` (nondecreasing) and ``u`` (each in [0, 1)) are C-contiguous
-    float64.  This is the lookup ``clt_experiment``'s draws make, fed
-    explicit uniforms.
-    """
-    draws = np.empty(len(u), dtype=np.int64)
-    guide = np.empty(1 << (len(cdf) - 1).bit_length(), dtype=np.int64)
-    simulate._kernel().josephus_inverse_cdf(len(cdf), cdf, len(u), u, guide, draws)
-    return draws
-
-
 def clt_experiment(
     l_max: int = 10000,
     trials: int = 10000,
@@ -524,12 +511,10 @@ def clt_experiment(
     the kappa=1 Lyapunov ratio sum W_N / B_L^3 are recorded on ``_log_grid``.
     Each trial draws one survivor per N by inverse-CDF from the exact row,
     using the per-N stream splitmix64(seed, N), so results are independent
-    of evaluation order.  The draws run in ``simulate``'s compiled kernel,
-    one call per N, by a guide-table lookup (``_inverse_cdf``) that only
-    steps forward from its bucket's exact start, so every draw is the
-    index a binary search of the CDF returns.  The Kolmogorov-Smirnov
-    distance of the normalised trial sums to the standard normal is
-    computed for both centerings.
+    of evaluation order.  The draws run in the compiled kernel, one
+    ``simulate._clt_draws`` call per N.  The Kolmogorov-Smirnov distance of
+    the normalised trial sums to the standard normal is computed for both
+    centerings.
     """
     if trials < 1000:
         raise DomainError(f"the trial ensemble needs trials >= 1000, got {trials}")
@@ -546,8 +531,6 @@ def clt_experiment(
     sums_centered = np.zeros(trials)
     sums_mid = np.zeros(trials)
     grid_set = set(int(g) for g in grid)
-    kernel = simulate._kernel()
-    guide = np.empty(1 << (l_max - 1).bit_length(), dtype=np.int64)
     for n, row in dp.r1_rows(l_max, 0.5):
         x = np.arange(n) / n
         mean = float(np.dot(x, row))
@@ -555,8 +538,7 @@ def clt_experiment(
         cum_v += float(np.dot(centered * centered, row))
         cum_w += float(np.dot(np.abs(centered) ** 3, row))
         e1_sum += 0.5 - mean
-        kernel.josephus_clt_draws(seed % 2**64, n, np.cumsum(row), mean, trials,
-                                  guide, sums_centered, sums_mid)
+        simulate._clt_draws(seed, np.cumsum(row), mean, sums_centered, sums_mid)
         if n in grid_set:
             b_at[n] = math.sqrt(cum_v)
             lyap_at[n] = cum_w / b_at[n] ** 3

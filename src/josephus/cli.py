@@ -335,6 +335,8 @@ def figure(ctx, variant, n, p_grid, q_grid, montecarlo, samples, gnuplot):
     """Reproduce one figure set: one CSV per grid point plus a manifest."""
     if ctx.obj.get("out") is None:
         raise DomainError("figure requires --out DIR")
+    if ctx.obj["format"] == "jsonl":
+        raise DomainError("figure writes CSV only; omit --format jsonl")
     if not montecarlo:
         _refuse_given(ctx, "figure without --montecarlo", "samples")
     ps = _parse_grid(p_grid) if p_grid else _FIGURE_DEFAULTS[variant]

@@ -12,10 +12,9 @@ Two fixed, named algorithms with published constants:
 
 ``stream`` is the reference implementation of this contract.  Both
 the Monte Carlo sampler and the CLT harness draw through a C copy of both
-algorithms (``simulate``'s compiled kernel), which the tests hold to
-``stream(seed, index).random(k)`` bit for bit.  The kernel's walk reads
-its coins straight from those uniforms, and draws none when every coin is
-certain; its CLT pass reads one uniform per trial from stream N.
+algorithms, entered only through ``simulate``'s typed entries (which say
+how seeds are reduced); the tests hold it to
+``stream(seed, index).random(k)`` bit for bit.
 """
 
 from __future__ import annotations

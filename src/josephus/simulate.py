@@ -6,29 +6,26 @@ Two views of one set of process semantics:
   the exhaustive oracle, by ``run_path`` and by tests as the reference;
 * ``sample_survivor`` and ``empirical_distribution`` -- seeded sampling
   through one compiled kernel (``_sampler.c``) that simulates no ring: per
-  sample it draws the uniforms into one buffer, then walks the rounds
-  backwards from the last two participants, reading each step's coins
-  straight from the uniforms and relabeling the survivor with the inverse
-  of each round's relabeling map (the maps of the ``dp`` recursions).
+  sample it draws the uniforms into one buffer and walks the rounds
+  backwards, relabeling the survivor with the inverse of each round's
+  relabeling map (the maps of the ``dp`` recursions).
 
-Stream contract: sample ``s`` of seed ``S`` reads the uniforms of
-``prng.stream(S, s)`` -- SplitMix64 key, numpy's Philox4x64-10 -- which the
-kernel reproduces bit for bit in C; ``prng.stream`` is the reference the
-tests hold it to.  The same kernel runs ``analysis.clt_experiment``'s
-trial draws.  It is compiled with gcc on the first call, not at import, and
-cached in ``__pycache__`` beside its source under a name keyed by the sha256
-of the source and flags.  There is no other engine: without gcc, sampling
-and the CLT draws raise ``KernelBuildError``.
+Sample ``s`` of seed ``S`` reads the uniforms of ``prng.stream(S, s)``
+(SplitMix64 key, numpy's Philox4x64-10), which the kernel reproduces bit
+for bit in C.  The kernel also runs ``analysis.clt_experiment``'s trial
+draws.  Only this module knows its ABI: the typed entries ``_uniforms``,
+``_walk``, ``_sample_counts``, ``_inverse_cdf`` and ``_clt_draws`` are the
+only callers of ``_kernel()``, which compiles it with gcc on first use and
+caches it in ``__pycache__`` under the sha256 of its source and flags;
+without gcc, sampling and the CLT draws raise ``KernelBuildError``.
 
 The coin rule lives only in the kernel's walk: a coin is ``u < p`` (and
-``u < q`` for the knife coin of the two-coin rule), ``True`` being the
-probability-``p`` branch that ``step`` takes.  There are no coin buffers.
-A single run is the kernel applied to one sample, so a batch run
-reproduces single runs bit for bit; tests assert this, and check the
-walk, fed explicit uniforms through ``_walk``, against ``run_path`` path
-by path.  When every coin is certain (probability 0 or 1, as in the
-classical game, r1 at ``p = 1``) the kernel draws no uniform and every
-sample takes the one possible path.
+``u < q`` for r3's knife coin), ``True`` being the probability-``p`` branch
+that ``step`` takes.  A batch run reproduces single runs bit for bit, and
+tests check the walk, fed explicit uniforms through ``_walk``, against
+``run_path`` path by path.  When every coin is certain (probability 0 or
+1, as in the classical game) the kernel draws no uniform and every sample
+takes the one possible path.
 """
 
 from __future__ import annotations
@@ -234,17 +231,20 @@ def _build(path: Path) -> None:
             "the Monte Carlo sampler and the clt harness compile their C kernel with gcc, "
             "and no gcc is on PATH"
         )
-    path.parent.mkdir(exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
-    os.close(fd)
     try:
-        proc = subprocess.run([gcc, *_CFLAGS, "-o", tmp, str(_SOURCE)],
-                              capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise KernelBuildError(f"gcc could not build {_SOURCE.name}:\n{proc.stderr}")
-        os.replace(tmp, path)
-    finally:
-        Path(tmp).unlink(missing_ok=True)
+        path.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+        os.close(fd)
+        try:
+            proc = subprocess.run([gcc, *_CFLAGS, "-o", tmp, str(_SOURCE)],
+                                  capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise KernelBuildError(f"gcc could not build {_SOURCE.name}:\n{proc.stderr}")
+            os.replace(tmp, path)
+        finally:
+            Path(tmp).unlink(missing_ok=True)
+    except OSError as exc:  # say, a read-only install: the cache directory is not writable
+        raise KernelBuildError(f"cannot build the C kernel into {path.parent}: {exc}") from exc
 
 
 def _kernel():
@@ -256,7 +256,7 @@ def _kernel():
             if not path.exists():
                 _build(path)
             lib = ctypes.CDLL(str(path))
-            f64, i64 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+            f64, i64 = (np.ctypeslib.ndpointer(t, ndim=1, flags="C_CONTIGUOUS")
                         for t in (np.float64, np.int64))
             c_int, c_i64, c_u64, c_f64 = (ctypes.c_int, ctypes.c_int64, ctypes.c_uint64,
                                           ctypes.c_double)
@@ -275,6 +275,16 @@ def _kernel():
     return _kernel_lib
 
 
+# --- the typed entries: each sizes what C fills and checks what C reads -------
+# Seeds and stream indices go in mod 2^64 (``& _MASK64``), as ``splitmix64``
+# takes them: -1 and 2^64 - 1 are one seed, and none is left to ctypes.
+
+
+def _guide(n: int) -> np.ndarray:
+    """Scratch for the guide table of an n-entry CDF: K entries, K the least power of 2 >= n."""
+    return np.empty(1 << max(n - 1, 0).bit_length(), dtype=np.int64)
+
+
 def _rule_args(rule: RuleSpec, n: int) -> list:
     """The kernel's ``kind, n, p, q``; q is 0 for the one-coin rules."""
     q = rule.q_float if rule.kind is RuleKind.R3 else 0.0
@@ -287,11 +297,7 @@ def _stream_length(rule: RuleSpec, n: int) -> int:
 
 
 def _uniforms(seed: int, index: int, k: int) -> np.ndarray:
-    """The first ``k`` uniforms of stream ``index`` of ``seed``, as the kernel draws them.
-
-    ``splitmix64`` takes the seed mod 2^64, so -1 and 2^64 - 1 are one seed;
-    both are passed reduced, never left to ``ctypes`` truncation.
-    """
+    """The first ``k`` uniforms of stream ``index`` of ``seed``, as the kernel draws them."""
     u = np.empty(k)
     _kernel().josephus_uniforms(int(seed) & _MASK64, index & _MASK64, k, u)
     return u
@@ -300,11 +306,10 @@ def _uniforms(seed: int, index: int, k: int) -> np.ndarray:
 def _walk(rule: RuleSpec, n: int, u) -> int:
     """The survivor the kernel's walk reads from one sample's uniforms ``u``.
 
-    The walk starts from the knife holder of the last two-person round, who
-    wins by the two-person convention of ``step``, and maps that label back
-    through rounds 3..N with the inverse of each round's relabeling, so it
-    reads the uniforms in reverse.  ``u`` holds N-1 uniforms (2(N-1) for r3, victim and knife alternating);
-    the C walk reads it unchecked, so its length is checked here.
+    ``u`` holds N-1 uniforms (2(N-1) for r3, victim and knife alternating),
+    which the walk reads in reverse, from the knife holder of the last
+    two-person round (the winner by ``step``'s two-person convention) back
+    to round N.  C reads ``u`` unchecked, so its length is checked here.
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
     if u.shape != (_stream_length(rule, n),):
@@ -314,15 +319,41 @@ def _walk(rule: RuleSpec, n: int, u) -> int:
 
 
 def _sample_counts(rule: RuleSpec, n: int, seed: int, first: int, count: int) -> np.ndarray:
-    """Survivor counts of samples ``first .. first+count-1``, in one kernel call.
-
-    The kernel draws each sample's uniforms into one buffer and walks it;
-    when every coin is certain it draws nothing and walks once.
-    """
+    """Survivor counts of samples ``first .. first+count-1``, in one kernel call."""
     counts = np.zeros(n, dtype=np.int64)
     _kernel().josephus_sample(*_rule_args(rule, n), int(seed) & _MASK64, first & _MASK64,
                               count, np.empty(_stream_length(rule, n)), counts)
     return counts
+
+
+def _inverse_cdf(cdf, u) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` for a nondecreasing ``cdf``, by the kernel.
+
+    The lookup uses a guide table (Chen & Asau 1974) of K buckets, K a power
+    of two: u*K is exact, so bucket floor(u*K) starts at or below the answer
+    and the lookup steps forward to it.  C indexes the guide by u*K, so each
+    u must lie in [0, 1).
+    """
+    cdf, u = (np.ascontiguousarray(a, dtype=np.float64) for a in (cdf, u))
+    outside = u[~((u >= 0.0) & (u < 1.0))]  # NaN included
+    if outside.size:
+        raise DomainError(f"a uniform must lie in [0, 1), got {float(outside[0])}")
+    draws = np.empty(len(u), dtype=np.int64)
+    _kernel().josephus_inverse_cdf(len(cdf), cdf, len(u), u, _guide(len(cdf)), draws)
+    return draws
+
+
+def _clt_draws(seed: int, cdf, mean: float, centered, mid) -> None:
+    """One N = ``len(cdf)`` of the CLT ensemble, added to the trial sums in place.
+
+    Trial i clips d, the ``_inverse_cdf`` of uniform i of stream (seed, N),
+    to N-1, then adds d/N - mean to ``centered[i]`` and d/N - 0.5 to
+    ``mid[i]``, each rounded as numpy's ``+=`` rounds it.
+    """
+    if mid.shape != centered.shape:
+        raise DomainError(f"the trial sums differ in shape: {centered.shape}, {mid.shape}")
+    _kernel().josephus_clt_draws(int(seed) & _MASK64, len(cdf), cdf, mean, len(centered),
+                                 _guide(len(cdf)), centered, mid)
 
 
 def sample_survivor(rule: RuleSpec, n: int, seed: int, stream_index: int = 0) -> int:
@@ -349,9 +380,7 @@ def empirical_distribution(
     Sample ``s`` consumes the uniform stream of key ``splitmix64(seed, s)``,
     exactly as ``sample_survivor`` would with that derived stream, so the
     result is a pure function of (rule, N, samples, seed).  All samples run
-    in one kernel call, which holds one sample's N-1 uniforms (2(N-1) for
-    r3) at a time.  When every coin is certain the kernel draws no stream
-    and the one possible survivor takes all ``samples``.
+    in one kernel call, which holds one sample's uniforms at a time.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")

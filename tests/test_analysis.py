@@ -333,7 +333,7 @@ def _cdf_and_uniforms(draw):
 def test_inverse_cdf_matches_binary_search(case):
     cdf, u = case
     expected = np.searchsorted(cdf, u, side="right")
-    assert np.array_equal(analysis._inverse_cdf(cdf, u), expected)
+    assert np.array_equal(simulate._inverse_cdf(cdf, u), expected)
 
 
 @pytest.mark.parametrize("rows", [
@@ -355,7 +355,7 @@ def test_inverse_cdf_matches_binary_search_on_rows(rows):
         ])
         u = u[u >= 0.0]
         assert np.array_equal(
-            analysis._inverse_cdf(cdf, u), np.searchsorted(cdf, u, side="right")
+            simulate._inverse_cdf(cdf, u), np.searchsorted(cdf, u, side="right")
         ), n
 
 
@@ -417,8 +417,7 @@ def test_clt_kernel_pass_clips_to_last_label(cdf, clips):
     assert (draws == n).any() == clips
     x = np.clip(draws, 0, n - 1) / n
     expected = centered + (x - mean), mid + (x - 0.5)
-    guide = np.empty(8, dtype=np.int64)
-    simulate._kernel().josephus_clt_draws(seed, n, cdf, mean, trials, guide, centered, mid)
+    simulate._clt_draws(seed, cdf, mean, centered, mid)
     assert np.array_equal(centered, expected[0])
     assert np.array_equal(mid, expected[1])
 

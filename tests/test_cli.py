@@ -295,6 +295,21 @@ def test_global_format_jsonl_for_tabular_commands(tmp_path, capsys):
                     {"N": 3, "b_N": 3}, {"N": 4, "b_N": 1}]
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["--gnuplot"], ["--montecarlo", "--samples", "50"],
+], ids=["exact", "gnuplot", "montecarlo"])
+def test_figure_refuses_jsonl_before_writing(argv, tmp_path, capsys):
+    # figure writes CSV only, so an explicit --format jsonl is refused, not dropped
+    assert main(["--out", str(tmp_path), "--format", "jsonl", "figure", "r1",
+                 "--n", "10", "--p-grid", "0.5", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and "--format jsonl" in err
+    assert list(tmp_path.iterdir()) == []
+    run_ok(["--out", str(tmp_path), "--format", "csv", "figure", "r1",
+            "--n", "10", "--p-grid", "0.5"], capsys)
+    assert (tmp_path / "fig_r1_n10_p0.5.csv").is_file()
+
+
 @pytest.mark.parametrize("argv, types", [
     (["det", "--n-range", "3:40"], [int, int]),
     (["exact", "--rule", "r3", "--n", "30", "--p", "0.4", "--q", "0.75"], [int, float]),

@@ -2,6 +2,7 @@
 
 import math
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,19 @@ def test_walk_refuses_coins_of_the_wrong_shape():
     assert _walk(r3, 5, np.zeros(8)) == run_path(r3, 5, [(True, True)] * 4)
 
 
+@pytest.mark.parametrize("bad", [1.0, 1.5, -0.5, float("nan")])
+def test_inverse_cdf_refuses_uniforms_outside_the_unit_interval(bad):
+    # C indexes the guide table by u*K, so u = 1 would read one past its end
+    cdf = np.cumsum(np.full(8, 0.125))
+    with pytest.raises(DomainError, match=rf"\[0, 1\), got {bad}"):
+        simulate._inverse_cdf(cdf, [0.0, 0.5, bad])
+
+
+def test_clt_draws_refuse_trial_sums_of_unequal_shapes():
+    with pytest.raises(DomainError, match=r"\(5,\), \(4,\)"):
+        simulate._clt_draws(0, np.array([0.5, 1.0]), 0.25, np.zeros(5), np.zeros(4))
+
+
 def test_empirical_aggregates_individual_streams():
     n, samples, seed = 19, 60, 4242
     for rule in (RuleSpec.r1(0.42), RuleSpec.r3(0.35, 0.6)):
@@ -247,6 +261,28 @@ def test_cli_without_gcc_exits_1_with_one_error_line(command, tmp_path, monkeypa
     assert list(cache.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--rule", "r1", "--n", "10", "--p", "0.5", "--samples", "5"],
+    ["clt", "--l-max", "20", "--trials", "1000"],
+], ids=["simulate", "clt"])
+def test_cli_with_unwritable_kernel_cache_exits_1_with_one_error_line(
+    command, tmp_path, monkeypatch, capsys
+):
+    from josephus.cli import main
+
+    # a cache directory below a regular file cannot be made, even as root,
+    # as a read-only install cannot make one
+    blocker, out = tmp_path / "file", tmp_path / "out"
+    blocker.write_text("")
+    monkeypatch.setattr(simulate, "_CACHE_DIR", blocker / "cache")
+    monkeypatch.setattr(simulate, "_kernel_lib", None)
+    assert main(["--out", str(out), *command]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and str(blocker / "cache") in err and err.count("\n") == 1
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_kernel_source_compiles_without_warnings(tmp_path):
     import subprocess
 
@@ -256,6 +292,77 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     proc = subprocess.run(["gcc", *flags, "-o", str(out), str(simulate._SOURCE)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+_SANITIZED_SETUP = """
+import sys
+from pathlib import Path
+import numpy as np
+from josephus import analysis, simulate
+from josephus.rules import RuleSpec
+simulate._library_path = lambda: Path(sys.argv[1])
+simulate._kernel_lib = None
+"""
+# every typed entry on edge inputs: N = 2, 3, 5, 64 with the certain-coin
+# corners, stream lengths across Philox blocks, uniforms at 0, 1 - 2^-53 and
+# the bucket edges j/K, partial last blocks and clipped CLT draws
+_SANITIZED_ENTRIES = """
+rules = [RuleSpec.r1(p) for p in (0, 0.5, 1)] + [RuleSpec.r2(p) for p in (0, 0.3, 1)]
+rules += [RuleSpec.r3(p, q) for p in (0, 0.5, 1) for q in (0, 0.75, 1)]
+for rule in rules:
+    for n in (2, 3, 5, 64):
+        simulate.empirical_distribution(rule, n, 9, -1)
+        simulate.sample_survivor(rule, n, 2**64 - 1, 5)
+        k = simulate._stream_length(rule, n)
+        for u in (np.zeros(k), np.full(k, 1 - 2**-53), simulate._uniforms(3, n, k)):
+            simulate._walk(rule, n, u)
+for k in range(1, 10):
+    simulate._uniforms(7, 2**40, k)
+for n in (1, 2, 3, 5, 8, 9, 300):
+    cdf = np.cumsum(np.full(n, 1 / n))
+    k = len(simulate._guide(n))
+    u = np.concatenate([[0.0, 1 - 2**-53], np.arange(k) / k])
+    assert np.array_equal(simulate._inverse_cdf(cdf, u), np.searchsorted(cdf, u, side="right"))
+for trials in (1001, 1003):
+    centered, mid = np.zeros(trials), np.zeros(trials)
+    simulate._clt_draws(5, np.array([0.1, 0.2, 0.2, 0.5]), 0.3, centered, mid)
+analysis.clt_experiment(40, 1003, 5)
+"""
+# the raw C lookup at u = 1 reads one entry past the guide table
+_SANITIZED_OVERFLOW = """
+cdf = np.cumsum(np.full(8, 0.125))
+simulate._kernel().josephus_inverse_cdf(8, cdf, 1, np.array([1.0]), simulate._guide(8),
+                                        np.empty(1, dtype=np.int64))
+"""
+
+
+def test_kernel_entries_run_clean_under_address_and_undefined_sanitizers(tmp_path):
+    import subprocess
+    import sys
+
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc")
+    libasan = subprocess.run(["gcc", "-print-file-name=libasan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(libasan):
+        pytest.skip("gcc has no libasan.so")
+    lib = tmp_path / "sanitized.so"
+    flags = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+             "-fno-omit-frame-pointer", "-ffp-contract=off", "-fPIC", "-shared"]
+    subprocess.run(["gcc", *flags, "-o", str(lib), str(simulate._SOURCE)], check=True)
+    env = {**os.environ, "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0",
+           "PYTHONPATH": str(Path(simulate.__file__).parents[1])}
+
+    def run(body):
+        return subprocess.run([sys.executable, "-c", _SANITIZED_SETUP + body, str(lib)],
+                              capture_output=True, text=True, env=env)
+
+    clean = run(_SANITIZED_ENTRIES)
+    assert clean.returncode == 0, clean.stderr
+    assert "AddressSanitizer" not in clean.stderr and "runtime error:" not in clean.stderr
+    overflow = run(_SANITIZED_OVERFLOW)  # positive control: the sanitizer does see it
+    assert overflow.returncode != 0
+    assert "heap-buffer-overflow" in overflow.stderr
 
 
 def test_importing_the_cli_neither_builds_nor_loads_the_kernel():
