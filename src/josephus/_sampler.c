@@ -1,6 +1,6 @@
 /* Seeded kernel of josephus.simulate's sampler and josephus.analysis's CLT
  * trial draws.  Only simulate's typed entries (_uniforms, _walk,
- * _sample_counts, _inverse_cdf, _clt_draws) call it; they size every buffer
+ * _sample_counts, _inverse_cdf, _CltSums) call it; they size every buffer
  * it fills and check what it reads unchecked.
  *
  * Streams: sample i of master seed S reads the uniforms of numpy's
@@ -16,11 +16,15 @@
  * thresholds it.  r1 and r2 read one uniform per step; r3 reads a
  * (victim, knife) pair per step.  There are no coin buffers.
  *
- * CLT draws: one N of the trial ensemble reads stream (S, N), one uniform
- * per trial, and draws by inverse CDF through a guide table, exactly the
- * index np.searchsorted(cdf, u, side="right") returns (see
+ * CLT draws: one N of the trial ensemble takes the DP row, builds its CDF
+ * as np.cumsum does, reads stream (S, N), one uniform per trial, and draws
+ * by inverse CDF through a guide table, exactly the index
+ * np.searchsorted(cdf, u, side="right") returns (see
  * simulate._inverse_cdf), clipped to N-1.  Each trial's two sums are
  * updated as numpy's `+=` of `d/N - mean` and `d/N - 0.5` round them.
+ * simulate._CltSums allocates the sums, the CDF scratch and the guide once
+ * per experiment, sized for the longest row, and checks each row's dtype,
+ * shape and length before the call for that N.
  *
  * Build with -ffp-contract=off and without -ffast-math: each float
  * operation must round once, as numpy's does.
@@ -164,12 +168,18 @@ void josephus_inverse_cdf(int64_t n, const double *cdf, int64_t m, const double 
         out[j] = lookup(n, cdf, guide, k, u[j]);
 }
 
-/* One N of the CLT ensemble.  Trial i draws d by lookup of uniform i of
- * stream (seed, n) in cdf[0..n-1], clipped to n-1, then adds d/n - mean to
- * centered[i] and d/n - 0.5 to mid[i].  guide holds K entries. */
-void josephus_clt_draws(uint64_t seed, int64_t n, const double *cdf, double mean,
-                        int64_t trials, int64_t *guide, double *centered, double *mid)
+/* One N of the CLT ensemble.  cdf[0..n-1] becomes the prefix sum of
+ * row[0..n-1], summed in order as np.cumsum sums it.  Trial i draws d by
+ * lookup of uniform i of stream (seed, n) in cdf, clipped to n-1, then adds
+ * d/n - mean to centered[i] and d/n - 0.5 to mid[i].  guide holds at least
+ * K entries. */
+void josephus_clt_draws(uint64_t seed, int64_t n, const double *row, double mean,
+                        int64_t trials, double *cdf, int64_t *guide, double *centered,
+                        double *mid)
 {
+    cdf[0] = row[0];
+    for (int64_t d = 1; d < n; d++)
+        cdf[d] = cdf[d - 1] + row[d];
     int64_t k = guide_table(n, cdf, guide);
     uint64_t key = splitmix64(seed, (uint64_t)n), block[4];
     for (int64_t i = 0; i < trials; i += 4) {

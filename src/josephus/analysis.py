@@ -511,10 +511,14 @@ def clt_experiment(
     the kappa=1 Lyapunov ratio sum W_N / B_L^3 are recorded on ``_log_grid``.
     Each trial draws one survivor per N by inverse-CDF from the exact row,
     using the per-N stream splitmix64(seed, N), so results are independent
-    of evaluation order.  The draws run in the compiled kernel, one
-    ``simulate._clt_draws`` call per N.  The Kolmogorov-Smirnov distance of
-    the normalised trial sums to the standard normal is computed for both
-    centerings.
+    of evaluation order.  The draws run in the compiled kernel through one
+    ``simulate._CltSums`` per experiment.  Once, it loads the kernel and
+    allocates the trial sums, a CDF scratch and the guide table, sized from
+    l_max and trials; per N it checks only the row (1-D, float64,
+    C-contiguous, at most l_max long), and C builds the row's CDF and adds
+    its draws to the sums.  The moments stay in numpy.  The
+    Kolmogorov-Smirnov distance of the normalised trial sums to the standard
+    normal is computed for both centerings.
     """
     if trials < 1000:
         raise DomainError(f"the trial ensemble needs trials >= 1000, got {trials}")
@@ -528,8 +532,7 @@ def clt_experiment(
     e1_sum = 0.0
     b_at = {}
     lyap_at = {}
-    sums_centered = np.zeros(trials)
-    sums_mid = np.zeros(trials)
+    sums = simulate._CltSums(seed, l_max, trials)
     grid_set = set(int(g) for g in grid)
     for n, row in dp.r1_rows(l_max, 0.5):
         x = np.arange(n) / n
@@ -538,13 +541,13 @@ def clt_experiment(
         cum_v += float(np.dot(centered * centered, row))
         cum_w += float(np.dot(np.abs(centered) ** 3, row))
         e1_sum += 0.5 - mean
-        simulate._clt_draws(seed, np.cumsum(row), mean, sums_centered, sums_mid)
+        sums.add(row, mean)
         if n in grid_set:
             b_at[n] = math.sqrt(cum_v)
             lyap_at[n] = cum_w / b_at[n] ** 3
     b_final = math.sqrt(cum_v)
-    z_centered = sums_centered / b_final
-    z_mid = sums_mid / b_final
+    z_centered = sums.centered / b_final
+    z_mid = sums.mid / b_final
     import scipy.stats  # here, not at module level: only this check needs scipy
     return CltReport(
         l_values=grid,

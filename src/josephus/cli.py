@@ -217,7 +217,8 @@ def moments(ctx, rule, n_min, n_max, p, q):
     spec = _build_rule(rule, p, q)
     records = analysis.moment_report(spec, n_min, n_max)
     header = [f.name for f in dataclasses.fields(analysis.MomentRecord)]
-    columns = list(zip(*map(dataclasses.astuple, records)))
+    # per field, by getattr: dataclasses.astuple would deep-copy every record
+    columns = [[getattr(r, name) for r in records] for name in header]
     _emit(ctx, f"moments_{rule}_n{n_min}_{n_max}", header, columns,
           {"command": "moments", "n_min": n_min, "n_max": n_max,
            "rule": rule, **_given(p=p, q=q)})

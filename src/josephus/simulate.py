@@ -14,10 +14,12 @@ Sample ``s`` of seed ``S`` reads the uniforms of ``prng.stream(S, s)``
 (SplitMix64 key, numpy's Philox4x64-10), which the kernel reproduces bit
 for bit in C.  The kernel also runs ``analysis.clt_experiment``'s trial
 draws.  Only this module knows its ABI: the typed entries ``_uniforms``,
-``_walk``, ``_sample_counts``, ``_inverse_cdf`` and ``_clt_draws`` are the
+``_walk``, ``_sample_counts``, ``_inverse_cdf`` and ``_CltSums`` are the
 only callers of ``_kernel()``, which compiles it with gcc on first use and
 caches it in ``__pycache__`` under the sha256 of its source and flags;
 without gcc, sampling and the CLT draws raise ``KernelBuildError``.
+``_CltSums`` sizes the CLT buffers once per experiment, so they need no
+check; per N it checks only the DP row, whose CDF C builds itself.
 
 The coin rule lives only in the kernel's walk: a coin is ``u < p`` (and
 ``u < q`` for r3's knife coin), ``True`` being the probability-``p`` branch
@@ -269,7 +271,8 @@ def _kernel():
             lib.josephus_sample.restype = None
             lib.josephus_inverse_cdf.argtypes = [c_i64, f64, c_i64, f64, i64, i64]
             lib.josephus_inverse_cdf.restype = None
-            lib.josephus_clt_draws.argtypes = [c_u64, c_i64, f64, c_f64, c_i64, i64, f64, f64]
+            ptr = ctypes.c_void_p  # _CltSums allocates its buffers and checks each row itself
+            lib.josephus_clt_draws.argtypes = [c_u64, c_i64, ptr, c_f64, c_i64, *[ptr] * 4]
             lib.josephus_clt_draws.restype = None
             _kernel_lib = lib
     return _kernel_lib
@@ -343,17 +346,40 @@ def _inverse_cdf(cdf, u) -> np.ndarray:
     return draws
 
 
-def _clt_draws(seed: int, cdf, mean: float, centered, mid) -> None:
-    """One N = ``len(cdf)`` of the CLT ensemble, added to the trial sums in place.
+class _CltSums:
+    """The two trial sums of one CLT experiment, to which the kernel adds each N's draws.
 
-    Trial i clips d, the ``_inverse_cdf`` of uniform i of stream (seed, N),
-    to N-1, then adds d/N - mean to ``centered[i]`` and d/N - 0.5 to
-    ``mid[i]``, each rounded as numpy's ``+=`` rounds it.
+    Once per experiment it loads the kernel, reduces the seed and sizes
+    every buffer C fills from ``l_max`` and ``trials``: the sums ``centered``
+    and ``mid``, the CDF scratch ``cdf`` and the guide table, which serves
+    every shorter row.  C gets them as raw pointers; ``add`` checks the row.
     """
-    if mid.shape != centered.shape:
-        raise DomainError(f"the trial sums differ in shape: {centered.shape}, {mid.shape}")
-    _kernel().josephus_clt_draws(int(seed) & _MASK64, len(cdf), cdf, mean, len(centered),
-                                 _guide(len(cdf)), centered, mid)
+
+    def __init__(self, seed: int, l_max: int, trials: int):
+        self._draws = _kernel().josephus_clt_draws
+        self._seed = int(seed) & _MASK64
+        self._l_max, self._trials = l_max, trials
+        self.cdf, self.centered, self.mid = np.empty(l_max), np.zeros(trials), np.zeros(trials)
+        # C holds raw pointers, so the entry keeps its buffers alive
+        self._buffers = (self.cdf, _guide(l_max), self.centered, self.mid)
+        self._pointers = [a.ctypes.data for a in self._buffers]
+
+    def add(self, row, mean: float) -> None:
+        """Add the draws of N = ``len(row)`` from the DP row ``row``.
+
+        C writes ``np.cumsum(row)`` into ``cdf[:N]``.  Trial i clips d, the
+        lookup of uniform i of stream (seed, N) in it, to N-1, then adds
+        d/N - mean to ``centered[i]`` and d/N - 0.5 to ``mid[i]``, each
+        rounded as numpy's ``+=`` rounds it.  C reads N doubles of ``row``,
+        so it must be 1-D, float64 and C-contiguous with 1 <= N <= l_max.
+        """
+        if not (isinstance(row, np.ndarray) and row.dtype == np.float64 and row.ndim == 1
+                and row.flags.c_contiguous and 1 <= len(row) <= self._l_max):
+            raise DomainError(
+                f"a CLT row must be a 1-D C-contiguous float64 array of 1 to {self._l_max} "
+                f"entries, got {getattr(row, 'dtype', type(row).__name__)} of shape "
+                f"{np.shape(row)}")
+        self._draws(self._seed, len(row), row.ctypes.data, mean, self._trials, *self._pointers)
 
 
 def sample_survivor(rule: RuleSpec, n: int, seed: int, stream_index: int = 0) -> int:

@@ -403,23 +403,37 @@ def test_clt_kernel_sums_match_numpy_reference(trials):
         assert np.array_equal(getattr(reports[0], field.name), getattr(reports[1], field.name))
 
 
-@pytest.mark.parametrize("cdf, clips", [
-    (np.array([0.25, 0.5, 0.75, 1.0 - 2.0**-52]), False),
-    (np.array([0.0, 0.0, 1.0, 1.0, 1.0]), False),
-    # a CDF ending at 1/2: about half the draws land past the last label
-    (np.array([0.1, 0.2, 0.2, 0.5]), True),
+@pytest.mark.parametrize("row, clips", [
+    (np.array([0.25, 0.25, 0.25, 0.25 - 2.0**-52]), False),
+    (np.array([0.0, 0.0, 1.0, 0.0, 0.0]), False),
+    # a row summing to 1/2: about half the draws land past the last label
+    (np.array([0.1, 0.1, 0.0, 0.3]), True),
 ], ids=["last_below_one", "point_mass", "defective"])
-def test_clt_kernel_pass_clips_to_last_label(cdf, clips):
-    n, trials, seed, mean = len(cdf), 1003, 3, 0.3
+def test_clt_kernel_pass_clips_to_last_label(row, clips):
+    n, trials, seed, mean = len(row), 1003, 3, 0.3
     rng = np.random.default_rng(0)
-    centered, mid = rng.random(trials), rng.random(trials)
-    draws = np.searchsorted(cdf, prng.stream(seed, n).random(trials), side="right")
+    sums = simulate._CltSums(seed, 8, trials)
+    sums.centered[:], sums.mid[:] = rng.random(trials), rng.random(trials)
+    draws = np.searchsorted(np.cumsum(row), prng.stream(seed, n).random(trials), side="right")
     assert (draws == n).any() == clips
     x = np.clip(draws, 0, n - 1) / n
-    expected = centered + (x - mean), mid + (x - 0.5)
-    simulate._clt_draws(seed, cdf, mean, centered, mid)
-    assert np.array_equal(centered, expected[0])
-    assert np.array_equal(mid, expected[1])
+    expected = sums.centered + (x - mean), sums.mid + (x - 0.5)
+    sums.add(row, mean)
+    assert np.array_equal(sums.centered, expected[0])
+    assert np.array_equal(sums.mid, expected[1])
+
+
+@pytest.mark.parametrize("l_max, rows", [
+    (3000, lambda: dp.r1_rows(3000, 0.5)),
+    (500, lambda: dp.r3_rows(500, 0.4, 0.75)),
+    (4, lambda: [(4, np.array([0.1, 0.1, 0.0, 0.3]))]),
+], ids=["r1_unbiased", "r3", "defective"])
+def test_clt_kernel_cdf_is_the_numpy_prefix_sum(l_max, rows):
+    # C sums the row in order, as np.cumsum does, into the entry's scratch
+    sums = simulate._CltSums(7, l_max, 1000)
+    for n, row in rows():
+        sums.add(row, 0.5)
+        assert np.cumsum(row).tobytes() == sums.cdf[:n].tobytes(), n
 
 
 def test_clt_moments_match_moment_report():

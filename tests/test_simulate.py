@@ -196,9 +196,20 @@ def test_inverse_cdf_refuses_uniforms_outside_the_unit_interval(bad):
         simulate._inverse_cdf(cdf, [0.0, 0.5, bad])
 
 
-def test_clt_draws_refuse_trial_sums_of_unequal_shapes():
-    with pytest.raises(DomainError, match=r"\(5,\), \(4,\)"):
-        simulate._clt_draws(0, np.array([0.5, 1.0]), 0.25, np.zeros(5), np.zeros(4))
+@pytest.mark.parametrize("row", [
+    np.full(4, 0.25, dtype=np.float32),
+    np.full((2, 2), 0.25),
+    np.full(8, 0.125)[::2],
+    np.empty(0),
+    np.full(9, 1 / 9),
+    [0.25] * 4,
+], ids=["float32", "2d", "strided", "empty", "longer_than_l_max", "list"])
+def test_clt_sums_refuse_a_row_c_cannot_read(row):
+    # C reads len(row) doubles of the row and writes as many into the l_max-entry scratch
+    sums = simulate._CltSums(0, 8, 1000)
+    with pytest.raises(DomainError, match="1-D C-contiguous float64 array of 1 to 8"):
+        sums.add(row, 0.5)
+    assert not sums.centered.any() and not sums.mid.any()
 
 
 def test_empirical_aggregates_individual_streams():
@@ -305,7 +316,8 @@ simulate._kernel_lib = None
 """
 # every typed entry on edge inputs: N = 2, 3, 5, 64 with the certain-coin
 # corners, stream lengths across Philox blocks, uniforms at 0, 1 - 2^-53 and
-# the bucket edges j/K, partial last blocks and clipped CLT draws
+# the bucket edges j/K, partial last blocks, CLT rows up to l_max at a power of
+# two and one past it, and clipped CLT draws
 _SANITIZED_ENTRIES = """
 rules = [RuleSpec.r1(p) for p in (0, 0.5, 1)] + [RuleSpec.r2(p) for p in (0, 0.3, 1)]
 rules += [RuleSpec.r3(p, q) for p in (0, 0.5, 1) for q in (0, 0.75, 1)]
@@ -324,8 +336,11 @@ for n in (1, 2, 3, 5, 8, 9, 300):
     u = np.concatenate([[0.0, 1 - 2**-53], np.arange(k) / k])
     assert np.array_equal(simulate._inverse_cdf(cdf, u), np.searchsorted(cdf, u, side="right"))
 for trials in (1001, 1003):
-    centered, mid = np.zeros(trials), np.zeros(trials)
-    simulate._clt_draws(5, np.array([0.1, 0.2, 0.2, 0.5]), 0.3, centered, mid)
+    for l_max in (8, 9):
+        sums = simulate._CltSums(5, l_max, trials)
+        for n in range(1, l_max + 1):
+            sums.add(np.full(n, 1 / n), 0.5)
+        sums.add(np.array([0.1, 0.1, 0.0, 0.3]), 0.3)  # sums to 1/2: half the draws clip
 analysis.clt_experiment(40, 1003, 5)
 """
 # the raw C lookup at u = 1 reads one entry past the guide table
