@@ -5,7 +5,8 @@
  *
  * Streams: sample i of master seed S reads the uniforms of numpy's
  * Philox4x64-10 keyed (splitmix64(S, i), 0) with a zero counter, bit for
- * bit as josephus.prng.stream(S, i).random(k) returns them.  The counter is
+ * bit as np.random.Generator(np.random.Philox(key=splitmix64(S, i)))
+ * .random(k) returns them (tests/stream_reference.py).  The counter is
  * incremented before each 4-word block, and a word x becomes the uniform
  * (x >> 11) * 2^-53.  Philox is Salmon et al., "Parallel Random Numbers: As
  * Easy as 1, 2, 3" (SC'11), with numpy's round layout and constants.
@@ -17,14 +18,14 @@
  * (victim, knife) pair per step.  There are no coin buffers.
  *
  * CLT draws: one N of the trial ensemble takes the DP row, builds its CDF
- * as np.cumsum does, reads stream (S, N), one uniform per trial, and draws
- * by inverse CDF through a guide table, exactly the index
- * np.searchsorted(cdf, u, side="right") returns (see
+ * as np.cumsum does, reads stream (S, N) by josephus_uniforms, one uniform
+ * per trial, and draws by josephus_inverse_cdf, a guide-table lookup giving
+ * exactly the index np.searchsorted(cdf, u, side="right") returns (see
  * simulate._inverse_cdf), clipped to N-1.  Each trial's two sums are
  * updated as numpy's `+=` of `d/N - mean` and `d/N - 0.5` round them.
- * simulate._CltSums allocates the sums, the CDF scratch and the guide once
- * per experiment, sized for the longest row, and checks each row's dtype,
- * shape and length before the call for that N.
+ * simulate._CltSums allocates the sums and the scratch (CDF, guide,
+ * uniforms, draws) once per experiment, sized for the longest row, and
+ * checks each row's dtype, shape and length before the call for that N.
  *
  * Build with -ffp-contract=off and without -ffast-math: each float
  * operation must round once, as numpy's does.
@@ -70,11 +71,6 @@ static void philox4x64_10(uint64_t ctr, uint64_t key, uint64_t out[4])
     out[3] = x3;
 }
 
-static double uniform(uint64_t word)
-{
-    return (double)(word >> 11) * 0x1.0p-53;
-}
-
 /* The first k uniforms of stream (seed, index) into u[0..k-1]. */
 void josephus_uniforms(uint64_t seed, uint64_t index, int64_t k, double *u)
 {
@@ -82,7 +78,7 @@ void josephus_uniforms(uint64_t seed, uint64_t index, int64_t k, double *u)
     for (int64_t i = 0; i < k; i += 4) {
         philox4x64_10((uint64_t)(i / 4) + 1, key, block);
         for (int64_t j = 0; j < 4 && i + j < k; j++)
-            u[i + j] = uniform(block[j]);
+            u[i + j] = (double)(block[j] >> 11) * 0x1.0p-53;
     }
 }
 
@@ -134,9 +130,12 @@ void josephus_sample(int kind, int64_t n, double p, double q, uint64_t seed,
     }
 }
 
-/* guide[b] = the number of cdf[0..n-1] <= b/K, K the least power of two >= n.
- * Returns K. */
-static int64_t guide_table(int64_t n, const double *cdf, int64_t *guide)
+/* out[j] = np.searchsorted(cdf[0..n-1], u[j], side="right") for u[j] in
+ * [0, 1), j < m (see simulate._inverse_cdf).  guide[b] becomes the number of
+ * cdf entries <= b/K, K the least power of two >= n, so guide holds K
+ * entries; each lookup steps forward from u's bucket. */
+void josephus_inverse_cdf(int64_t n, const double *cdf, int64_t m, const double *u,
+                          int64_t *guide, int64_t *out)
 {
     int64_t k = 1;
     while (k < n)
@@ -146,49 +145,31 @@ static int64_t guide_table(int64_t n, const double *cdf, int64_t *guide)
             d++;
         guide[b] = d;
     }
-    return k;
-}
-
-/* np.searchsorted(cdf, u, side="right") for u in [0, 1), stepping forward
- * from u's bucket (see simulate._inverse_cdf). */
-static int64_t lookup(int64_t n, const double *cdf, const int64_t *guide, int64_t k, double u)
-{
-    int64_t d = guide[(int64_t)(u * (double)k)];
-    while (d < n && cdf[d] <= u)
-        d++;
-    return d;
-}
-
-/* out[j] = lookup of u[j] in cdf[0..n-1], for j < m; guide holds K entries. */
-void josephus_inverse_cdf(int64_t n, const double *cdf, int64_t m, const double *u,
-                          int64_t *guide, int64_t *out)
-{
-    int64_t k = guide_table(n, cdf, guide);
-    for (int64_t j = 0; j < m; j++)
-        out[j] = lookup(n, cdf, guide, k, u[j]);
+    for (int64_t j = 0; j < m; j++) {
+        int64_t d = guide[(int64_t)(u[j] * (double)k)];
+        while (d < n && cdf[d] <= u[j])
+            d++;
+        out[j] = d;
+    }
 }
 
 /* One N of the CLT ensemble.  cdf[0..n-1] becomes the prefix sum of
- * row[0..n-1], summed in order as np.cumsum sums it.  Trial i draws d by
- * lookup of uniform i of stream (seed, n) in cdf, clipped to n-1, then adds
- * d/n - mean to centered[i] and d/n - 0.5 to mid[i].  guide holds at least
- * K entries. */
+ * row[0..n-1], summed in order as np.cumsum sums it; u[] the first `trials`
+ * uniforms of stream (seed, n) and draws[] their lookups in cdf.  Trial i
+ * clips draws[i] to n-1 as d, then adds d/n - mean to centered[i] and
+ * d/n - 0.5 to mid[i].  guide holds at least K entries. */
 void josephus_clt_draws(uint64_t seed, int64_t n, const double *row, double mean,
-                        int64_t trials, double *cdf, int64_t *guide, double *centered,
-                        double *mid)
+                        int64_t trials, double *cdf, int64_t *guide, double *u,
+                        int64_t *draws, double *centered, double *mid)
 {
     cdf[0] = row[0];
     for (int64_t d = 1; d < n; d++)
         cdf[d] = cdf[d - 1] + row[d];
-    int64_t k = guide_table(n, cdf, guide);
-    uint64_t key = splitmix64(seed, (uint64_t)n), block[4];
-    for (int64_t i = 0; i < trials; i += 4) {
-        philox4x64_10((uint64_t)(i / 4) + 1, key, block);
-        for (int64_t j = 0; j < 4 && i + j < trials; j++) {
-            int64_t d = lookup(n, cdf, guide, k, uniform(block[j]));
-            double x = (double)(d < n ? d : n - 1) / (double)n;
-            centered[i + j] += x - mean;
-            mid[i + j] += x - 0.5;
-        }
+    josephus_uniforms(seed, (uint64_t)n, trials, u);
+    josephus_inverse_cdf(n, cdf, trials, u, guide, draws);
+    for (int64_t i = 0; i < trials; i++) {
+        double x = (double)(draws[i] < n ? draws[i] : n - 1) / (double)n;
+        centered[i] += x - mean;
+        mid[i] += x - 0.5;
     }
 }

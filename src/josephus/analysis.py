@@ -513,10 +513,10 @@ def clt_experiment(
     using the per-N stream splitmix64(seed, N), so results are independent
     of evaluation order.  The draws run in the compiled kernel through one
     ``simulate._CltSums`` per experiment.  Once, it loads the kernel and
-    allocates the trial sums, a CDF scratch and the guide table, sized from
-    l_max and trials; per N it checks only the row (1-D, float64,
-    C-contiguous, at most l_max long), and C builds the row's CDF and adds
-    its draws to the sums.  The moments stay in numpy.  The
+    allocates the trial sums and the scratch (CDF, guide table, uniforms,
+    draws), sized from l_max and trials; per N it checks only the row (1-D,
+    float64, C-contiguous, at most l_max long), and C builds the row's CDF
+    and adds its draws to the sums.  The moments stay in numpy.  The
     Kolmogorov-Smirnov distance of the normalised trial sums to the standard
     normal is computed for both centerings.
     """

@@ -20,6 +20,7 @@ import click
 import numpy as np
 
 from . import __version__, analysis, deterministic, dp, io, simulate
+from .distributions import SurvivalDistribution
 from .errors import CheckFailure, DomainError, KernelBuildError
 from .rules import RuleKind, RuleSpec
 
@@ -119,6 +120,8 @@ def det(ctx, n, n_range, series_check):
     if len(modes) != 1:
         raise DomainError("det takes exactly one of --n, --n-range, --series-check, got "
                           f"{len(modes)}")
+    if n_range is None:
+        _refuse_format(ctx, "det --n" if n is not None else "det --series-check", None)
     if series_check is not None:
         coeffs = deterministic.generating_series_coefficients(series_check)
         expected = deterministic.survivor_sequence(series_check)
@@ -146,6 +149,15 @@ def _refuse_given(ctx, mode: str, *names: str) -> None:
     for name in names:
         if ctx.get_parameter_source(name) is not click.core.ParameterSource.DEFAULT:
             raise DomainError(f"{mode} does not use --{name}; omit it")
+
+
+def _refuse_format(ctx, mode: str, writes: str | None) -> None:
+    """Refuse an explicit --format other than ``writes``, the one format ``mode`` writes."""
+    fmt = ctx.obj["format"]
+    if (ctx.find_root().get_parameter_source("fmt") is not click.core.ParameterSource.DEFAULT
+            and fmt != writes):
+        raise DomainError(f"{mode} writes {f'{writes} only' if writes else 'no table'}; "
+                          f"omit --format {fmt}")
 
 
 def _given(**params) -> dict:
@@ -233,6 +245,7 @@ def moments(ctx, rule, n_min, n_max, p, q):
 @click.pass_context
 def decay(ctx, p, unbiased, epsilon, alpha, n_max):
     """Fit exponential survival-decay constants; exit 3 if K has not stabilised."""
+    _refuse_format(ctx, "decay", "jsonl")
     if unbiased == (p is not None):
         raise DomainError("pass exactly one of --p or --unbiased")
     if n_max is None:
@@ -269,6 +282,7 @@ def decay(ctx, p, unbiased, epsilon, alpha, n_max):
 @click.pass_context
 def clt(ctx, l_max, trials):
     """Unbiased CLT experiment: B_L, Lyapunov ratio, trial ensemble, KS distance."""
+    _refuse_format(ctx, "clt", "jsonl")
     report = analysis.clt_experiment(l_max, trials, ctx.obj["seed"])
     records = [
         {"l": int(l), "b_l": float(b), "lyapunov_ratio": float(r)}
@@ -336,8 +350,7 @@ def figure(ctx, variant, n, p_grid, q_grid, montecarlo, samples, gnuplot):
     """Reproduce one figure set: one CSV per grid point plus a manifest."""
     if ctx.obj.get("out") is None:
         raise DomainError("figure requires --out DIR")
-    if ctx.obj["format"] == "jsonl":
-        raise DomainError("figure writes CSV only; omit --format jsonl")
+    _refuse_format(ctx, "figure", "csv")
     if not montecarlo:
         _refuse_given(ctx, "figure without --montecarlo", "samples")
     ps = _parse_grid(p_grid) if p_grid else _FIGURE_DEFAULTS[variant]
@@ -378,13 +391,19 @@ def _write_gnuplot_script(ctx, variant: str, csv_paths: list[Path]) -> Path:
 @click.pass_context
 def sweep(ctx, p_grid, n_list, delta):
     """Exact-DP near-0 vs near-1/2 masses across p (exploratory, non-assertive)."""
+    _refuse_format(ctx, "sweep", "jsonl")
     ps = _parse_grid(p_grid)
     ns = _parse_grid(n_list, int)
+    if any(n < 3 for n in ns):
+        raise DomainError(f"the recursion's base case is N=3; got N={min(ns)}")
+    wanted = set(ns)
     records = []
-    for p in ps:
+    for p in ps if ns else []:
+        # one DP per p: every requested N is a row of the same triangle
+        masses = {n: analysis.near_masses(SurvivalDistribution(row), delta)
+                  for n, row in dp.r1_rows(max(ns), p) if n in wanted}
         for n in ns:
-            dist = dp.r1_distribution(n, p)
-            near_zero, near_half = analysis.near_masses(dist, delta)
+            near_zero, near_half = masses[n]
             records.append({
                 "p": p, "n": n, "delta": delta,
                 "mass_near_zero": near_zero, "mass_near_half": near_half,

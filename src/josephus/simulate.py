@@ -10,9 +10,10 @@ Two views of one set of process semantics:
   backwards, relabeling the survivor with the inverse of each round's
   relabeling map (the maps of the ``dp`` recursions).
 
-Sample ``s`` of seed ``S`` reads the uniforms of ``prng.stream(S, s)``
-(SplitMix64 key, numpy's Philox4x64-10), which the kernel reproduces bit
-for bit in C.  The kernel also runs ``analysis.clt_experiment``'s trial
+Sample ``s`` of seed ``S`` reads the uniforms of numpy's Philox4x64-10
+keyed by ``splitmix64(S, s)``, bit for bit as numpy draws them; the kernel
+is the package's only copy of that stream, and the tests hold it to a
+numpy reference.  The kernel also runs ``analysis.clt_experiment``'s trial
 draws.  Only this module knows its ABI: the typed entries ``_uniforms``,
 ``_walk``, ``_sample_counts``, ``_inverse_cdf`` and ``_CltSums`` are the
 only callers of ``_kernel()``, which compiles it with gcc on first use and
@@ -46,7 +47,6 @@ import numpy as np
 
 from .distributions import SurvivalDistribution
 from .errors import DomainError, EnumerationCapError, InvalidStateError, KernelBuildError
-from .prng import _MASK64
 from .rules import RuleKind, RuleSpec
 
 __all__ = [
@@ -213,6 +213,7 @@ _CACHE_DIR = _SOURCE.parent / "__pycache__"
 # exact float semantics: no fused multiply-add, no -ffast-math, no -march=native
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _KIND_CODES = {RuleKind.R1: 1, RuleKind.R2: 2, RuleKind.R3: 3}
+_MASK64 = (1 << 64) - 1
 _kernel_lock = threading.Lock()
 _kernel_lib = None
 
@@ -272,15 +273,15 @@ def _kernel():
             lib.josephus_inverse_cdf.argtypes = [c_i64, f64, c_i64, f64, i64, i64]
             lib.josephus_inverse_cdf.restype = None
             ptr = ctypes.c_void_p  # _CltSums allocates its buffers and checks each row itself
-            lib.josephus_clt_draws.argtypes = [c_u64, c_i64, ptr, c_f64, c_i64, *[ptr] * 4]
+            lib.josephus_clt_draws.argtypes = [c_u64, c_i64, ptr, c_f64, c_i64, *[ptr] * 6]
             lib.josephus_clt_draws.restype = None
             _kernel_lib = lib
     return _kernel_lib
 
 
 # --- the typed entries: each sizes what C fills and checks what C reads -------
-# Seeds and stream indices go in mod 2^64 (``& _MASK64``), as ``splitmix64``
-# takes them: -1 and 2^64 - 1 are one seed, and none is left to ctypes.
+# Seeds and stream indices go in mod 2^64 (``& _MASK64``), as the kernel's
+# ``splitmix64`` takes them: -1 and 2^64 - 1 are one seed, and none is left to ctypes.
 
 
 def _guide(n: int) -> np.ndarray:
@@ -351,8 +352,9 @@ class _CltSums:
 
     Once per experiment it loads the kernel, reduces the seed and sizes
     every buffer C fills from ``l_max`` and ``trials``: the sums ``centered``
-    and ``mid``, the CDF scratch ``cdf`` and the guide table, which serves
-    every shorter row.  C gets them as raw pointers; ``add`` checks the row.
+    and ``mid``, the CDF scratch ``cdf`` and the guide table, which serve
+    every shorter row, and the per-trial uniforms and draws.  C gets them as
+    raw pointers; ``add`` checks the row.
     """
 
     def __init__(self, seed: int, l_max: int, trials: int):
@@ -361,7 +363,8 @@ class _CltSums:
         self._l_max, self._trials = l_max, trials
         self.cdf, self.centered, self.mid = np.empty(l_max), np.zeros(trials), np.zeros(trials)
         # C holds raw pointers, so the entry keeps its buffers alive
-        self._buffers = (self.cdf, _guide(l_max), self.centered, self.mid)
+        self._buffers = (self.cdf, _guide(l_max), np.empty(trials),
+                         np.empty(trials, dtype=np.int64), self.centered, self.mid)
         self._pointers = [a.ctypes.data for a in self._buffers]
 
     def add(self, row, mean: float) -> None:
@@ -386,8 +389,8 @@ def sample_survivor(rule: RuleSpec, n: int, seed: int, stream_index: int = 0) ->
     """The survivor's label in 0..N-1 for one run from stream ``stream_index`` of ``seed``.
 
     Identical (rule, N, seed, stream_index) always yields the identical
-    survivor; streams follow the SplitMix64/Philox scheme in ``prng``.  This
-    is the sampling kernel run on a single sample, so
+    survivor; streams follow the SplitMix64/Philox scheme of the module
+    docstring.  This is the sampling kernel run on a single sample, so
     ``empirical_distribution`` aggregates exactly these runs over
     ``stream_index = 0 .. samples-1``.
     """

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from stream_reference import stream
 
-from josephus import analysis, dp, prng, simulate
+from josephus import analysis, dp, simulate
 from josephus.errors import DomainError
 from josephus.rules import RuleSpec
 
@@ -351,7 +352,7 @@ def test_inverse_cdf_matches_binary_search_on_rows(rows):
         k = 1 << (n - 1).bit_length()
         edges = np.concatenate([np.arange(n) / n, np.arange(k) / k])
         u = np.concatenate([
-            prng.stream(11, n).random(500), edges, np.nextafter(edges, 0.0)
+            stream(11, n).random(500), edges, np.nextafter(edges, 0.0)
         ])
         u = u[u >= 0.0]
         assert np.array_equal(
@@ -368,14 +369,14 @@ def test_clt_sums_match_binary_search_reference():
         mean = float(np.dot(x, row))
         centered = x - mean
         cum_v += float(np.dot(centered * centered, row))
-        u = prng.stream(5, n).random(1000)
+        u = stream(5, n).random(1000)
         draws = np.clip(np.searchsorted(np.cumsum(row), u, side="right"), 0, n - 1)
         sums += draws / n - mean
     assert np.array_equal(report.normalized_sums, sums / math.sqrt(cum_v))
 
 
 def _clt_numpy_sums(l_max, trials, seed):
-    # the numpy draw pass: prng streams, binary search, clip, then both sums
+    # the numpy draw pass: reference streams, binary search, clip, then both sums
     centered, mid = np.zeros(trials), np.zeros(trials)
     cum_v = 0.0
     for n, row in dp.r1_rows(l_max, 0.5):
@@ -383,7 +384,7 @@ def _clt_numpy_sums(l_max, trials, seed):
         mean = float(np.dot(x, row))
         dev = x - mean
         cum_v += float(np.dot(dev * dev, row))
-        u = prng.stream(seed, n).random(trials)
+        u = stream(seed, n).random(trials)
         positions = np.clip(np.searchsorted(np.cumsum(row), u, side="right"), 0, n - 1) / n
         centered += positions - mean
         mid += positions - 0.5
@@ -414,7 +415,7 @@ def test_clt_kernel_pass_clips_to_last_label(row, clips):
     rng = np.random.default_rng(0)
     sums = simulate._CltSums(seed, 8, trials)
     sums.centered[:], sums.mid[:] = rng.random(trials), rng.random(trials)
-    draws = np.searchsorted(np.cumsum(row), prng.stream(seed, n).random(trials), side="right")
+    draws = np.searchsorted(np.cumsum(row), stream(seed, n).random(trials), side="right")
     assert (draws == n).any() == clips
     x = np.clip(draws, 0, n - 1) / n
     expected = sums.centered + (x - mean), sums.mid + (x - 0.5)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from josephus import dp
+from josephus import analysis, dp, io
 from josephus.cli import main
 from josephus.io import config_hash, file_sha256
 
@@ -308,6 +308,37 @@ def test_figure_refuses_jsonl_before_writing(argv, tmp_path, capsys):
     run_ok(["--out", str(tmp_path), "--format", "csv", "figure", "r1",
             "--n", "10", "--p-grid", "0.5"], capsys)
     assert (tmp_path / "fig_r1_n10_p0.5.csv").is_file()
+
+
+@pytest.mark.parametrize("argv, refused, accepted", [
+    (["det", "--n", "41"], "csv", []),
+    (["det", "--n", "41"], "jsonl", []),
+    (["det", "--series-check", "64"], "jsonl", []),
+    (["decay", "--p", "0.4", "--n-max", "20"], "csv", ["--format", "jsonl"]),
+    (["clt", "--l-max", "20", "--trials", "1000"], "csv", ["--format", "jsonl"]),
+    (["sweep", "--p-grid", "0.5", "--n-list", "10"], "csv", ["--format", "jsonl"]),
+    (["figure", "r1", "--n", "10", "--p-grid", "0.5"], "jsonl", ["--format", "csv"]),
+], ids=["det_n_csv", "det_n_jsonl", "det_series_check", "decay", "clt", "sweep", "figure"])
+def test_command_refuses_a_format_it_does_not_write(argv, refused, accepted, tmp_path, capsys):
+    # refused before any file is written; the format the command writes is accepted
+    assert main(["--out", str(tmp_path), "--format", refused, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and f"--format {refused}" in err
+    assert list(tmp_path.iterdir()) == []
+    run_ok(["--out", str(tmp_path), *accepted, *argv], capsys)
+
+
+@pytest.mark.parametrize("n_list", ["40,10,40", "12,3,7,12,5"])
+def test_sweep_reads_every_n_from_one_dp_in_the_given_order(n_list, capsys):
+    # one DP per p, records in --n-list order: the bytes of one DP per (p, N)
+    ns, records = [int(n) for n in n_list.split(",")], []
+    for p in (0.3, 0.5):
+        for n in ns:
+            near_zero, near_half = analysis.near_masses(dp.r1_distribution(n, p), 0.02)
+            records.append({"p": p, "n": n, "delta": 0.02, "mass_near_zero": near_zero,
+                            "mass_near_half": near_half, "assertive": False})
+    out = run_ok(["sweep", "--p-grid", "0.3,0.5", "--n-list", n_list], capsys)
+    assert out == io.jsonl_text(records)
 
 
 @pytest.mark.parametrize("argv, types", [

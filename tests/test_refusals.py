@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from josephus import analysis, io, prng, simulate
+from josephus import analysis, io, simulate
 from josephus.cli import main
 from josephus.distributions import SurvivalDistribution
 from josephus.errors import DomainError
@@ -31,12 +31,11 @@ UNIFORM5 = SurvivalDistribution(np.full(5, 0.2))
     (lambda: simulate.sample_survivor(R1H, 10, 0, stream_index=-1), DomainError, "got -1"),
     (lambda: simulate.empirical_distribution(R1H, 1, 10, 0), DomainError, "got N=1"),
     (lambda: io.validate_config({"schema": 99}, set()), DomainError, "got 99"),
-    (lambda: prng.splitmix64(0, -1), ValueError, "stream index must be nonnegative"),
 ], ids=[
     "phi_k_0", "expectation_shape", "moments_n_min_2", "moments_n_max_below_n_min",
     "unbiased_alpha_1", "second_moment_l_max_99", "clt_l_max_9", "total_variation_n",
     "r1_without_p", "q_float_on_r1", "q_exact_on_r1", "initial_state_0",
-    "stream_index_negative", "empirical_n_1", "config_schema", "splitmix64_negative_index",
+    "stream_index_negative", "empirical_n_1", "config_schema",
 ])
 def test_library_refusal(call, error, named):
     with pytest.raises(error, match=named.replace(".", r"\.")):
@@ -50,8 +49,9 @@ def test_library_refusal(call, error, named):
     (["decay"], "--p or --unbiased"),
     (["decay", "--p", "0.5", "--unbiased"], "--p or --unbiased"),
     (["figure", "r1", "--n", "10", "--p-grid", "0.5"], "--out"),
+    (["sweep", "--n-list", "40,2,10"], "got N=2"),
 ], ids=["n_range_one_number", "n_range_not_ints", "n_range_reversed",
-        "decay_neither", "decay_both", "figure_without_out"])
+        "decay_neither", "decay_both", "figure_without_out", "sweep_n_2"])
 def test_cli_refusal(argv, named, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

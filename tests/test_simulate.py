@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from stream_reference import stream
 
 from josephus import dp, simulate
 from josephus.deterministic import survivor_closed_form
@@ -128,13 +129,11 @@ def test_sampling_is_reproducible():
 
 def test_single_run_matches_reference_state_machine():
     # the sampling engine and the tuple-based step() must agree path-wise
-    from josephus import prng
-
     for rule in (RuleSpec.r1(0.3), RuleSpec.r2(0.6), RuleSpec.r3(0.4, 0.7)):
         for seed in (1, 5):
             for n in (2, 3, 7, 30, 200, 500):
                 expected = sample_survivor(rule, n, seed)
-                u = prng.stream(seed).random(2 * (n - 1))
+                u = stream(seed).random(2 * (n - 1))
                 if rule.kind.value == "r3":
                     coins = [
                         (u[2 * s] < rule.p_float, u[2 * s + 1] < rule.q_float)
@@ -231,16 +230,14 @@ STREAM_STEPS = (1, 3, 4, 5, 998, 1999)
     "rule", [RuleSpec.r1(0.42), RuleSpec.r3(0.35, 0.6)], ids=["one_coin", "r3_alternating"]
 )
 def test_kernel_draws_equal_prng_stream(rule, seed):
-    # the C kernel's uniforms are prng.stream's bit for bit, one per step or a
-    # (victim, knife) pair per step
-    from josephus import prng
-
+    # the C kernel's uniforms are the numpy reference stream's bit for bit,
+    # one per step or a (victim, knife) pair per step
     two_coin = rule.kind.value == "r3"
     for index in STREAM_INDICES:
         for steps in STREAM_STEPS:
             k = 2 * steps if two_coin else steps
             u = simulate._uniforms(seed, index, k)
-            assert np.array_equal(u, prng.stream(seed, index).random(k)), (index, steps)
+            assert np.array_equal(u, stream(seed, index).random(k)), (index, steps)
 
 
 def test_kernel_build_without_gcc_names_gcc(tmp_path, monkeypatch):
@@ -305,6 +302,20 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_kernel_argtypes_match_the_exported_prototypes():
+    import re
+
+    # ctypes trusts _kernel()'s argtypes, a second copy of each C prototype
+    prototypes = re.findall(r"^\w+ (josephus_\w+)\(([^)]*)\)", simulate._SOURCE.read_text(),
+                            flags=re.MULTILINE)
+    assert {name for name, _ in prototypes} == {
+        "josephus_uniforms", "josephus_walk", "josephus_sample", "josephus_inverse_cdf",
+        "josephus_clt_draws"}
+    lib = simulate._kernel()
+    for name, params in prototypes:
+        assert len(getattr(lib, name).argtypes) == len(params.split(",")), name
+
+
 _SANITIZED_SETUP = """
 import sys
 from pathlib import Path
@@ -317,7 +328,8 @@ simulate._kernel_lib = None
 # every typed entry on edge inputs: N = 2, 3, 5, 64 with the certain-coin
 # corners, stream lengths across Philox blocks, uniforms at 0, 1 - 2^-53 and
 # the bucket edges j/K, partial last blocks, CLT rows up to l_max at a power of
-# two and one past it, and clipped CLT draws
+# two and one past it, and clipped CLT draws; 1001 and 1003 trials fill the
+# CLT uniforms and draws scratch to its last, partial Philox block
 _SANITIZED_ENTRIES = """
 rules = [RuleSpec.r1(p) for p in (0, 0.5, 1)] + [RuleSpec.r2(p) for p in (0, 0.3, 1)]
 rules += [RuleSpec.r3(p, q) for p in (0, 0.5, 1) for q in (0, 0.75, 1)]
