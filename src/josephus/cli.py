@@ -121,7 +121,7 @@ def det(ctx, n, n_range, series_check):
         raise DomainError("det takes exactly one of --n, --n-range, --series-check, got "
                           f"{len(modes)}")
     if n_range is None:
-        _refuse_format(ctx, "det --n" if n is not None else "det --series-check", None)
+        _refuse(ctx, "det --n" if n is not None else "det --series-check", "fmt")
     if series_check is not None:
         coeffs = deterministic.generating_series_coefficients(series_check)
         expected = deterministic.survivor_sequence(series_check)
@@ -144,20 +144,19 @@ def det(ctx, n, n_range, series_check):
     click.echo(str(deterministic.survivor_recurrence(n)))
 
 
-def _refuse_given(ctx, mode: str, *names: str) -> None:
-    """Refuse the options ``names`` that were passed explicitly but ``mode`` ignores."""
+def _refuse(ctx, mode: str, *names: str, reads=()) -> None:
+    """Refuse each option ``names`` passed explicitly with a value ``mode`` ignores.
+
+    ``out`` and ``fmt`` are the group's options, the rest the command's;
+    ``reads`` holds the values that ``mode`` does read.
+    """
     for name in names:
-        if ctx.get_parameter_source(name) is not click.core.ParameterSource.DEFAULT:
-            raise DomainError(f"{mode} does not use --{name}; omit it")
-
-
-def _refuse_format(ctx, mode: str, writes: str | None) -> None:
-    """Refuse an explicit --format other than ``writes``, the one format ``mode`` writes."""
-    fmt = ctx.obj["format"]
-    if (ctx.find_root().get_parameter_source("fmt") is not click.core.ParameterSource.DEFAULT
-            and fmt != writes):
-        raise DomainError(f"{mode} writes {f'{writes} only' if writes else 'no table'}; "
-                          f"omit --format {fmt}")
+        owner = ctx.find_root() if name in ("out", "fmt") else ctx
+        value = owner.params[name]
+        if (owner.get_parameter_source(name) is not click.core.ParameterSource.DEFAULT
+                and value not in reads):
+            [flag] = (param.opts[0] for param in owner.command.params if param.name == name)
+            raise DomainError(f"{mode} does not use {flag} {value}; omit it")
 
 
 def _given(**params) -> dict:
@@ -245,7 +244,7 @@ def moments(ctx, rule, n_min, n_max, p, q):
 @click.pass_context
 def decay(ctx, p, unbiased, epsilon, alpha, n_max):
     """Fit exponential survival-decay constants; exit 3 if K has not stabilised."""
-    _refuse_format(ctx, "decay", "jsonl")
+    _refuse(ctx, "decay", "fmt", reads={"jsonl"})
     if unbiased == (p is not None):
         raise DomainError("pass exactly one of --p or --unbiased")
     if n_max is None:
@@ -258,16 +257,12 @@ def decay(ctx, p, unbiased, epsilon, alpha, n_max):
         cfg = {"command": "decay", "unbiased": True, "epsilon": epsilon,
                "alpha": alpha, "n_max": n_max}
     else:
-        _refuse_given(ctx, "decay --p", "epsilon", "alpha")
+        _refuse(ctx, "decay --p", "epsilon", "alpha")
         fit = analysis.decay_bound_check(p, n_max)
         extra = {}
         cfg = {"command": "decay", "p": p, "n_max": n_max}
-    record = {
-        "p": p, "beta": fit.beta, "gamma": fit.gamma, "k": fit.k,
-        "k_fit": fit.k_fit, "k_fit_half": fit.k_fit_half,
-        "stabilization_ratio": fit.stabilization_ratio,
-        "max_violation": fit.max_violation, "n_max": n_max, **extra,
-    }
+    record = {"p": p, **dataclasses.asdict(fit), "stabilization_ratio": fit.stabilization_ratio,
+              "n_max": n_max, **extra}
     _sink(ctx, "decay", "jsonl", io.jsonl_text([record]), cfg)
     if not fit.stabilized():
         raise CheckFailure(
@@ -282,7 +277,7 @@ def decay(ctx, p, unbiased, epsilon, alpha, n_max):
 @click.pass_context
 def clt(ctx, l_max, trials):
     """Unbiased CLT experiment: B_L, Lyapunov ratio, trial ensemble, KS distance."""
-    _refuse_format(ctx, "clt", "jsonl")
+    _refuse(ctx, "clt", "fmt", reads={"jsonl"})
     report = analysis.clt_experiment(l_max, trials, ctx.obj["seed"])
     records = [
         {"l": int(l), "b_l": float(b), "lyapunov_ratio": float(r)}
@@ -350,9 +345,9 @@ def figure(ctx, variant, n, p_grid, q_grid, montecarlo, samples, gnuplot):
     """Reproduce one figure set: one CSV per grid point plus a manifest."""
     if ctx.obj.get("out") is None:
         raise DomainError("figure requires --out DIR")
-    _refuse_format(ctx, "figure", "csv")
+    _refuse(ctx, "figure", "fmt", reads={"csv"})
     if not montecarlo:
-        _refuse_given(ctx, "figure without --montecarlo", "samples")
+        _refuse(ctx, "figure without --montecarlo", "samples")
     ps = _parse_grid(p_grid) if p_grid else _FIGURE_DEFAULTS[variant]
     qs = _parse_grid(q_grid) if q_grid else (_R3_DEFAULT_AXIS if variant == "r3" else [None])
     # every point is checked before the first file is written
@@ -391,7 +386,7 @@ def _write_gnuplot_script(ctx, variant: str, csv_paths: list[Path]) -> Path:
 @click.pass_context
 def sweep(ctx, p_grid, n_list, delta):
     """Exact-DP near-0 vs near-1/2 masses across p (exploratory, non-assertive)."""
-    _refuse_format(ctx, "sweep", "jsonl")
+    _refuse(ctx, "sweep", "fmt", reads={"jsonl"})
     ps = _parse_grid(p_grid)
     ns = _parse_grid(n_list, int)
     if any(n < 3 for n in ns):

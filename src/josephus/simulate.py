@@ -39,7 +39,7 @@ import os
 import shutil
 import tempfile
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -136,7 +136,7 @@ def step(
     # next alive beyond the victim in the passing direction == next alive
     # from the holder once the victim is out (a 1-ring yields the holder)
     knife = _neighbor(alive, state.knife, d_pass)
-    return replace(state, alive=alive, knife=knife, direction=new_dir)
+    return ProcessState(state.rule, alive, knife, new_dir)
 
 
 def run_path(rule: RuleSpec, n: int, coins) -> int:
@@ -324,6 +324,10 @@ def _walk(rule: RuleSpec, n: int, u) -> int:
 
 def _sample_counts(rule: RuleSpec, n: int, seed: int, first: int, count: int) -> np.ndarray:
     """Survivor counts of samples ``first .. first+count-1``, in one kernel call."""
+    if count < 1:
+        raise DomainError(f"samples must be >= 1, got {count}")
+    if n < 2:
+        raise DomainError(f"sampling requires N >= 2, got N={n}")
     counts = np.zeros(n, dtype=np.int64)
     _kernel().josephus_sample(*_rule_args(rule, n), int(seed) & _MASK64, first & _MASK64,
                               count, np.empty(_stream_length(rule, n)), counts)
@@ -394,8 +398,6 @@ def sample_survivor(rule: RuleSpec, n: int, seed: int, stream_index: int = 0) ->
     ``empirical_distribution`` aggregates exactly these runs over
     ``stream_index = 0 .. samples-1``.
     """
-    if n < 2:
-        raise DomainError(f"sampling requires N >= 2, got N={n}")
     if stream_index < 0:
         raise DomainError(f"stream index must be nonnegative, got {stream_index}")
     return int(np.argmax(_sample_counts(rule, n, seed, stream_index, 1)))
@@ -411,9 +413,5 @@ def empirical_distribution(
     result is a pure function of (rule, N, samples, seed).  All samples run
     in one kernel call, which holds one sample's uniforms at a time.
     """
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
-    if n < 2:
-        raise DomainError(f"sampling requires N >= 2, got N={n}")
     counts = _sample_counts(rule, n, seed, 0, samples)
     return SurvivalDistribution(counts / samples, counts=counts)
