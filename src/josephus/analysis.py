@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -243,6 +243,21 @@ def _fit_constant(
     return DecayBoundFit(beta, gamma, k, k_fit, k_fit_half, sup_full - math.log(k))
 
 
+def _normal_rows(n_max: int, p: float) -> Iterator[tuple[int, np.ndarray]]:
+    """``dp.r1_rows(n_max, p)``, refusing the first row that holds a subnormal entry.
+
+    A subnormal entry carries relative error up to 0.5, so its log, and a
+    decay fit through it, can be off by up to ln 2.  At p = 0.4 the first
+    such row is N = 8,302.
+    """
+    tiny = np.finfo(float).tiny
+    for n, row in dp.r1_rows(n_max, p):
+        if np.any((row > 0.0) & (row < tiny)):
+            raise DomainError(f"g_N holds a subnormal entry at N={n} <= n_max={n_max}; "
+                              f"fit below N={n}")
+        yield n, row
+
+
 def decay_bound_check(p: float, n_max: int = 500) -> DecayBoundFit:
     """Fit the smallest K with g_N(n, p) <= K beta^<n>_N / gamma^N over N <= n_max.
 
@@ -255,7 +270,7 @@ def decay_bound_check(p: float, n_max: int = 500) -> DecayBoundFit:
     log_beta, log_gamma = math.log(beta), math.log(gamma)
 
     def log_slack():
-        for n, row in dp.r1_rows(n_max, p):
+        for n, row in _normal_rows(n_max, p):
             idx = np.arange(n)
             dist = np.minimum(idx, n - idx)
             with np.errstate(divide="ignore"):
@@ -304,7 +319,7 @@ def unbiased_decay_check(
     rate = 2.0 * (1.0 + epsilon)
 
     def log_slack():
-        for n, row in dp.r1_rows(n_max, 0.5):
+        for n, row in _normal_rows(n_max, 0.5):
             half_row = row[: n // 2 + 1]
             j = np.arange(len(half_row))
             with np.errstate(divide="ignore"):

@@ -59,6 +59,12 @@ def _parse_grid(text: str, kind=float) -> list:
         raise DomainError(f"cannot parse grid {text!r}: {exc}") from None
 
 
+def _label(x: float) -> str:
+    """``x`` in a file name: by ``:g`` when that gives back the float, else by ``repr``."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 def _emit(ctx, name: str, header, columns, config) -> Path | None:
     """Print a table, given by columns, to stdout, or write it under --out with its manifest.
 
@@ -174,7 +180,7 @@ def exact(ctx, rule, n, p, q):
     """Exact DP survival distribution; CSV schema n,prob."""
     dist = dp.distribution_for_rule(_build_rule(rule, p, q), n)
     given = _given(p=p, q=q)
-    name = f"exact_{rule}_n{n}" + "".join(f"_{k}{v:g}" for k, v in given.items())
+    name = f"exact_{rule}_n{n}" + "".join(f"_{k}{_label(v)}" for k, v in given.items())
     _emit(ctx, name, ["n", "prob"], [range(n), dist.probs],
           {"command": "exact", "n": n, "rule": rule, **given})
 
@@ -313,7 +319,7 @@ def _figure_one(ctx, variant, n, spec, montecarlo, samples):
     else:
         dist = dp.distribution_for_rule(spec, n)
     p, q = spec.p, spec.q
-    name = f"fig_{variant}_n{n}_p{p:g}" + (f"_q{q:g}" if q is not None else "")
+    name = f"fig_{variant}_n{n}_p{_label(p)}" + (f"_q{_label(q)}" if q is not None else "")
     path = _sink(ctx, name, "csv", io.csv_text(["n", "prob"], [range(n), dist.probs]))
     # the argmax approaches (3p-1)N slowly; enforce only where the N=2000
     # calibration confirms the 0.03N tolerance (p in [0.4, 0.5], large N)
@@ -436,11 +442,18 @@ def _command_of(argv: list[str]) -> str | None:
 
 @cli.command()
 @click.argument("manifest", type=click.Path(exists=True, dir_okay=False))
-def rerun(manifest):
+@click.pass_context
+def rerun(ctx, manifest):
     """Re-execute the run in MANIFEST beside it; keep it only if every sha256 matches."""
+    _refuse(ctx, "rerun", "out", "fmt")
     out = Path(manifest).parent
-    data = json.loads(Path(manifest).read_text())
-    config = data.get("config", {})
+    try:
+        data = json.loads(Path(manifest).read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise DomainError(f"manifest is not JSON: {exc}") from None
+    config = data.get("config", {}) if isinstance(data, dict) else None
+    if not isinstance(config, dict):
+        raise DomainError("a manifest is a JSON object whose config is an object")
     io.validate_config(config, allowed_keys=_CONFIG_KEYS)
     argv = config.get("argv")
     if not argv or not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
@@ -448,9 +461,10 @@ def rerun(manifest):
     if _command_of(argv) == "rerun":
         raise DomainError("manifest records a rerun, which writes no files of its own")
     files = data.get("files", [])
-    if not all(isinstance(f, dict) and isinstance(f.get("sha256"), str)
-               and isinstance(f.get("name"), str) and Path(f["name"]).name == f["name"]
-               for f in files):
+    if not isinstance(files, list) or not all(
+            isinstance(f, dict) and isinstance(f.get("sha256"), str)
+            and isinstance(f.get("name"), str) and Path(f["name"]).name == f["name"]
+            for f in files):
         raise DomainError("manifest files must each give a plain file name and its sha256")
     with tempfile.TemporaryDirectory(dir=out, prefix=".rerun-") as tmp:
         code = main(_override_out(argv, tmp))

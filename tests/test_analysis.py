@@ -234,6 +234,12 @@ def test_g0_exponential_fit_refuses_underflow(value):
     assert r2 == pytest.approx(1.0)
 
 
+def test_decay_fit_refuses_a_window_with_subnormal_entries():
+    # at p = 0.4 the first row holding a subnormal entry is N = 8,302
+    with pytest.raises(DomainError, match="N=8302"):
+        analysis.decay_bound_check(0.4, 8400)
+
+
 def test_g0_exponential_fit_refuses_short_g0():
     with pytest.raises(DomainError, match="N = 0..200, got 100"):
         analysis.g0_exponential_fit(50, 200, g0=np.ones(100))
@@ -449,6 +455,22 @@ def test_clt_moments_match_moment_report():
         lyap_at[rec.n] = cum_w / b_at[rec.n] ** 3
     assert report.b_l.tolist() == [b_at[int(n)] for n in report.l_values]
     assert report.lyapunov_ratio.tolist() == [lyap_at[int(n)] for n in report.l_values]
+
+
+@pytest.mark.parametrize("l_max, trials, seed", [
+    (300, 1001, 5), (1000, 1003, 2**64 - 1), (4000, 10**4, 0),
+])
+def test_clt_ensemble_within_the_berry_esseen_bound(l_max, trials, seed):
+    # Berry-Esseen for independent summands (C0 <= 0.56, Shevtsova 2010) bounds
+    # the KS distance of S_L/B_L by 0.56 * Lyapunov ratio; the midpoint
+    # centering adds at most |mean_shift|/sqrt(2 pi).  The sampled KS may
+    # exceed either bound by the DKW-Massart margin at false-alarm rate 1e-6.
+    report = analysis.clt_experiment(l_max, trials, seed)
+    margin = math.sqrt(math.log(2e6) / (2 * trials))
+    bound = 0.56 * report.lyapunov_ratio[-1]
+    assert report.ks_distance <= bound + margin
+    midpoint_bound = bound + abs(report.mean_shift) / math.sqrt(2 * math.pi)
+    assert report.ks_distance_midpoint <= midpoint_bound + margin
 
 
 def test_clt_rejects_small_ensembles():

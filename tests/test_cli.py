@@ -588,6 +588,61 @@ def test_rerun_refuses_threads_in_recorded_argv(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [manifest]
 
 
+@pytest.mark.parametrize("text", [
+    "not json {", "[1, 2]", '{"config": [], "files": []}',
+    '{"config": {"schema": 1, "argv": ["det", "--n-range", "1:5"]}, "files": 5}',
+], ids=["not-json", "list", "config-list", "files-number"])
+def test_rerun_refuses_a_malformed_manifest(tmp_path, text, capsys):
+    manifest = tmp_path / "det_1_5.manifest.json"
+    manifest.write_text(text)
+    assert main(["rerun", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [manifest]
+
+
+@pytest.mark.parametrize("flags", [["--out", "elsewhere"], ["--format", "jsonl"],
+                                   ["--format", "csv"]], ids=["out", "jsonl", "csv"])
+def test_rerun_refuses_global_flags_it_ignores(tmp_path, flags, capsys, monkeypatch):
+    # rerun writes beside its manifest in the recorded format; --seed stays accepted
+    run_ok(["--out", str(tmp_path), "det", "--n-range", "1:5"], capsys)
+    manifest = tmp_path / "det_1_5.manifest.json"
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.chdir(tmp_path)
+    assert main([*flags, "rerun", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and " ".join(flags) in err
+    assert sorted(tmp_path.iterdir()) == before
+    run_ok(["--seed", "3", "rerun", str(manifest)], capsys)
+
+
+def test_rerun_of_a_manifest_recording_a_refused_format(tmp_path, capsys):
+    # an older decay manifest recording --format csv no longer runs: a failed check
+    run_ok(["--out", str(tmp_path), "decay", "--p", "0.4", "--n-max", "20"], capsys)
+    manifest = tmp_path / "decay.manifest.json"
+    data = json.loads(manifest.read_text())
+    data["config"]["argv"] = ["--out", str(tmp_path), "--format", "csv", "decay",
+                              "--p", "0.4", "--n-max", "20"]
+    manifest.write_text(json.dumps(data))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["rerun", str(manifest)]) == 3
+    err = capsys.readouterr().err
+    assert "domain error: decay does not use --format csv" in err
+    assert "check failed: rerun exited with code 2" in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_exact_names_keep_every_parameter(tmp_path, capsys):
+    # :g keeps six significant digits; a value it would round is named by repr
+    for p in ("0.3", "0.3000001"):
+        run_ok(["--out", str(tmp_path), "exact", "--rule", "r1", "--n", "5", "--p", p], capsys)
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "exact_r1_n5_p0.3.csv", "exact_r1_n5_p0.3000001.csv"]
+    run_ok(["--out", str(tmp_path), "figure", "r3", "--n", "5", "--p-grid", "0.1234567",
+            "--q-grid", "0.75"], capsys)
+    assert (tmp_path / "fig_r3_n5_p0.1234567_q0.75.csv").is_file()
+
+
 def test_bad_flag_is_usage_error():
     assert main(["exact", "--rule", "bogus", "--n", "5"]) == 2
 

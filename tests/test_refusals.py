@@ -30,12 +30,15 @@ UNIFORM5 = SurvivalDistribution(np.full(5, 0.2))
     (lambda: simulate.initial_state(R1H, 0), DomainError, "got 0"),
     (lambda: simulate.sample_survivor(R1H, 10, 0, stream_index=-1), DomainError, "got -1"),
     (lambda: simulate.empirical_distribution(R1H, 1, 10, 0), DomainError, "got N=1"),
+    (lambda: simulate._sample_counts(R1H, 5, 0, 0, -3), DomainError, "got -3"),
+    (lambda: simulate._sample_counts(R1H, 1, 0, 0, 3), DomainError, "got N=1"),
     (lambda: io.validate_config({"schema": 99}, set()), DomainError, "got 99"),
 ], ids=[
     "phi_k_0", "expectation_shape", "moments_n_min_2", "moments_n_max_below_n_min",
     "unbiased_alpha_1", "second_moment_l_max_99", "clt_l_max_9", "total_variation_n",
     "r1_without_p", "q_float_on_r1", "q_exact_on_r1", "initial_state_0",
-    "stream_index_negative", "empirical_n_1", "config_schema",
+    "stream_index_negative", "empirical_n_1", "sample_counts_negative", "sample_counts_n_1",
+    "config_schema",
 ])
 def test_library_refusal(call, error, named):
     with pytest.raises(error, match=named.replace(".", r"\.")):
