@@ -514,6 +514,15 @@ class CltReport:
     normalized_sums_midpoint: np.ndarray
     ks_distance_midpoint: float
 
+    @property
+    def berry_esseen_bound(self) -> float:
+        """Berry-Esseen bound on the KS distance of S_L/B_L at L = l_max.
+
+        For independent summands sup|P(S_L/B_L <= x) - Phi(x)| <= C0 times
+        the Lyapunov ratio, with C0 <= 0.56 (Shevtsova 2010).
+        """
+        return 0.56 * float(self.lyapunov_ratio[-1])
+
 
 def clt_experiment(
     l_max: int = 10000,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -303,6 +304,18 @@ def clt(ctx, l_max, trials):
         raise CheckFailure("B_L is not strictly increasing")
     if report.lyapunov_ratio[-1] >= report.lyapunov_ratio[0]:
         raise CheckFailure("Lyapunov ratio did not decrease over the L grid")
+    # a sampled KS distance exceeds the true one by more than the
+    # Dvoretzky-Kiefer-Wolfowitz-Massart margin with probability <= 1e-6
+    margin = math.sqrt(math.log(2e6) / (2 * trials))
+    bound = report.berry_esseen_bound
+    for name, ks, limit in (
+        ("", report.ks_distance, bound),
+        (" midpoint", report.ks_distance_midpoint,
+         bound + abs(report.mean_shift) / math.sqrt(2 * math.pi)),
+    ):
+        if ks > limit + margin:
+            raise CheckFailure(f"ensemble{name} KS distance {ks:.4f} exceeds its "
+                               f"Berry-Esseen bound {limit:.4f} plus {margin:.4f}")
 
 
 _R3_DEFAULT_AXIS = [0.25, 0.5, 0.75]
@@ -395,8 +408,8 @@ def sweep(ctx, p_grid, n_list, delta):
     _refuse(ctx, "sweep", "fmt", reads={"jsonl"})
     ps = _parse_grid(p_grid)
     ns = _parse_grid(n_list, int)
-    if any(n < 3 for n in ns):
-        raise DomainError(f"the recursion's base case is N=3; got N={min(ns)}")
+    if ns:
+        dp._check_n(min(ns))
     wanted = set(ns)
     records = []
     for p in ps if ns else []:
@@ -501,7 +514,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         click.echo(f"check failed: {exc}", err=True)
         return 3
-    except KernelBuildError as exc:
+    except (KernelBuildError, OSError) as exc:  # OSError: say, an --out it cannot create
         click.echo(f"error: {exc}", err=True)
         return 1
     return 0

@@ -149,10 +149,10 @@ def r3_rows(n_max: int, p: float, q: float) -> Iterator[tuple[int, np.ndarray]]:
 def rows_for_rule(rule: RuleSpec, n_max: int) -> Iterator[tuple[int, np.ndarray]]:
     """Stream DP rows for an arbitrary rule."""
     if rule.kind is RuleKind.R1:
-        return r1_rows(n_max, rule.p_float)
+        return r1_rows(n_max, float(rule.p))
     if rule.kind is RuleKind.R2:
-        return r2_rows(n_max, rule.p_float)
-    return r3_rows(n_max, rule.p_float, rule.q_float)
+        return r2_rows(n_max, float(rule.p))
+    return r3_rows(n_max, float(rule.p), float(rule.q))
 
 
 def _last_row(rows: Iterator[tuple[int, np.ndarray]]) -> np.ndarray:

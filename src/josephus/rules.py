@@ -44,7 +44,7 @@ class RuleSpec:
     """Which elimination process to run, with its Bernoulli parameters.
 
     ``p`` and ``q`` may be floats or exact ``Fraction``s; exact values are
-    preserved so the enumeration oracle can work in rational arithmetic.
+    preserved so the enumeration oracle can read them exactly.
     """
 
     kind: RuleKind
@@ -78,24 +78,3 @@ class RuleSpec:
     @staticmethod
     def r3(p, q) -> "RuleSpec":
         return RuleSpec(RuleKind.R3, p=p, q=q)
-
-    @property
-    def p_float(self) -> float:
-        return float(self.p)
-
-    @property
-    def q_float(self) -> float:
-        if self.q is None:
-            raise DomainError(f"rule {self.kind.value} has no parameter q")
-        return float(self.q)
-
-    @property
-    def p_exact(self) -> Fraction:
-        """Exact rational value of ``p`` (a float converts to its binary value)."""
-        return Fraction(self.p)
-
-    @property
-    def q_exact(self) -> Fraction:
-        if self.q is None:
-            raise DomainError(f"rule {self.kind.value} has no parameter q")
-        return Fraction(self.q)

@@ -159,25 +159,33 @@ def run_path(rule: RuleSpec, n: int, coins) -> int:
 # --- exhaustive enumeration oracle -----------------------------------------
 
 
-def _branches(rule: RuleSpec) -> list[tuple[bool, bool | None, Fraction]]:
-    p = rule.p_exact
+def _branches(rule: RuleSpec) -> tuple[list[tuple[bool, bool | None, int]], int]:
+    """The coin branches with integer weights, and the total of those weights.
+
+    p = a/b gives weights a and b-a (each times c or d-c for r3's q = c/d),
+    read from the exact value of p and q: a float at its binary value.
+    """
+    a, b = Fraction(rule.p).as_integer_ratio()  # np.int64 has no as_integer_ratio
     if rule.kind is RuleKind.R3:
-        q = rule.q_exact
+        c, d = Fraction(rule.q).as_integer_ratio()
         return [
-            (cv, ck, (p if cv else 1 - p) * (q if ck else 1 - q))
+            (cv, ck, (a if cv else b - a) * (c if ck else d - c))
             for cv in (True, False)
             for ck in (True, False)
-        ]
-    return [(True, None, p), (False, None, 1 - p)]
+        ], b * d
+    return [(True, None, a), (False, None, b - a)], b
 
 
 def oracle_distribution(rule: RuleSpec, n: int) -> SurvivalDistribution:
-    """Exact distribution by enumerating every coin sequence with rational weights.
+    """Exact distribution by enumerating every coin sequence with integer weights.
 
     States reached by different coin prefixes are merged on
     (alive ring, knife, direction) with summed weights, which keeps the
-    state space far below the raw path count.  Refuses N above the cap:
-    16 for the one-coin rules, 12 for the two-coin rule.
+    state space far below the raw path count.  A path of N-1 steps weighs
+    the product of its branch weights over total^(N-1), so the merge sums
+    plain ints and each label's probability is one ``Fraction`` at the end.
+    Refuses N above the cap: 16 for the one-coin rules, 12 for the two-coin
+    rule.
     """
     cap = ORACLE_CAP_FOUR_BRANCH if rule.kind is RuleKind.R3 else ORACLE_CAP_TWO_BRANCH
     if n > cap:
@@ -186,24 +194,27 @@ def oracle_distribution(rule: RuleSpec, n: int) -> SurvivalDistribution:
         )
     if n < 2:
         raise DomainError(f"oracle requires N >= 2, got N={n}")
-    branches = [(cv, ck, w) for cv, ck, w in _branches(rule) if w != 0]
+    branches, total = _branches(rule)
+    branches = [(cv, ck, w) for cv, ck, w in branches if w != 0]
     start = initial_state(rule, n)
-    states: dict[tuple, Fraction] = {(start.alive, start.knife, start.direction): Fraction(1)}
+    states: dict[tuple, int] = {(start.alive, start.knife, start.direction): 1}
     for _ in range(n - 1):
-        merged: dict[tuple, Fraction] = {}
+        merged: dict[tuple, int] = {}
         for (alive, knife, direction), weight in states.items():
             state = ProcessState(rule, alive, knife, direction)
             for cv, ck, w in branches:
                 nxt = step(state, cv, ck)
                 key = (nxt.alive, nxt.knife, nxt.direction)
-                merged[key] = merged.get(key, Fraction(0)) + weight * w
+                merged[key] = merged.get(key, 0) + weight * w
         states = merged
-    exact = [Fraction(0)] * n
+    weights = [0] * n
     for (alive, _, _), weight in states.items():
-        exact[alive[0]] += weight
-    if sum(exact) != 1:
+        weights[alive[0]] += weight
+    scale = total ** (n - 1)
+    if sum(weights) != scale:
         raise InvalidStateError("oracle weights do not sum to one")  # pragma: no cover
-    return SurvivalDistribution([float(x) for x in exact], exact=tuple(exact))
+    exact = tuple(Fraction(w, scale) for w in weights)
+    return SurvivalDistribution([float(x) for x in exact], exact=exact)
 
 
 # --- seeded sampling: the compiled kernel -----------------------------------
@@ -291,8 +302,8 @@ def _guide(n: int) -> np.ndarray:
 
 def _rule_args(rule: RuleSpec, n: int) -> list:
     """The kernel's ``kind, n, p, q``; q is 0 for the one-coin rules."""
-    q = rule.q_float if rule.kind is RuleKind.R3 else 0.0
-    return [_KIND_CODES[rule.kind], n, rule.p_float, q]
+    q = float(rule.q) if rule.kind is RuleKind.R3 else 0.0
+    return [_KIND_CODES[rule.kind], n, float(rule.p), q]
 
 
 def _stream_length(rule: RuleSpec, n: int) -> int:

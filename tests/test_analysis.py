@@ -467,7 +467,7 @@ def test_clt_ensemble_within_the_berry_esseen_bound(l_max, trials, seed):
     # exceed either bound by the DKW-Massart margin at false-alarm rate 1e-6.
     report = analysis.clt_experiment(l_max, trials, seed)
     margin = math.sqrt(math.log(2e6) / (2 * trials))
-    bound = 0.56 * report.lyapunov_ratio[-1]
+    bound = report.berry_esseen_bound
     assert report.ks_distance <= bound + margin
     midpoint_bound = bound + abs(report.mean_shift) / math.sqrt(2 * math.pi)
     assert report.ks_distance_midpoint <= midpoint_bound + margin

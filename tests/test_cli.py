@@ -1,7 +1,9 @@
 """Command-line surface: schemas, exit codes, manifests, reproducibility."""
 
+import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +234,28 @@ def test_clt_command(tmp_path, capsys):
     per_l = [json.loads(l) for l in lines[:-1]]
     b = [r["b_l"] for r in per_l]
     assert b == sorted(b)
+
+
+@pytest.mark.parametrize("excess, code", [(1e-9, 3), (-1e-9, 0)], ids=["above", "below"])
+@pytest.mark.parametrize("field", ["ks_distance", "ks_distance_midpoint"])
+def test_clt_checks_ks_against_the_berry_esseen_bound(tmp_path, field, excess, code,
+                                                      capsys, monkeypatch):
+    # the bound (plus |mean_shift|/sqrt(2 pi) for the midpoint centering)
+    # plus the DKW-Massart margin at false-alarm rate 1e-6
+    real = analysis.clt_experiment
+
+    def at_the_bound(l_max, trials, seed):
+        report = real(l_max, trials, seed)
+        limit = report.berry_esseen_bound + math.sqrt(math.log(2e6) / (2 * trials))
+        if field == "ks_distance_midpoint":
+            limit += abs(report.mean_shift) / math.sqrt(2 * math.pi)
+        return dataclasses.replace(report, **{field: limit + excess})
+
+    monkeypatch.setattr(analysis, "clt_experiment", at_the_bound)
+    assert main(["--out", str(tmp_path), "clt", "--l-max", "100", "--trials", "1000"]) == code
+    err = capsys.readouterr().err
+    assert ("Berry-Esseen" in err) == (code == 3)
+    assert (tmp_path / "clt_L100_T1000.jsonl").is_file()
 
 
 @pytest.mark.parametrize("l_max", [10, 99, 100])
@@ -641,6 +665,16 @@ def test_exact_names_keep_every_parameter(tmp_path, capsys):
     run_ok(["--out", str(tmp_path), "figure", "r3", "--n", "5", "--p-grid", "0.1234567",
             "--q-grid", "0.75"], capsys)
     assert (tmp_path / "fig_r3_n5_p0.1234567_q0.75.csv").is_file()
+
+
+def test_out_that_cannot_be_created_is_one_error_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x"
+    assert main(["--out", str(out), "det", "--n-range", "1:5"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(out) in err
 
 
 def test_bad_flag_is_usage_error():

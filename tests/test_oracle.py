@@ -117,6 +117,37 @@ def test_oracle_equals_dp_at_random_interior_points():
                 dp.r3_distribution(n, float(p), float(q)).probs, atol=1e-12)
 
 
+def test_float_parameters_are_read_at_their_binary_value():
+    assert oracle_distribution(RuleSpec.r1(0.3), 8).exact == tuple(
+        dp.r1_distribution_exact(8, Fraction(0.3))
+    )
+    assert oracle_distribution(RuleSpec.r3(Fraction(1, 3), 0.7), 7).exact == tuple(
+        dp.r3_distribution_exact(7, Fraction(1, 3), Fraction(0.7))
+    )
+
+
+@pytest.mark.parametrize("value", [0, 1])
+@pytest.mark.parametrize("make", [RuleSpec.r1, RuleSpec.r2, lambda p: RuleSpec.r3(p, 1 - p)],
+                         ids=["r1", "r2", "r3"])
+def test_parameter_type_does_not_change_the_oracle(make, value):
+    exact = {oracle_distribution(make(kind(value)), 7).exact
+             for kind in (int, np.int64, float, Fraction)}
+    assert len(exact) == 1
+
+
+@pytest.mark.parametrize("rule, survivor", [
+    (RuleSpec.deterministic(), lambda n: survivor_closed_form(n) - 1),
+    (RuleSpec.r3(1, 1), lambda n: survivor_closed_form(n) - 1),  # the classical game
+    (RuleSpec.r3(0, 0), lambda n: (1 - survivor_closed_form(n)) % n),  # its mirror image
+    (RuleSpec.r3(0, 1), lambda n: n - 2),  # each holder stabs the one before him
+    (RuleSpec.r3(1, 0), lambda n: 2),  # ... going the other way round
+], ids=["deterministic", "r3_1_1", "r3_0_0", "r3_0_1", "r3_1_0"])
+def test_zero_weight_branches_give_the_closed_form_point_mass(rule, survivor):
+    for n in (3, 4, 7, 12):
+        exact = oracle_distribution(rule, n).exact
+        assert exact[survivor(n)] == Fraction(1) and sum(exact) == 1
+
+
 def test_enumeration_caps():
     with pytest.raises(EnumerationCapError, match="N <= 16"):
         oracle_distribution(RuleSpec.r1(Fraction(1, 2)), 17)

@@ -25,8 +25,6 @@ UNIFORM5 = SurvivalDistribution(np.full(5, 0.2))
     (lambda: UNIFORM5.total_variation(SurvivalDistribution(np.full(4, 0.25))),
      DomainError, "equal participant counts"),
     (lambda: RuleSpec(RuleKind.R1), DomainError, "r1 requires parameter p"),
-    (lambda: R1H.q_float, DomainError, "r1 has no parameter q"),
-    (lambda: R1H.q_exact, DomainError, "r1 has no parameter q"),
     (lambda: simulate.initial_state(R1H, 0), DomainError, "got 0"),
     (lambda: simulate.sample_survivor(R1H, 10, 0, stream_index=-1), DomainError, "got -1"),
     (lambda: simulate.empirical_distribution(R1H, 1, 10, 0), DomainError, "got N=1"),
@@ -36,7 +34,7 @@ UNIFORM5 = SurvivalDistribution(np.full(5, 0.2))
 ], ids=[
     "phi_k_0", "expectation_shape", "moments_n_min_2", "moments_n_max_below_n_min",
     "unbiased_alpha_1", "second_moment_l_max_99", "clt_l_max_9", "total_variation_n",
-    "r1_without_p", "q_float_on_r1", "q_exact_on_r1", "initial_state_0",
+    "r1_without_p", "initial_state_0",
     "stream_index_negative", "empirical_n_1", "sample_counts_negative", "sample_counts_n_1",
     "config_schema",
 ])

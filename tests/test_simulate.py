@@ -136,11 +136,11 @@ def test_single_run_matches_reference_state_machine():
                 u = stream(seed).random(2 * (n - 1))
                 if rule.kind.value == "r3":
                     coins = [
-                        (u[2 * s] < rule.p_float, u[2 * s + 1] < rule.q_float)
+                        (u[2 * s] < float(rule.p), u[2 * s + 1] < float(rule.q))
                         for s in range(n - 1)
                     ]
                 else:
-                    coins = [u[s] < rule.p_float for s in range(n - 1)]
+                    coins = [u[s] < float(rule.p) for s in range(n - 1)]
                 assert run_path(rule, n, coins) == expected
 
 
@@ -151,7 +151,7 @@ def _uniform_paths(rule: RuleSpec, n: int, seed: int) -> tuple[np.ndarray, np.nd
     # and alternating by position and by step
     width = 2 if rule.kind.value == "r3" else 1
     pos = np.arange(width * (n - 1))
-    at = np.resize([rule.p_float, rule.q_float] if width == 2 else [rule.p_float], pos.size)
+    at = np.resize([float(rule.p), float(rule.q)] if width == 2 else [float(rule.p)], pos.size)
     below = np.nextafter(at, 0.0)
     by_step = (pos // width) % 2 == 0
     rows = [at, below, np.where(pos % 2 == 0, below, at), np.where(pos % 2 == 0, at, below),
