@@ -408,11 +408,13 @@ def sweep(ctx, p_grid, n_list, delta):
     _refuse(ctx, "sweep", "fmt", reads={"jsonl"})
     ps = _parse_grid(p_grid)
     ns = _parse_grid(n_list, int)
-    if ns:
-        dp._check_n(min(ns))
+    for flag, grid in (("--p-grid", ps), ("--n-list", ns)):
+        if not grid:
+            raise DomainError(f"sweep needs at least one value in {flag}, got none")
+    dp._check_n(min(ns))
     wanted = set(ns)
     records = []
-    for p in ps if ns else []:
+    for p in ps:
         # one DP per p: every requested N is a row of the same triangle
         masses = {n: analysis.near_masses(SurvivalDistribution(row), delta)
                   for n, row in dp.r1_rows(max(ns), p) if n in wanted}

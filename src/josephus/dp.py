@@ -78,7 +78,9 @@ def r1_rows(n_max: int, p: float) -> Iterator[tuple[int, np.ndarray]]:
         g[0] = old[n - 2]            # g_{N-1}(-1)
         g[1] = q * old[n - 3]        # (1-p) g_{N-1}(-2)
         g[n - 1] = p * old[n - 3]    # p g_{N-1}(-2)
-        g[2 : n - 1] = p * old[0 : n - 3] + q * old[n - 4 :: -1]
+        mid = g[2 : n - 1]
+        np.multiply(p, old[0 : n - 3], out=mid)
+        mid += q * old[n - 4 :: -1]
         yield n, g
 
 
@@ -102,7 +104,10 @@ def r2_rows(n_max: int, p: float) -> Iterator[tuple[int, np.ndarray]]:
         f[1] = q * old[2]
         f[n - 1] = p * old[n - 3]
         # interior: p f_{N-1}(n-2) + (1-p) f_{N-1}(n+1 mod N-1)
-        f[2 : n - 1] = p * old[0 : n - 3] + q * np.concatenate((old[3 : n - 1], old[0:1]))
+        mid = f[2 : n - 1]
+        np.multiply(p, old[0 : n - 3], out=mid)
+        mid[: n - 4] += q * old[3 : n - 1]
+        mid[n - 4] += q * old[0]
         yield n, f
 
 
@@ -137,12 +142,12 @@ def r3_rows(n_max: int, p: float, q: float) -> Iterator[tuple[int, np.ndarray]]:
         h[1] = (1 - p) * (q * old[0] + (1 - q) * old[2])
         h[n - 1] = p * (q * old[m - 2] + (1 - q) * old[0])
         # interior j = 2..N-2: old[j-2], old[j mod N-1], old[j-1], old[j+1 mod N-1]
-        h[2 : n - 1] = (
-            pq * old[0 : n - 3]
-            + pQ * old[2 : n - 1]
-            + Pq * old[1 : n - 2]
-            + PQ * np.concatenate((old[3 : n - 1], old[0:1]))
-        )
+        mid = h[2 : n - 1]
+        np.multiply(pq, old[0 : n - 3], out=mid)
+        mid += pQ * old[2 : n - 1]
+        mid += Pq * old[1 : n - 2]
+        mid[: n - 4] += PQ * old[3 : n - 1]
+        mid[n - 4] += PQ * old[0]
         yield n, h
 
 

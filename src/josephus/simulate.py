@@ -8,7 +8,11 @@ Two views of one set of process semantics:
   through one compiled kernel (``_sampler.c``) that simulates no ring: per
   sample it draws the uniforms into one buffer and walks the rounds
   backwards, relabeling the survivor with the inverse of each round's
-  relabeling map (the maps of the ``dp`` recursions).
+  relabeling map (the maps of the ``dp`` recursions).  A batch of samples
+  is split into contiguous chunks, one per CPU in the process's affinity
+  mask, that run side by side; counts are integer sums, so they are the
+  same for any split.  There is no flag: parallel ``josephus`` processes
+  share those CPUs.
 
 Sample ``s`` of seed ``S`` reads the uniforms of numpy's Philox4x64-10
 keyed by ``splitmix64(S, s)``, bit for bit as numpy draws them; the kernel
@@ -333,16 +337,48 @@ def _walk(rule: RuleSpec, n: int, u) -> int:
     return _kernel().josephus_walk(*_rule_args(rule, n), u)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where the OS keeps one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this OS (macOS, say)
+        return os.cpu_count() or 1
+
+
 def _sample_counts(rule: RuleSpec, n: int, seed: int, first: int, count: int) -> np.ndarray:
-    """Survivor counts of samples ``first .. first+count-1``, in one kernel call."""
+    """Survivor counts of samples ``first .. first+count-1``, split across the CPUs.
+
+    The samples fall into W = min(CPUs, count) contiguous chunks, one kernel
+    call each with its own uniforms and its own row of counts.  Chunk 0 runs
+    here and the others on threads, since ctypes releases the GIL for the
+    call; the rows are then summed, so the counts are the same for any W.
+    """
     if count < 1:
         raise DomainError(f"samples must be >= 1, got {count}")
     if n < 2:
         raise DomainError(f"sampling requires N >= 2, got N={n}")
-    counts = np.zeros(n, dtype=np.int64)
-    _kernel().josephus_sample(*_rule_args(rule, n), int(seed) & _MASK64, first & _MASK64,
-                              count, np.empty(_stream_length(rule, n)), counts)
-    return counts
+    sample, k = _kernel().josephus_sample, _stream_length(rule, n)
+    args = [*_rule_args(rule, n), int(seed) & _MASK64]
+    w = min(_cpus(), count)
+    counts = np.zeros((w, n), dtype=np.int64)
+    errors = []
+
+    def chunk(i: int) -> None:
+        lo, hi = count * i // w, count * (i + 1) // w
+        try:
+            sample(*args, (first + lo) & _MASK64, hi - lo, np.empty(k), counts[i])
+        except BaseException as exc:  # re-raised by the caller below, after every join
+            errors.append(exc)
+
+    threads = [threading.Thread(target=chunk, args=(i,)) for i in range(1, w)]
+    for t in threads:
+        t.start()
+    chunk(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return counts.sum(axis=0)
 
 
 def _inverse_cdf(cdf, u) -> np.ndarray:
@@ -421,8 +457,10 @@ def empirical_distribution(
 
     Sample ``s`` consumes the uniform stream of key ``splitmix64(seed, s)``,
     exactly as ``sample_survivor`` would with that derived stream, so the
-    result is a pure function of (rule, N, samples, seed).  All samples run
-    in one kernel call, which holds one sample's uniforms at a time.
+    result is a pure function of (rule, N, samples, seed).  The samples run
+    in contiguous chunks, one kernel call per CPU in the process's affinity
+    mask, each holding one sample's uniforms at a time; the counts are the
+    same for any split.
     """
     counts = _sample_counts(rule, n, seed, 0, samples)
     return SurvivalDistribution(counts / samples, counts=counts)

@@ -101,7 +101,6 @@ def test_exact_literal_recursion_refused():
     (["--format", "jsonl", "exact", "--rule", "r2", "--n", "50", "--p", "0.3"],
      "exact_r2_n50_p0.3.jsonl"),
     (["sweep", "--n-list", "60"], "sweep.jsonl"),
-    (["sweep", "--p-grid", ""], "sweep.jsonl"),
 ])
 def test_stdout_matches_file_bytes(tmp_path, argv, filename, capsys):
     printed = run_ok(argv, capsys)
@@ -399,6 +398,14 @@ def test_sweep_refuses_non_integer_n(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "sweep", "--p-grid", "0.5",
                  "--n-list", "500.7"]) == 2
     assert capsys.readouterr().err.startswith("domain error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid", [["--p-grid", " , "], ["--n-list", ","]])
+def test_sweep_refuses_an_empty_grid_before_writing(tmp_path, grid, capsys):
+    # a sweep over no (p, N) pair checks nothing, so it must not look like a success
+    assert main(["--out", str(tmp_path), "sweep", *grid]) == 2
+    assert "got none" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -51,8 +51,11 @@ def test_library_refusal(call, error, named):
     (["decay", "--p", "0.5", "--unbiased"], "--p or --unbiased"),
     (["figure", "r1", "--n", "10", "--p-grid", "0.5"], "--out"),
     (["sweep", "--n-list", "40,2,10"], "got N=2"),
+    (["sweep", "--n-list", ""], "--n-list, got none"),
+    (["sweep", "--p-grid", ""], "--p-grid, got none"),
 ], ids=["n_range_one_number", "n_range_not_ints", "n_range_reversed",
-        "decay_neither", "decay_both", "figure_without_out", "sweep_n_2"])
+        "decay_neither", "decay_both", "figure_without_out", "sweep_n_2",
+        "sweep_empty_n_list", "sweep_empty_p_grid"])
 def test_cli_refusal(argv, named, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

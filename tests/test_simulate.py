@@ -4,6 +4,7 @@ import math
 import os
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -317,6 +318,7 @@ def test_kernel_argtypes_match_the_exported_prototypes():
 
 
 _SANITIZED_SETUP = """
+import os
 import sys
 from pathlib import Path
 import numpy as np
@@ -331,6 +333,7 @@ simulate._kernel_lib = None
 # two and one past it, and clipped CLT draws; 1001 and 1003 trials fill the
 # CLT uniforms and draws scratch to its last, partial Philox block
 _SANITIZED_ENTRIES = """
+os.sched_getaffinity = lambda pid: {0, 1, 2}  # the split path runs even on one CPU
 rules = [RuleSpec.r1(p) for p in (0, 0.5, 1)] + [RuleSpec.r2(p) for p in (0, 0.3, 1)]
 rules += [RuleSpec.r3(p, q) for p in (0, 0.5, 1) for q in (0, 0.75, 1)]
 for rule in rules:
@@ -498,6 +501,65 @@ def test_empirical_is_thread_safe_and_schedule_independent(tmp_path, monkeypatch
     for counts in results:
         assert np.array_equal(counts, expected)
     assert len(builds) == 1
+
+
+def _with_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("rule", [RuleSpec.r1(0.42), RuleSpec.r2(0.3), RuleSpec.r3(0.35, 0.6)],
+                         ids=["r1", "r2", "r3"])
+def test_split_counts_equal_one_cpu_counts(rule, monkeypatch):
+    # chunks split samples first .. first+count-1 at any W, also W > count and
+    # stream indices that wrap mod 2^64; every W sums to one call's counts
+    n, seed = 30, 77
+    cases = [(0, 1), (0, 2), (0, 7), (0, 20001), (2**64 - 3, 7)]
+    _with_cpus(monkeypatch, 1)
+    expected = [simulate._sample_counts(rule, n, seed, first, count) for first, count in cases]
+    for (first, count), counts in zip(cases, expected):
+        assert counts.sum() == count
+    for cpus in (2, 3, 5):
+        _with_cpus(monkeypatch, cpus)
+        for (first, count), counts in zip(cases, expected):
+            assert np.array_equal(simulate._sample_counts(rule, n, seed, first, count), counts), \
+                (cpus, first, count)
+
+
+def test_cpus_fall_back_to_the_cpu_count_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(simulate.os, "sched_getaffinity")
+    assert simulate._cpus() == (os.cpu_count() or 1)
+
+
+def test_one_cpu_or_one_sample_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    survivor, counts = sample_survivor(R1H, 30, 5, 3), simulate._sample_counts(R1H, 30, 5, 0, 9)
+    monkeypatch.setattr(simulate.threading, "Thread", no_thread)
+    _with_cpus(monkeypatch, 4)
+    assert sample_survivor(R1H, 30, 5, 3) == survivor
+    _with_cpus(monkeypatch, 1)
+    assert np.array_equal(simulate._sample_counts(R1H, 30, 5, 0, 9), counts)
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_a_failing_chunk_reaches_the_caller(failing, monkeypatch):
+    # a chunk that raises, on the calling thread (0) or a worker, fails the call
+    # after every chunk has ended; no partial histogram comes back
+    real = simulate._kernel().josephus_sample
+    started = []
+
+    def sample(kind, n, p, q, seed, first, count, u, counts):
+        started.append(first)
+        if first == 3 * failing:
+            raise RuntimeError(f"chunk {failing} failed")
+        real(kind, n, p, q, seed, first, count, u, counts)
+
+    monkeypatch.setattr(simulate, "_kernel", lambda: SimpleNamespace(josephus_sample=sample))
+    _with_cpus(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match=f"chunk {failing} failed"):
+        simulate._sample_counts(R1H, 30, 5, 0, 9)
+    assert sorted(started) == [0, 3, 6]
 
 
 @pytest.mark.slow
