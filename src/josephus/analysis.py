@@ -122,17 +122,24 @@ class MomentRecord:
     g0: float
 
 
-def _row_record(n: int, row: np.ndarray) -> MomentRecord:
-    x = np.arange(n) / n
-    c1 = 0.5 - x
-    e1 = float(np.dot(c1, row))
-    e2 = float(np.dot(c1 * c1, row))
-    a1 = float(np.dot(np.abs(c1), row))
-    a3 = float(np.dot(np.abs(c1) ** 3, row))
+def _central_moments(x: np.ndarray, row: np.ndarray) -> tuple[float, float, float]:
+    """(mean, variance, third absolute central moment) of positions ``x`` weighted by ``row``."""
     mean = float(np.dot(x, row))
     centered = x - mean
     variance = float(np.dot(centered * centered, row))
     third = float(np.dot(np.abs(centered) ** 3, row))
+    return mean, variance, third
+
+
+def _row_record(n: int, row: np.ndarray) -> MomentRecord:
+    x = np.arange(n) / n
+    c1 = 0.5 - x
+    abs_c1 = np.abs(c1)
+    e1 = float(np.dot(c1, row))
+    e2 = float(np.dot(c1 * c1, row))
+    a1 = float(np.dot(abs_c1, row))
+    a3 = float(np.dot(abs_c1 ** 3, row))
+    mean, variance, third = _central_moments(x, row)
     return MomentRecord(n, mean, e1, e2, a1, a3, variance, third, _eta_row(row), float(row[0]))
 
 
@@ -531,18 +538,14 @@ def clt_experiment(
 ) -> CltReport:
     """Drive the unbiased central-limit experiment.
 
-    Exact DP supplies V_N and W_N for N = 3..l_max; B_L = sqrt(sum V_N) and
-    the kappa=1 Lyapunov ratio sum W_N / B_L^3 are recorded on ``_log_grid``.
-    Each trial draws one survivor per N by inverse-CDF from the exact row,
-    using the per-N stream splitmix64(seed, N), so results are independent
-    of evaluation order.  The draws run in the compiled kernel through one
-    ``simulate._CltSums`` per experiment.  Once, it loads the kernel and
-    allocates the trial sums and the scratch (CDF, guide table, uniforms,
-    draws), sized from l_max and trials; per N it checks only the row (1-D,
-    float64, C-contiguous, at most l_max long), and C builds the row's CDF
-    and adds its draws to the sums.  The moments stay in numpy.  The
-    Kolmogorov-Smirnov distance of the normalised trial sums to the standard
-    normal is computed for both centerings.
+    Exact DP supplies V_N and W_N for N = 3..l_max, by ``_central_moments``;
+    B_L = sqrt(sum V_N) and the kappa=1 Lyapunov ratio sum W_N / B_L^3 are
+    recorded on ``_log_grid``.  Each trial draws one survivor per N by
+    inverse-CDF from the exact row, using the per-N stream
+    splitmix64(seed, N), so results are independent of evaluation order.
+    The draws run in the compiled kernel through one ``simulate._CltSums``
+    per experiment.  The Kolmogorov-Smirnov distance of the normalised trial
+    sums to the standard normal is computed for both centerings.
     """
     if trials < 1000:
         raise DomainError(f"the trial ensemble needs trials >= 1000, got {trials}")
@@ -551,32 +554,25 @@ def clt_experiment(
     # from 100, or from 3 when l_max <= 100, so the grid has at least two
     # points for the Lyapunov ratio to decrease over
     grid = _log_grid(100 if l_max > 100 else 3, l_max)
-    cum_v = 0.0
-    cum_w = 0.0
+    v, w = np.zeros(l_max + 1), np.zeros(l_max + 1)
     e1_sum = 0.0
-    b_at = {}
-    lyap_at = {}
     sums = simulate._CltSums(seed, l_max, trials)
-    grid_set = set(int(g) for g in grid)
     for n, row in dp.r1_rows(l_max, 0.5):
-        x = np.arange(n) / n
-        mean = float(np.dot(x, row))
-        centered = x - mean
-        cum_v += float(np.dot(centered * centered, row))
-        cum_w += float(np.dot(np.abs(centered) ** 3, row))
+        mean, v[n], w[n] = _central_moments(np.arange(n) / n, row)
         e1_sum += 0.5 - mean
         sums.add(row, mean)
-        if n in grid_set:
-            b_at[n] = math.sqrt(cum_v)
-            lyap_at[n] = cum_w / b_at[n] ** 3
-    b_final = math.sqrt(cum_v)
+    # cumsum adds in order, so each prefix is the running sum over N bit for bit
+    b_l = np.sqrt(np.cumsum(v)[grid])
+    # Python's float ** (libm pow): numpy's array ** 3 rounds some values differently
+    lyap = [cw / b**3 for cw, b in zip(np.cumsum(w)[grid].tolist(), b_l.tolist())]
+    b_final = float(b_l[-1])
     z_centered = sums.centered / b_final
     z_mid = sums.mid / b_final
     import scipy.stats  # here, not at module level: only this check needs scipy
     return CltReport(
         l_values=grid,
-        b_l=np.array([b_at[int(g)] for g in grid]),
-        lyapunov_ratio=np.array([lyap_at[int(g)] for g in grid]),
+        b_l=b_l,
+        lyapunov_ratio=np.array(lyap),
         normalized_sums=z_centered,
         ks_distance=float(scipy.stats.kstest(z_centered, "norm").statistic),
         mean_shift=e1_sum / b_final,

@@ -52,12 +52,18 @@ def _ratio(num, den, name: str) -> Fraction | None:
     return None if num is None else Fraction(num, den)
 
 
-def _parse_grid(text: str, kind=float) -> list:
-    """The comma-separated values of ``text``, each parsed by ``kind``."""
+def _parse_grid(text: str, flag: str, kind=float) -> list:
+    """The comma-separated values of ``text``, each parsed by ``kind``; at least one.
+
+    A grid of no value would run nothing and still look like a success.
+    """
     try:
-        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise DomainError(f"cannot parse grid {text!r}: {exc}") from None
+        raise DomainError(f"cannot parse {flag} {text!r}: {exc}") from None
+    if not values:
+        raise DomainError(f"need at least one value in {flag}, got none")
+    return values
 
 
 def _label(x: float) -> str:
@@ -367,8 +373,9 @@ def figure(ctx, variant, n, p_grid, q_grid, montecarlo, samples, gnuplot):
     _refuse(ctx, "figure", "fmt", reads={"csv"})
     if not montecarlo:
         _refuse(ctx, "figure without --montecarlo", "samples")
-    ps = _parse_grid(p_grid) if p_grid else _FIGURE_DEFAULTS[variant]
-    qs = _parse_grid(q_grid) if q_grid else (_R3_DEFAULT_AXIS if variant == "r3" else [None])
+    ps = _FIGURE_DEFAULTS[variant] if p_grid is None else _parse_grid(p_grid, "--p-grid")
+    qs = ((_R3_DEFAULT_AXIS if variant == "r3" else [None]) if q_grid is None
+          else _parse_grid(q_grid, "--q-grid"))
     # every point is checked before the first file is written
     specs = [_build_rule(variant, p, q) for p in ps for q in qs]
     paths = sorted(_figure_one(ctx, variant, n, spec, montecarlo, samples) for spec in specs)
@@ -406,11 +413,8 @@ def _write_gnuplot_script(ctx, variant: str, csv_paths: list[Path]) -> Path:
 def sweep(ctx, p_grid, n_list, delta):
     """Exact-DP near-0 vs near-1/2 masses across p (exploratory, non-assertive)."""
     _refuse(ctx, "sweep", "fmt", reads={"jsonl"})
-    ps = _parse_grid(p_grid)
-    ns = _parse_grid(n_list, int)
-    for flag, grid in (("--p-grid", ps), ("--n-list", ns)):
-        if not grid:
-            raise DomainError(f"sweep needs at least one value in {flag}, got none")
+    ps = _parse_grid(p_grid, "--p-grid")
+    ns = _parse_grid(n_list, "--n-list", int)
     dp._check_n(min(ns))
     wanted = set(ns)
     records = []

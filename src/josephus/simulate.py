@@ -353,8 +353,8 @@ def _sample_counts(rule: RuleSpec, n: int, seed: int, first: int, count: int) ->
     here and the others on threads, since ctypes releases the GIL for the
     call; the rows are then summed, so the counts are the same for any W.
     """
-    if count < 1:
-        raise DomainError(f"samples must be >= 1, got {count}")
+    if not 1 <= count < 1 << 63:  # the int64 counts must hold the total
+        raise DomainError(f"samples must lie in [1, 2**63 - 1], got {count}")
     if n < 2:
         raise DomainError(f"sampling requires N >= 2, got N={n}")
     sample, k = _kernel().josephus_sample, _stream_length(rule, n)

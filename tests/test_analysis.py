@@ -443,18 +443,23 @@ def test_clt_kernel_cdf_is_the_numpy_prefix_sum(l_max, rows):
         assert np.cumsum(row).tobytes() == sums.cdf[:n].tobytes(), n
 
 
-def test_clt_moments_match_moment_report():
-    # the inline CLT reduction gives the same V_N and W_N as _row_record
-    report = analysis.clt_experiment(300, 1000, 5)
-    cum_v = cum_w = 0.0
+@pytest.mark.parametrize("l_max", [10, 300, 1000])
+def test_clt_moments_match_moment_report(l_max):
+    # B_L, the Lyapunov ratio and the mean shift are running sums, in order of
+    # N, of moment_report's V_N, W_N and 1/2 - mean, bit for bit; l_max = 10
+    # starts the grid at 3, the others at 100
+    report = analysis.clt_experiment(l_max, 1000, 5)
+    cum_v = cum_w = e1_sum = 0.0
     b_at, lyap_at = {}, {}
-    for rec in analysis.moment_report(RuleSpec.r1(0.5), 3, 300):
+    for rec in analysis.moment_report(RuleSpec.r1(0.5), 3, l_max):
         cum_v += rec.variance
         cum_w += rec.third_central
+        e1_sum += 0.5 - rec.mean
         b_at[rec.n] = math.sqrt(cum_v)
         lyap_at[rec.n] = cum_w / b_at[rec.n] ** 3
     assert report.b_l.tolist() == [b_at[int(n)] for n in report.l_values]
     assert report.lyapunov_ratio.tolist() == [lyap_at[int(n)] for n in report.l_values]
+    assert report.mean_shift == e1_sum / b_at[l_max]
 
 
 @pytest.mark.parametrize("l_max, trials, seed", [

@@ -53,10 +53,25 @@ def test_library_refusal(call, error, named):
     (["sweep", "--n-list", "40,2,10"], "got N=2"),
     (["sweep", "--n-list", ""], "--n-list, got none"),
     (["sweep", "--p-grid", ""], "--p-grid, got none"),
+    (["--out", "d", "figure", "r1", "--n", "20", "--p-grid", ","], "--p-grid, got none"),
+    (["--out", "d", "figure", "r1", "--n", "20", "--p-grid", ""], "--p-grid, got none"),
+    (["--out", "d", "figure", "r3", "--n", "20", "--q-grid", ""], "--q-grid, got none"),
+    # the int64 counts would wrap at 2^63 samples, and ctypes would cut 2^66 to 64 bits
+    (["simulate", "--rule", "r1", "--n", "5", "--p", "1", "--samples", str(2**63)],
+     f"got {2**63}"),
+    (["simulate", "--rule", "r1", "--n", "5", "--p", "1", "--samples", str(2**66)],
+     f"got {2**66}"),
+    (["--out", "d", "figure", "r1", "--n", "5", "--p-grid", "1", "--montecarlo",
+      "--samples", str(2**63)], f"got {2**63}"),
 ], ids=["n_range_one_number", "n_range_not_ints", "n_range_reversed",
         "decay_neither", "decay_both", "figure_without_out", "sweep_n_2",
-        "sweep_empty_n_list", "sweep_empty_p_grid"])
-def test_cli_refusal(argv, named, capsys):
+        "sweep_empty_n_list", "sweep_empty_p_grid", "figure_p_grid_comma",
+        "figure_empty_p_grid", "figure_r3_empty_q_grid", "simulate_samples_2_63",
+        "simulate_samples_2_66", "figure_samples_2_63"])
+def test_cli_refusal(argv, named, tmp_path, monkeypatch, capsys):
+    # a refusal writes nothing: no table, no manifest, no --out directory
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("domain error: ") and named in err
+    assert list(tmp_path.iterdir()) == []

@@ -525,6 +525,15 @@ def test_split_counts_equal_one_cpu_counts(rule, monkeypatch):
                 (cpus, first, count)
 
 
+@pytest.mark.parametrize("cpus", [1, 5])
+def test_largest_sample_count_lands_whole_on_one_label(cpus, monkeypatch):
+    # at p = 1 the kernel adds a chunk's count at once, so 2^63 - 1 samples are
+    # cheap; the int64 sum of the chunk rows must neither wrap nor drop a sample
+    _with_cpus(monkeypatch, cpus)
+    counts = simulate._sample_counts(RuleSpec.r1(1.0), 5, 0, 0, 2**63 - 1)
+    assert sorted(counts.tolist()) == [0, 0, 0, 0, 2**63 - 1]
+
+
 def test_cpus_fall_back_to_the_cpu_count_without_an_affinity_call(monkeypatch):
     monkeypatch.delattr(simulate.os, "sched_getaffinity")
     assert simulate._cpus() == (os.cpu_count() or 1)
