@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -228,18 +228,22 @@ def decay_params_feasible(p: float) -> tuple[float, float]:
     return best_beta, gamma
 
 
-def _fit_constant(
-    log_slack: Iterable[tuple[int, np.ndarray]], n_max: int, beta: float, gamma: float
-) -> DecayBoundFit:
-    # log_slack yields (N, log(g_N) minus the log of the bound with K = 1);
-    # its sup over N <= n_max and over N <= n_max // 2 gives k_fit, k_fit_half
+def _fit_constant(n_max: int, p: float, beta: float, gamma: float,
+                  log_slack: Callable[[int, np.ndarray], np.ndarray]) -> DecayBoundFit:
+    """Fit K over the rows g_N of ``_normal_rows(n_max, p)``, N = 3..n_max.
+
+    ``log_slack(N, g_N)`` is log g_N minus the log of the bound with
+    K = 1, entrywise (log 0 = -inf drops out); its sup over N <= n_max
+    and over N <= n_max // 2 gives ``k_fit`` and ``k_fit_half``.
+    """
     half = n_max // 2
     sup_full, sup_half = -math.inf, -math.inf
-    for n, vals in log_slack:
-        top = float(vals.max())
-        if n <= half:
-            sup_half = max(sup_half, top)
-        sup_full = max(sup_full, top)
+    with np.errstate(divide="ignore"):
+        for n, row in _normal_rows(n_max, p):
+            top = float(log_slack(n, row).max())
+            if n <= half:
+                sup_half = max(sup_half, top)
+            sup_full = max(sup_full, top)
     if sup_half == -math.inf:
         raise DomainError(
             f"n_max must be >= 6 so that N <= n_max // 2 holds a row, got {n_max}"
@@ -254,8 +258,8 @@ def _normal_rows(n_max: int, p: float) -> Iterator[tuple[int, np.ndarray]]:
     """``dp.r1_rows(n_max, p)``, refusing the first row that holds a subnormal entry.
 
     A subnormal entry carries relative error up to 0.5, so its log, and a
-    decay fit through it, can be off by up to ln 2.  At p = 0.4 the first
-    such row is N = 8,302.
+    decay fit through it, can be off by up to ln 2.  The first such row is
+    N = 8,302 at p = 0.4 and N = 12,304 at p = 0.5.
     """
     tiny = np.finfo(float).tiny
     for n, row in dp.r1_rows(n_max, p):
@@ -276,15 +280,11 @@ def decay_bound_check(p: float, n_max: int = 500) -> DecayBoundFit:
     beta, gamma = decay_params_feasible(p)
     log_beta, log_gamma = math.log(beta), math.log(gamma)
 
-    def log_slack():
-        for n, row in _normal_rows(n_max, p):
-            idx = np.arange(n)
-            dist = np.minimum(idx, n - idx)
-            with np.errstate(divide="ignore"):
-                vals = np.log(row) + n * log_gamma - dist * log_beta
-            yield n, vals
+    def log_slack(n, row):
+        idx = np.arange(n)
+        return np.log(row) + n * log_gamma - np.minimum(idx, n - idx) * log_beta
 
-    return _fit_constant(log_slack(), n_max, beta, gamma)
+    return _fit_constant(n_max, p, beta, gamma, log_slack)
 
 
 def unbiased_alpha_components(epsilon: float, alpha: float) -> tuple[float, float]:
@@ -325,15 +325,11 @@ def unbiased_decay_check(
     log_alpha = math.log(alpha)
     rate = 2.0 * (1.0 + epsilon)
 
-    def log_slack():
-        for n, row in _normal_rows(n_max, 0.5):
-            half_row = row[: n // 2 + 1]
-            j = np.arange(len(half_row))
-            with np.errstate(divide="ignore"):
-                vals = np.log(half_row) + (n - rate * j) * log_alpha
-            yield n, vals
+    def log_slack(n, row):
+        j = np.arange(n // 2 + 1)
+        return np.log(row[: n // 2 + 1]) + (n - rate * j) * log_alpha
 
-    return _fit_constant(log_slack(), n_max, alpha**rate, alpha)
+    return _fit_constant(n_max, 0.5, alpha**rate, alpha, log_slack)
 
 
 # --- moment scaling ---------------------------------------------------------
@@ -370,46 +366,35 @@ def _log_linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), 1.0 - ss_res / ss_tot
 
 
-def g0_exponential_fit(
-    n_min: int = 50, n_max: int = 1000, g0: np.ndarray | None = None
-) -> tuple[float, float]:
+def g0_exponential_fit(n_min: int = 50, n_max: int = 1000) -> tuple[float, float]:
     """(slope, R^2) of the affine fit of log g_N(0) against N, unbiased rule.
 
-    The knife starter cannot survive when N is divisible by 3 (the process
-    moves the knife past two labels per step, which fixes the survivor's
-    residue class mod 3), so those exactly-zero entries are excluded from
-    the fit.  A window in which some other N has g_N(0) below the smallest
-    normal float (underflow, from N near 13,000) is refused, as is one
-    with fewer than two points left to fit.  A caller-supplied ``g0`` is
-    indexed by N and must reach N = n_max.  The window starts at the DP's
-    base case N=3 or later.
+    g_N(0) is entry 0 of each row of ``dp.r1_rows(n_max, 0.5)``, over the
+    window N = n_min..n_max.  The knife starter cannot survive when N is
+    divisible by 3 (the process moves the knife past two labels per step,
+    which fixes the survivor's residue class mod 3), so those exactly-zero
+    entries are excluded from the fit.  A window in which some other N has
+    g_N(0) below the smallest normal float is refused at that N (the first
+    is N = 12,305), as is one with fewer than two points left to fit.  The
+    window starts at the DP's base case N=3 or later.
     """
     if n_min < 3:
         raise DomainError(f"g_N(0) starts at the DP's base case N=3, got n_min={n_min}")
-    if g0 is None:
-        g0 = np.zeros(n_max + 1)
-        for n, row in dp.r1_rows(n_max, 0.5):
-            g0[n] = row[0]
-    elif len(g0) < n_max + 1:
-        raise DomainError(
-            f"g0 must hold g_N(0) for N = 0..{n_max}, got {len(g0)} entries"
-        )
-    ns = np.arange(n_min, n_max + 1)
-    vals = g0[n_min : n_max + 1]
-    underflow = ns[(ns % 3 != 0) & (vals < np.finfo(float).tiny)]
-    if underflow.size:
-        raise DomainError(
-            f"g_N(0) underflows at N={underflow[0]} in the fit window "
-            f"[{n_min}, {n_max}]"
-        )
-    mask = vals > 0.0
-    usable = int(mask.sum())
-    if usable < 2:
-        raise DomainError(
-            f"the fit window [{n_min}, {n_max}] has {usable} usable "
-            "point(s); need at least 2"
-        )
-    slope, _, r2 = _log_linear_fit(ns[mask].astype(float), np.log(vals[mask]))
+    tiny = np.finfo(float).tiny
+    ns, vals = [], []
+    for n, row in dp.r1_rows(n_max, 0.5):
+        if n < n_min:
+            continue
+        if n % 3 != 0 and row[0] < tiny:
+            raise DomainError(f"g_N(0) underflows at N={n} in the fit window "
+                              f"[{n_min}, {n_max}]")
+        if row[0] > 0.0:
+            ns.append(n)
+            vals.append(row[0])
+    if len(ns) < 2:
+        raise DomainError(f"the fit window [{n_min}, {n_max}] has {len(ns)} usable "
+                          "point(s); need at least 2")
+    slope, _, r2 = _log_linear_fit(np.array(ns, dtype=float), np.log(np.array(vals)))
     return slope, r2
 
 
@@ -423,16 +408,12 @@ def moment_scaling_check(n_max: int = 4000, n_min: int = 50) -> MomentScalingRep
     [n_min, min(n_max, 1000)], zero entries excluded, is attached.
     """
     ns, ratios = [], []
-    g0 = np.zeros(n_max + 1)
-    for rec in moment_report(RuleSpec.r1(0.5), 3, n_max):
-        g0[rec.n] = rec.g0
-        if rec.n < n_min:
-            continue
+    for rec in moment_report(RuleSpec.r1(0.5), n_min, n_max):
         scale = math.log(rec.n) / rec.n
         ns.append(rec.n)
         ratios.append([m / scale ** (k / 2.0)
                        for k, m in ((1, rec.abs_phi1), (2, rec.phi2), (3, rec.abs_phi3))])
-    slope, r2 = g0_exponential_fit(n_min, min(n_max, 1000), g0=g0)  # refuses an empty sweep
+    slope, r2 = g0_exponential_fit(n_min, min(n_max, 1000))
     ns, ratios = np.array(ns), np.array(ratios)
 
     def sup(mask) -> tuple[float, float, float]:

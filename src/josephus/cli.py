@@ -9,6 +9,7 @@ output is self-describing and re-runnable (``josephus rerun MANIFEST``).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -429,8 +430,11 @@ def sweep(ctx, p_grid, n_list, delta):
                 "mass_near_zero": near_zero, "mass_near_half": near_half,
                 "assertive": False,
             })
-    _sink(ctx, "sweep", "jsonl", io.jsonl_text(records),
-          {"command": "sweep", "p_grid": ps, "n_list": ns, "delta": delta})
+    # named by the parsed parameters alone, so --p-grid 0.5 and 0.50 write one file
+    params = {"p_grid": ps, "n_list": ns, "delta": delta}
+    digest = hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
+    _sink(ctx, f"sweep_{digest[:12]}", "jsonl", io.jsonl_text(records),
+          {"command": "sweep", **params})
 
 
 # det manifests written by earlier versions record "method"; they must still rerun

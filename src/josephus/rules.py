@@ -22,6 +22,7 @@ tests only.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +38,8 @@ class RuleKind(enum.Enum):
 def _check_prob(value, name: str) -> None:
     if not 0 <= value <= 1:
         raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
+    if math.copysign(1.0, value) < 0:
+        raise DomainError(f"{name} is -0.0, which outputs and file names print as -0; pass 0")
 
 
 @dataclass(frozen=True)

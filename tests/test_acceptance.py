@@ -5,14 +5,11 @@ a number as derived-by-calibration, the pinned value is the one confirmed
 by the pilot run recorded in the project notes.
 """
 
-import json
 import math
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from conftest import record_criterion
 from josephus import analysis, deterministic, dp

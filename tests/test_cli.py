@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +18,12 @@ def run_ok(argv, capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     return out
+
+
+def sweep_file(p_grid, n_list, delta=0.02):
+    """The file a sweep writes: named by the sha256 of its parsed parameters."""
+    params = json.dumps({"p_grid": p_grid, "n_list": n_list, "delta": delta}, sort_keys=True)
+    return f"sweep_{hashlib.sha256(params.encode()).hexdigest()[:12]}.jsonl"
 
 
 def test_det_single_value(capsys):
@@ -100,7 +105,8 @@ def test_exact_literal_recursion_refused():
     (["det", "--n-range", "1:300"], "det_1_300.csv"),
     (["--format", "jsonl", "exact", "--rule", "r2", "--n", "50", "--p", "0.3"],
      "exact_r2_n50_p0.3.jsonl"),
-    (["sweep", "--n-list", "60"], "sweep.jsonl"),
+    (["sweep", "--n-list", "60"],
+     sweep_file([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9], [60])),
 ])
 def test_stdout_matches_file_bytes(tmp_path, argv, filename, capsys):
     printed = run_ok(argv, capsys)
@@ -421,10 +427,39 @@ def test_sweep_refuses_delta_outside_quarter(tmp_path, delta, capsys):
 def test_sweep_jsonl_non_assertive(tmp_path, capsys):
     run_ok(["--out", str(tmp_path), "sweep", "--p-grid", "0.5",
             "--n-list", "100,200", "--delta", "0.02"], capsys)
-    records = [json.loads(l) for l in (tmp_path / "sweep.jsonl").read_text().splitlines()]
+    text = (tmp_path / sweep_file([0.5], [100, 200])).read_text()
+    records = [json.loads(l) for l in text.splitlines()]
     assert all(rec["assertive"] is False for rec in records)
     by_n = {rec["n"]: rec["mass_near_half"] for rec in records}
     assert by_n[200] >= by_n[100] * 0.9  # trend is reported, not asserted
+
+
+def test_sweeps_differing_only_in_delta_write_two_files(tmp_path, capsys):
+    # the name hashes the parsed values, so --p-grid 0.50 names the 0.5 file
+    base = ["--out", str(tmp_path), "sweep", "--n-list", "20"]
+    run_ok([*base, "--p-grid", "0.5", "--delta", "0.02"], capsys)
+    run_ok([*base, "--p-grid", "0.5", "--delta", "0.03"], capsys)
+    run_ok([*base, "--p-grid", "0.50", "--delta", "0.02"], capsys)
+    tables = sorted(p.name for p in tmp_path.glob("sweep_*.jsonl"))
+    assert tables == sorted([sweep_file([0.5], [20]), sweep_file([0.5], [20], 0.03)])
+    assert len(list(tmp_path.glob("sweep_*.manifest.json"))) == 2
+
+
+def test_rerun_of_a_sweep_manifest_naming_sweep_jsonl(tmp_path, capsys):
+    # sweeps used to write sweep.jsonl; the rerun now writes the parameter-named
+    # file, so an older manifest fails as a check naming the file it lists
+    run_ok(["--out", str(tmp_path), "sweep", "--p-grid", "0.5", "--n-list", "20"], capsys)
+    name = sweep_file([0.5], [20])
+    (tmp_path / name).rename(tmp_path / "sweep.jsonl")
+    data = json.loads((tmp_path / f"{name[:-6]}.manifest.json").read_text())
+    data["files"][0]["name"] = "sweep.jsonl"
+    manifest = tmp_path / "sweep.manifest.json"
+    manifest.write_text(json.dumps(data))
+    (tmp_path / f"{name[:-6]}.manifest.json").unlink()
+    before = sorted(tmp_path.iterdir())
+    assert main(["rerun", str(manifest)]) == 3
+    assert "does not reproduce sweep.jsonl" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_rerun_reproduces_byte_identical_output(tmp_path, capsys):

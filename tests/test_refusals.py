@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from josephus import analysis, io, simulate
+from josephus import analysis, dp, io, simulate
 from josephus.cli import main
 from josephus.distributions import SurvivalDistribution
 from josephus.errors import DomainError
@@ -25,6 +25,9 @@ UNIFORM5 = SurvivalDistribution(np.full(5, 0.2))
     (lambda: UNIFORM5.total_variation(SurvivalDistribution(np.full(4, 0.25))),
      DomainError, "equal participant counts"),
     (lambda: RuleSpec(RuleKind.R1), DomainError, "r1 requires parameter p"),
+    # -0.0 passes 0 <= p <= 1 but would print as -0 in tables and file names
+    (lambda: RuleSpec.r1(-0.0), DomainError, "p is -0.0"),
+    (lambda: next(dp.r1_rows(5, np.float64(-0.0))), DomainError, "p is -0.0"),
     (lambda: simulate.initial_state(R1H, 0), DomainError, "got 0"),
     (lambda: simulate.sample_survivor(R1H, 10, 0, stream_index=-1), DomainError, "got -1"),
     (lambda: simulate.empirical_distribution(R1H, 1, 10, 0), DomainError, "got N=1"),
@@ -34,7 +37,7 @@ UNIFORM5 = SurvivalDistribution(np.full(5, 0.2))
 ], ids=[
     "phi_k_0", "expectation_shape", "moments_n_min_2", "moments_n_max_below_n_min",
     "unbiased_alpha_1", "second_moment_l_max_99", "clt_l_max_9", "total_variation_n",
-    "r1_without_p", "initial_state_0",
+    "r1_without_p", "r1_negative_zero", "r1_rows_negative_zero", "initial_state_0",
     "stream_index_negative", "empirical_n_1", "sample_counts_negative", "sample_counts_n_1",
     "config_schema",
 ])
@@ -63,11 +66,16 @@ def test_library_refusal(call, error, named):
      f"got {2**66}"),
     (["--out", "d", "figure", "r1", "--n", "5", "--p-grid", "1", "--montecarlo",
       "--samples", str(2**63)], f"got {2**63}"),
+    (["exact", "--rule", "r1", "--n", "4", "--p", "-0"], "p is -0.0"),
+    (["exact", "--rule", "r3", "--n", "4", "--p", "0.5", "--q", "-0.0"], "q is -0.0"),
+    (["--out", "d", "figure", "r1", "--n", "3", "--p-grid=-0,0"], "p is -0.0"),
+    (["sweep", "--p-grid=-0"], "p is -0.0"),
 ], ids=["n_range_one_number", "n_range_not_ints", "n_range_reversed",
         "decay_neither", "decay_both", "figure_without_out", "sweep_n_2",
         "sweep_empty_n_list", "sweep_empty_p_grid", "figure_p_grid_comma",
         "figure_empty_p_grid", "figure_r3_empty_q_grid", "simulate_samples_2_63",
-        "simulate_samples_2_66", "figure_samples_2_63"])
+        "simulate_samples_2_66", "figure_samples_2_63", "exact_p_negative_zero",
+        "r3_q_negative_zero", "figure_p_grid_negative_zero", "sweep_p_grid_negative_zero"])
 def test_cli_refusal(argv, named, tmp_path, monkeypatch, capsys):
     # a refusal writes nothing: no table, no manifest, no --out directory
     monkeypatch.chdir(tmp_path)

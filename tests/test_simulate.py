@@ -1,6 +1,5 @@
 """Process state machine, seeded sampling, and Monte Carlo consistency."""
 
-import math
 import os
 import shutil
 from pathlib import Path
