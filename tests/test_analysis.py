@@ -216,7 +216,26 @@ def test_g0_exponential_fit_starts_at_the_base_case(n_min):
     assert analysis.g0_exponential_fit(3, 100)[0] < 0
 
 
-def test_g0_exponential_fit_refuses_underflow():
+@pytest.mark.parametrize("value", [0.0, 5e-324, 1e-310])
+def test_g0_exponential_fit_refuses_underflow(value, monkeypatch):
+    # plant an exact zero or a subnormal g_N(0) at N = 151 (151 % 3 != 0)
+    real_rows = dp.r1_rows
+
+    def planted_rows(n_max, p):
+        for n, row in real_rows(n_max, p):
+            if n == 151:
+                row = row.copy()
+                row[0] = value
+            yield n, row
+
+    expected = analysis.g0_exponential_fit(50, 150)
+    monkeypatch.setattr(analysis.dp, "r1_rows", planted_rows)
+    with pytest.raises(DomainError, match="N=151"):
+        analysis.g0_exponential_fit(50, 200)
+    assert analysis.g0_exponential_fit(50, 150) == expected
+
+
+def test_g0_exponential_fit_refuses_the_first_subnormal_row():
     # g_N(0) is first subnormal at N = 12,305; at N = 12,304 only entries
     # 1 and N-1 are, so the g0 fit still runs where the decay fits refuse
     with pytest.raises(DomainError, match=r"N=12305 in the fit window \[100, 12305\]"):
