@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .analysis import (
     CltReport,
     DecayBoundFit,
-    MomentRecord,
+    MomentTable,
     clt_experiment,
     concentration_mass,
     decay_bound_check,
@@ -57,7 +57,7 @@ __all__ = [
     "__version__",
     "CltReport",
     "DecayBoundFit",
-    "MomentRecord",
+    "MomentTable",
     "SurvivalDistribution",
     "RuleKind",
     "RuleSpec",

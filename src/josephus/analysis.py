@@ -25,7 +25,7 @@ __all__ = [
     "eta",
     "concentration_mass",
     "near_masses",
-    "MomentRecord",
+    "MomentTable",
     "moment_report",
     "DecayBoundFit",
     "decay_params_feasible",
@@ -94,9 +94,9 @@ def concentration_mass(dist: SurvivalDistribution, half_width: float = 0.05) -> 
 def near_masses(dist: SurvivalDistribution, delta: float = 0.02) -> tuple[float, float]:
     """(mass near position 0 on the circle, mass near position 1/2).
 
-    Near zero means [0, delta) united with (1-delta, 1]; near one-half
-    means [1/2-delta, 1/2+delta].  The two windows are disjoint and
-    nonempty only for 0 < delta <= 1/4, so any other delta is refused.
+    Near zero means positions n/N in [0, delta) or (1-delta, 1], near one-half n/N in
+    [1/2-delta, 1/2+delta]: disjoint for 0 < delta <= 1/4 only, so any other delta is refused.
+    For N below about 1/(2 delta) the near-1/2 window can hold no n/N; its mass is then 0.0.
     """
     if not 0.0 < delta <= 0.25:
         raise DomainError(f"delta must lie in (0, 1/4], got {delta}")
@@ -109,17 +109,19 @@ def near_masses(dist: SurvivalDistribution, delta: float = 0.02) -> tuple[float,
 
 
 @dataclass(frozen=True)
-class MomentRecord:
-    n: int
-    mean: float
-    phi1: float
-    phi2: float
-    abs_phi1: float
-    abs_phi3: float
-    variance: float
-    third_central: float
-    eta: float
-    g0: float
+class MomentTable:
+    """Moments of the rows N = n_min..n_max: read-only columns, ``n`` int64, the rest float64."""
+
+    n: np.ndarray
+    mean: np.ndarray
+    phi1: np.ndarray
+    phi2: np.ndarray
+    abs_phi1: np.ndarray
+    abs_phi3: np.ndarray
+    variance: np.ndarray
+    third_central: np.ndarray
+    eta: np.ndarray
+    g0: np.ndarray
 
 
 def _central_moments(x: np.ndarray, row: np.ndarray) -> tuple[float, float, float]:
@@ -131,25 +133,24 @@ def _central_moments(x: np.ndarray, row: np.ndarray) -> tuple[float, float, floa
     return mean, variance, third
 
 
-def _row_record(n: int, row: np.ndarray) -> MomentRecord:
-    x = np.arange(n) / n
-    c1 = 0.5 - x
-    abs_c1 = np.abs(c1)
-    e1 = float(np.dot(c1, row))
-    e2 = float(np.dot(c1 * c1, row))
-    a1 = float(np.dot(abs_c1, row))
-    a3 = float(np.dot(abs_c1 ** 3, row))
-    mean, variance, third = _central_moments(x, row)
-    return MomentRecord(n, mean, e1, e2, a1, a3, variance, third, _eta_row(row), float(row[0]))
-
-
-def moment_report(rule: RuleSpec, n_min: int, n_max: int) -> tuple[MomentRecord, ...]:
-    """Per-N moment records for N in n_min..n_max under ``rule``."""
+def moment_report(rule: RuleSpec, n_min: int, n_max: int) -> MomentTable:
+    """The moments of every row N in n_min..n_max under ``rule``, as one table."""
     if n_min < 3 or n_max < n_min:
         raise DomainError(f"need 3 <= n_min <= n_max, got {n_min}..{n_max}")
-    return tuple(
-        _row_record(n, row) for n, row in dp.rows_for_rule(rule, n_max) if n >= n_min
-    )
+    columns = np.empty((9, n_max - n_min + 1))
+    for n, row in dp.rows_for_rule(rule, n_max):
+        if n < n_min:
+            continue
+        x = np.arange(n) / n
+        c1 = 0.5 - x
+        abs_c1 = np.abs(c1)
+        phis = np.dot(c1, row), np.dot(c1 * c1, row), np.dot(abs_c1, row), np.dot(abs_c1 ** 3, row)
+        mean, variance, third = _central_moments(x, row)
+        columns[:, n - n_min] = (mean, *phis, variance, third, _eta_row(row), row[0])
+    ns = np.arange(n_min, n_max + 1)
+    for a in (ns, columns):  # before unpacking, so each row view is read-only too
+        a.setflags(write=False)
+    return MomentTable(ns, *columns)
 
 
 # --- exponential decay bounds ----------------------------------------------
@@ -407,14 +408,13 @@ def moment_scaling_check(n_max: int = 4000, n_min: int = 50) -> MomentScalingRep
     decays exponentially; the log-slope fit of g_N(0) over
     [n_min, min(n_max, 1000)], zero entries excluded, is attached.
     """
-    ns, ratios = [], []
-    for rec in moment_report(RuleSpec.r1(0.5), n_min, n_max):
-        scale = math.log(rec.n) / rec.n
-        ns.append(rec.n)
-        ratios.append([m / scale ** (k / 2.0)
-                       for k, m in ((1, rec.abs_phi1), (2, rec.phi2), (3, rec.abs_phi3))])
+    table = moment_report(RuleSpec.r1(0.5), n_min, n_max)
+    ns = table.n
+    # Python's float ** (libm pow) per entry: numpy's array ** rounds some values differently
+    columns = (c.tolist() for c in (ns, table.abs_phi1, table.phi2, table.abs_phi3))
+    ratios = np.array([[m / (math.log(n) / n) ** (k / 2.0) for k, m in enumerate(ms, start=1)]
+                       for n, *ms in zip(*columns)])
     slope, r2 = g0_exponential_fit(n_min, min(n_max, 1000))
-    ns, ratios = np.array(ns), np.array(ratios)
 
     def sup(mask) -> tuple[float, float, float]:
         return tuple(np.max(ratios[mask], axis=0, initial=-math.inf).tolist())
@@ -454,13 +454,9 @@ def second_moment_sum_check(l_max: int = 10000) -> SecondMomentSumReport:
     """Certify S_L growing like ln L on ``_log_grid(100, l_max)``."""
     if l_max < 100:
         raise DomainError(f"l_max must be >= 100, got {l_max}")
-    e2 = np.zeros(l_max + 1)
-    e1 = np.zeros(l_max + 1)
-    var = np.zeros(l_max + 1)
-    for rec in moment_report(RuleSpec.r1(0.5), 3, l_max):
-        e2[rec.n] = rec.phi2
-        e1[rec.n] = rec.phi1
-        var[rec.n] = rec.variance
+    table = moment_report(RuleSpec.r1(0.5), 3, l_max)
+    # indexed by N, zero below 3: the pairwise var.sum() rounds by this layout
+    e2, e1, var = (np.pad(c, (3, 0)) for c in (table.phi2, table.phi1, table.variance))
     s = np.cumsum(e2)
     grid = _log_grid(100, l_max)
     ratios = s[grid] / np.log(grid)

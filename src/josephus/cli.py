@@ -239,12 +239,9 @@ def simulate_cmd(ctx, rule, n, p, q, samples):
 @click.pass_context
 def moments(ctx, rule, n_min, n_max, p, q):
     """Per-N moment sweep (mean, phi_k moments, variance, eta, g0)."""
-    spec = _build_rule(rule, p, q)
-    records = analysis.moment_report(spec, n_min, n_max)
-    header = [f.name for f in dataclasses.fields(analysis.MomentRecord)]
-    # per field, by getattr: dataclasses.astuple would deep-copy every record
-    columns = [[getattr(r, name) for r in records] for name in header]
-    _emit(ctx, f"moments_{rule}_n{n_min}_{n_max}", header, columns,
+    table = analysis.moment_report(_build_rule(rule, p, q), n_min, n_max)
+    header = [f.name for f in dataclasses.fields(table)]
+    _emit(ctx, f"moments_{rule}_n{n_min}_{n_max}", header, [getattr(table, h) for h in header],
           {"command": "moments", "n_min": n_min, "n_max": n_max,
            "rule": rule, **_given(p=p, q=q)})
 
@@ -264,6 +261,9 @@ def decay(ctx, p, unbiased, epsilon, alpha, n_max):
     if n_max is None:
         n_max = 1000 if unbiased else 500
     if unbiased:
+        if n_max < 52:  # N = 50, 52 are the window's first two N not divisible by 3
+            raise DomainError(f"decay --unbiased needs --n-max >= 52, so that its g_N(0) fit "
+                              f"window [50, min(n_max, 1000)] holds two usable N; got {n_max}")
         p = 0.5
         fit = analysis.unbiased_decay_check(n_max, epsilon, alpha)
         slope, r2 = analysis.g0_exponential_fit(50, min(n_max, 1000))
@@ -379,6 +379,9 @@ def figure(ctx, variant, n, p_grid, q_grid, montecarlo, samples, gnuplot):
           else _parse_grid(q_grid, "--q-grid"))
     # every point is checked before the first file is written
     specs = [_build_rule(variant, p, q) for p in ps for q in qs]
+    for flag, grid in (("--p-grid", ps), ("--q-grid", qs)):
+        if len(set(grid)) < len(grid):  # a repeat would write one file twice
+            raise DomainError(f"{flag} lists {max(grid, key=grid.count)} more than once")
     paths = sorted(_figure_one(ctx, variant, n, spec, montecarlo, samples) for spec in specs)
     if gnuplot:
         paths.append(_write_gnuplot_script(ctx, variant, paths))

@@ -262,19 +262,21 @@ def test_moment_scaling_bounded(k):
 
 @pytest.mark.parametrize("n_max", [1500, 1503])
 def test_moment_scaling_windows_match_an_inline_sup(n_max):
-    # the three windows' sups, recomputed from moment_report record by record
+    # the three windows' sups, recomputed from moment_report's columns N by N
     n_min = 50
     sups = {"full": [-math.inf] * 3, "prev": [-math.inf] * 3, "top": [-math.inf] * 3}
-    for rec in analysis.moment_report(RuleSpec.r1(0.5), 3, n_max):
-        if rec.n < n_min:
+    table = analysis.moment_report(RuleSpec.r1(0.5), 3, n_max)
+    columns = (table.n, table.abs_phi1, table.phi2, table.abs_phi3)
+    for n, *moments in zip(*(c.tolist() for c in columns)):
+        if n < n_min:
             continue
         windows = ["full"]
-        if rec.n >= n_max // 2:
+        if n >= n_max // 2:
             windows.append("top")
-        elif rec.n >= n_max // 4:
+        elif n >= n_max // 4:
             windows.append("prev")
-        for k, moment in enumerate((rec.abs_phi1, rec.phi2, rec.abs_phi3), start=1):
-            ratio = moment / (math.log(rec.n) / rec.n) ** (k / 2.0)
+        for k, moment in enumerate(moments, start=1):
+            ratio = moment / (math.log(n) / n) ** (k / 2.0)
             for window in windows:
                 sups[window][k - 1] = max(sups[window][k - 1], ratio)
     report = analysis.moment_scaling_check(n_max=n_max, n_min=n_min)
@@ -457,12 +459,14 @@ def test_clt_moments_match_moment_report(l_max):
     report = analysis.clt_experiment(l_max, 1000, 5)
     cum_v = cum_w = e1_sum = 0.0
     b_at, lyap_at = {}, {}
-    for rec in analysis.moment_report(RuleSpec.r1(0.5), 3, l_max):
-        cum_v += rec.variance
-        cum_w += rec.third_central
-        e1_sum += 0.5 - rec.mean
-        b_at[rec.n] = math.sqrt(cum_v)
-        lyap_at[rec.n] = cum_w / b_at[rec.n] ** 3
+    table = analysis.moment_report(RuleSpec.r1(0.5), 3, l_max)
+    columns = (table.n, table.variance, table.third_central, table.mean)
+    for n, variance, third, mean in zip(*(c.tolist() for c in columns)):
+        cum_v += variance
+        cum_w += third
+        e1_sum += 0.5 - mean
+        b_at[n] = math.sqrt(cum_v)
+        lyap_at[n] = cum_w / b_at[n] ** 3
     assert report.b_l.tolist() == [b_at[int(n)] for n in report.l_values]
     assert report.lyapunov_ratio.tolist() == [lyap_at[int(n)] for n in report.l_values]
     assert report.mean_shift == e1_sum / b_at[l_max]
@@ -526,6 +530,13 @@ def test_concentration_and_near_masses():
     assert near_zero + near_half <= 1.0 + 1e-12
 
 
+def test_near_half_window_without_a_position_has_mass_zero():
+    # at N = 5 the window [2.4, 2.6] holds no label, though labels 2 and 3 carry mass
+    dist = dp.r1_distribution(5, 0.5)
+    assert analysis.near_masses(dist, 0.02)[1] == 0.0
+    assert dist.probs[2] + dist.probs[3] > 0.0
+
+
 def test_midpoint_concentration_at_figure_scale():
     # pilot-calibrated window: +-0.12 captures 99% at N=2000 across the
     # middle-range parameters
@@ -542,14 +553,23 @@ def test_r2_argmax_tracks_limit_constant():
 
 def test_variance_identity():
     for rule, n in ((RuleSpec.r1(0.5), 700), (RuleSpec.r2(0.35), 300)):
-        rec = analysis.moment_report(rule, n, n)[-1]
-        assert abs(rec.variance - (rec.phi2 - rec.phi1**2)) < 1e-12
+        table = analysis.moment_report(rule, n, n)
+        assert abs(table.variance[-1] - (table.phi2[-1] - table.phi1[-1] ** 2)) < 1e-12
 
 
 def test_moment_report_records():
-    records = analysis.moment_report(RuleSpec.r1(0.5), 3, 40)
-    assert records[0].n == 3
-    assert records[-1].n == 40
-    rec = records[0]
-    assert rec.phi2 == pytest.approx(1 / 36, abs=1e-15)
-    assert rec.g0 == 0.0
+    table = analysis.moment_report(RuleSpec.r1(0.5), 3, 40)
+    assert table.n[0] == 3
+    assert table.n[-1] == 40
+    assert table.phi2[0] == pytest.approx(1 / 36, abs=1e-15)
+    assert table.g0[0] == 0.0
+    columns = [getattr(table, f.name) for f in dataclasses.fields(table)]
+    assert [c.dtype for c in columns] == [np.int64] + [np.float64] * 9
+    assert {c.shape for c in columns} == {(38,)}
+
+
+def test_moment_table_columns_are_read_only():
+    table = analysis.moment_report(RuleSpec.r3(0.4, 0.75), 5, 9)
+    for field in dataclasses.fields(table):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(table, field.name)[0] = 1.0

@@ -208,10 +208,16 @@ def test_decay_short_n_max_is_domain_error(mode, n_max, capsys):
 
 
 def test_decay_unbiased_short_fit_window_is_domain_error(capsys):
-    # the g_N(0) fit window [50, 40] is empty
+    # refused before any DP: the g_N(0) fit window [50, 40] would be empty
     assert main(["decay", "--unbiased", "--n-max", "40"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("domain error:") and "Traceback" not in err
+
+
+def test_decay_unbiased_shortest_n_max_runs(tmp_path, capsys):
+    # N = 50 and 52 are the two usable points of the g_N(0) fit window [50, 52]
+    run_ok(["--out", str(tmp_path), "decay", "--unbiased", "--n-max", "52"], capsys)
+    assert json.loads((tmp_path / "decay.jsonl").read_text())["n_max"] == 52
 
 
 def test_decay_unstabilized_fit_exits_three(tmp_path):

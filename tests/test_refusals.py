@@ -70,12 +70,22 @@ def test_library_refusal(call, error, named):
     (["exact", "--rule", "r3", "--n", "4", "--p", "0.5", "--q", "-0.0"], "q is -0.0"),
     (["--out", "d", "figure", "r1", "--n", "3", "--p-grid=-0,0"], "p is -0.0"),
     (["sweep", "--p-grid=-0"], "p is -0.0"),
+    # one file per grid value: a repeat, also one spelled differently, is refused
+    (["--out", "d", "figure", "r1", "--n", "5", "--p-grid", "0.5,0.5"],
+     "--p-grid lists 0.5 more than once"),
+    (["--out", "d", "figure", "r1", "--n", "5", "--p-grid", "0.5,0.50"],
+     "--p-grid lists 0.5 more than once"),
+    (["--out", "d", "figure", "r3", "--n", "5", "--p-grid", "0.5", "--q-grid", "0.25,0.25"],
+     "--q-grid lists 0.25 more than once"),
+    (["--out", "d", "decay", "--unbiased", "--n-max", "51"], "--n-max >= 52"),
 ], ids=["n_range_one_number", "n_range_not_ints", "n_range_reversed",
         "decay_neither", "decay_both", "figure_without_out", "sweep_n_2",
         "sweep_empty_n_list", "sweep_empty_p_grid", "figure_p_grid_comma",
         "figure_empty_p_grid", "figure_r3_empty_q_grid", "simulate_samples_2_63",
         "simulate_samples_2_66", "figure_samples_2_63", "exact_p_negative_zero",
-        "r3_q_negative_zero", "figure_p_grid_negative_zero", "sweep_p_grid_negative_zero"])
+        "r3_q_negative_zero", "figure_p_grid_negative_zero", "sweep_p_grid_negative_zero",
+        "figure_p_grid_repeat", "figure_p_grid_repeat_respelled", "figure_r3_q_grid_repeat",
+        "decay_unbiased_n_max_51"])
 def test_cli_refusal(argv, named, tmp_path, monkeypatch, capsys):
     # a refusal writes nothing: no table, no manifest, no --out directory
     monkeypatch.chdir(tmp_path)
