@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -311,14 +310,11 @@ def clt(ctx, l_max, trials):
         raise CheckFailure("B_L is not strictly increasing")
     if report.lyapunov_ratio[-1] >= report.lyapunov_ratio[0]:
         raise CheckFailure("Lyapunov ratio did not decrease over the L grid")
-    # a sampled KS distance exceeds the true one by more than the
-    # Dvoretzky-Kiefer-Wolfowitz-Massart margin with probability <= 1e-6
-    margin = math.sqrt(math.log(2e6) / (2 * trials))
-    bound = report.berry_esseen_bound
+    # each sampled KS distance may exceed its bound by the DKW-Massart margin
+    margin = report.dkw_margin
     for name, ks, limit in (
-        ("", report.ks_distance, bound),
-        (" midpoint", report.ks_distance_midpoint,
-         bound + abs(report.mean_shift) / math.sqrt(2 * math.pi)),
+        ("", report.ks_distance, report.berry_esseen_bound),
+        (" midpoint", report.ks_distance_midpoint, report.midpoint_bound),
     ):
         if ks > limit + margin:
             raise CheckFailure(f"ensemble{name} KS distance {ks:.4f} exceeds its "

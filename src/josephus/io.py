@@ -6,10 +6,10 @@ rename) so concurrent grid members never interleave.  Lines end in
 "\\n" and floats print with 17 significant digits, so exact reruns are
 byte-identical.
 
-``csv_text`` takes a table by columns (ranges, sequences or 1-D numpy
-arrays), picks each column's format once (``%.17g`` if every value is a
-float, ``%s`` if none is, the per-value rule if mixed) and formats
-``_BLOCK_ROWS`` rows at a time, so only one block's row strings exist at once.
+``csv_text`` takes a table by columns (1-D numpy arrays, ranges or
+sequences of Python ints), picks each column's format once (``%.17g`` for a
+float array, ``%s`` for the rest) and formats ``_BLOCK_ROWS`` rows at a
+time, so only one block's row strings exist at once.
 """
 
 from __future__ import annotations
@@ -43,15 +43,12 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
-def csv_text(header: Iterable[str], columns: Sequence[Sequence]) -> str:
+def csv_text(header: Sequence[str], columns: Sequence[Sequence]) -> str:
     """The CSV text of a table given as equally long columns, header line first."""
     n = len(columns[0]) if columns else 0
     if any(len(c) != n for c in columns):
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
-    formats = [_column_format(c) for c in columns]
-    columns = [c if f else [format(v, ".17g") if isinstance(v, float) else str(v) for v in c]
-               for c, f in zip(columns, formats)]
-    line = ",".join(f or "%s" for f in formats) + "\n"
+    line = ",".join(_column_format(h, c) for h, c in zip(header, columns, strict=True)) + "\n"
     parts = [",".join(header) + "\n"]
     for start in range(0, n, _BLOCK_ROWS):
         block = [c[start:start + _BLOCK_ROWS] for c in columns]
@@ -60,12 +57,13 @@ def csv_text(header: Iterable[str], columns: Sequence[Sequence]) -> str:
     return "".join(parts)
 
 
-def _column_format(column) -> str | None:
-    """``%.17g`` if every value is a float, ``%s`` if none is, None if mixed."""
+def _column_format(name: str, column) -> str:
+    """``%.17g`` for a float array, ``%s`` for any other array, a range or Python ints."""
     if isinstance(column, np.ndarray) and column.dtype.kind != "O":
         return "%.17g" if column.dtype.kind == "f" else "%s"
-    kinds = {False} if isinstance(column, range) else {isinstance(v, float) for v in column}
-    return None if len(kinds) > 1 else ("%.17g" if True in kinds else "%s")
+    if isinstance(column, range) or all(isinstance(v, int) for v in column):
+        return "%s"
+    raise TypeError(f"CSV column {name!r} must be a numpy array, a range or Python ints")
 
 
 def jsonl_text(records: Iterable[Mapping]) -> str:

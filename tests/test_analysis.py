@@ -481,11 +481,56 @@ def test_clt_ensemble_within_the_berry_esseen_bound(l_max, trials, seed):
     # centering adds at most |mean_shift|/sqrt(2 pi).  The sampled KS may
     # exceed either bound by the DKW-Massart margin at false-alarm rate 1e-6.
     report = analysis.clt_experiment(l_max, trials, seed)
-    margin = math.sqrt(math.log(2e6) / (2 * trials))
-    bound = report.berry_esseen_bound
-    assert report.ks_distance <= bound + margin
-    midpoint_bound = bound + abs(report.mean_shift) / math.sqrt(2 * math.pi)
-    assert report.ks_distance_midpoint <= midpoint_bound + margin
+    assert report.ks_distance <= report.berry_esseen_bound + report.dkw_margin
+    assert report.ks_distance_midpoint <= report.midpoint_bound + report.dkw_margin
+
+
+@pytest.mark.parametrize("trials, margin", [(1000, 0.08517), (10**4, 0.02693)])
+def test_clt_bounds_are_their_written_formulas(trials, margin):
+    z = np.zeros(trials)
+    report = analysis.CltReport(
+        l_values=np.array([3, 10]), b_l=np.array([1.0, 2.0]),
+        lyapunov_ratio=np.array([0.5, 0.25]), normalized_sums=z, ks_distance=0.0,
+        mean_shift=-0.3, normalized_sums_midpoint=z, ks_distance_midpoint=0.0)
+    assert report.dkw_margin == math.sqrt(math.log(2e6) / (2 * trials))
+    assert report.dkw_margin == pytest.approx(margin, abs=1e-5)
+    assert report.berry_esseen_bound == 0.56 * 0.25
+    assert report.midpoint_bound == 0.56 * 0.25 + 0.3 / math.sqrt(2 * math.pi)
+
+
+def _kstest(z) -> float:
+    import scipy.stats  # the reference; the package itself never loads it
+    return float(scipy.stats.kstest(z, "norm").statistic)
+
+
+@pytest.mark.parametrize("l_max, trials, seed", [
+    (10, 1000, 2**64 - 1), (100, 1001, 0), (300, 4096, 1), (1000, 1001, 2),
+])
+def test_clt_ks_distances_are_kstest_bit_for_bit(l_max, trials, seed):
+    report = analysis.clt_experiment(l_max, trials, seed)
+    for z, ks in ((report.normalized_sums, report.ks_distance),
+                  (report.normalized_sums_midpoint, report.ks_distance_midpoint)):
+        assert ks.hex() == _kstest(z).hex()
+
+
+def _synthetic(kind: str, n: int) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal(n)
+    if kind == "ties":
+        return np.round(z * 2.0) / 2.0
+    if kind == "signed_zeros":
+        z[::3], z[1::3] = 0.0, -0.0
+    elif kind == "tails":  # ndtr rounds to 0 and 1 beyond |z| of about 8.3
+        z *= 12.0
+        z[:4] = (-40.0, 40.0, -8.3, 8.3)
+    return z
+
+
+@pytest.mark.parametrize("n", [1000, 1001, 4096])
+@pytest.mark.parametrize("kind", ["normal", "ties", "signed_zeros", "tails"])
+def test_ks_normal_is_kstest_bit_for_bit(kind, n):
+    z = _synthetic(kind, n)
+    assert analysis._ks_normal(z).hex() == _kstest(z).hex()
 
 
 def test_clt_rejects_small_ensembles():
@@ -566,6 +611,17 @@ def test_moment_report_records():
     columns = [getattr(table, f.name) for f in dataclasses.fields(table)]
     assert [c.dtype for c in columns] == [np.int64] + [np.float64] * 9
     assert {c.shape for c in columns} == {(38,)}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: analysis.moment_report(RuleSpec.r1(0.5), 3, 10),
+    lambda: analysis.second_moment_sum_check(100),
+    lambda: analysis.clt_experiment(10, 1000, 0),
+], ids=["MomentTable", "SecondMomentSumReport", "CltReport"])
+def test_array_reports_compare_by_identity(make):
+    # a generated __eq__ would compare the array fields and raise ValueError
+    a, b = make(), make()
+    assert (a == b, a != b, a == a) == (False, True, True)
 
 
 def test_moment_table_columns_are_read_only():

@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import json
-import math
 
 import numpy as np
 import pytest
@@ -257,10 +256,9 @@ def test_clt_checks_ks_against_the_berry_esseen_bound(tmp_path, field, excess, c
 
     def at_the_bound(l_max, trials, seed):
         report = real(l_max, trials, seed)
-        limit = report.berry_esseen_bound + math.sqrt(math.log(2e6) / (2 * trials))
-        if field == "ks_distance_midpoint":
-            limit += abs(report.mean_shift) / math.sqrt(2 * math.pi)
-        return dataclasses.replace(report, **{field: limit + excess})
+        bound = {"ks_distance": report.berry_esseen_bound,
+                 "ks_distance_midpoint": report.midpoint_bound}[field]
+        return dataclasses.replace(report, **{field: bound + report.dkw_margin + excess})
 
     monkeypatch.setattr(analysis, "clt_experiment", at_the_bound)
     assert main(["--out", str(tmp_path), "clt", "--l-max", "100", "--trials", "1000"]) == code

@@ -1,4 +1,10 @@
-"""CSV writer: byte-identical to the per-value rendering; the CLI imports no scipy."""
+"""CSV writer and import weight.
+
+``csv_text`` is byte-identical to the per-value rendering for the column
+kinds the CLI passes (numpy arrays, ranges, lists of Python ints) and
+refuses any other column.  Importing the CLI loads no scipy, and ``clt``
+loads ``scipy.special`` but never ``scipy.stats``.
+"""
 
 import math
 import os
@@ -36,15 +42,14 @@ def _column(kind: str, n: int):
         return arrays(np.int64, n)
     if kind == "float64":
         return arrays(np.float64, n, elements=FLOATS)
-    elements = {"ints": INTS, "floats": FLOATS, "mixed": st.one_of(INTS, FLOATS)}[kind]
-    return st.lists(elements, min_size=n, max_size=n)
+    return st.lists(INTS, min_size=n, max_size=n)
 
 
 @st.composite
 def tables(draw):
     n = draw(st.integers(0, 30))
     kinds = draw(st.lists(
-        st.sampled_from(["range", "int64", "float64", "ints", "floats", "mixed"]),
+        st.sampled_from(["range", "int64", "float64", "ints"]),
         min_size=1, max_size=4))
     return [f"c{i}" for i in range(len(kinds))], [draw(_column(k, n)) for k in kinds]
 
@@ -68,9 +73,13 @@ def test_csv_text_crosses_a_full_size_block():
     assert text.count("\n") == n + 1
 
 
-def test_mixed_column_keeps_the_per_value_rule():
-    assert io.csv_text(["x"], [[1, 0.5, -0.0, 2**70, math.nan]]) == (
-        f"x\n1\n0.5\n-0\n{2**70}\nnan\n")
+@pytest.mark.parametrize("column", [
+    [1, 0.5, 2**70], [0.5, -0.0, math.nan], [np.int64(1), 2], ["1"],
+    np.array([1, 0.5], dtype=object),
+], ids=["mixed", "floats", "numpy_scalar", "str", "object_array"])
+def test_a_column_of_other_values_is_refused(column):
+    with pytest.raises(TypeError, match="CSV column 'x'"):
+        io.csv_text(["n", "x"], [range(len(column)), column])
 
 
 def test_zero_rows_give_the_header_line_only():
@@ -83,13 +92,28 @@ def test_columns_of_different_length_are_refused():
         io.csv_text(["a", "b"], [range(3), [1.0, 2.0]])
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # only clt's KS test needs scipy; every other command must start without it
+def _fresh_stdout(code: str, *args: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter that imports this package."""
     src = str(Path(josephus.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # only clt's KS distances need scipy; every other command must start without it
     code = ("import sys, josephus, josephus.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_stdout(code).strip() == "[]"
+
+
+def test_clt_loads_scipy_special_but_not_scipy_stats(tmp_path):
+    # the KS distances come from scipy.special.ndtr, so no clt path needs scipy.stats
+    code = ("import sys\n"
+            "from josephus import analysis, cli\n"
+            "analysis.clt_experiment(100, 1000, 0)\n"
+            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)\n"
+            "argv = ['--out', sys.argv[1], 'clt', '--l-max', '100', '--trials', '1000']\n"
+            "print(cli.main(argv), 'scipy.stats' in sys.modules)\n")
+    assert _fresh_stdout(code, str(tmp_path)).split() == ["False", "True", "0", "False"]
