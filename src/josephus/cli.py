@@ -16,6 +16,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 import click
 import numpy as np
@@ -73,26 +74,28 @@ def _label(x: float) -> str:
 
 
 def _emit(ctx, name: str, header, columns, config) -> Path | None:
-    """Print a table, given by columns, to stdout, or write it under --out with its manifest.
+    """Print a table, given by columns, to stdout, or write it under --out.
 
     Tabular commands honour the global --format: csv (default) or one
-    JSON record per row.
+    JSON record per row.  The columns are checked before anything is
+    printed or written.
     """
-    if ctx.obj.get("format") == "jsonl":
-        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-        records = (dict(zip(header, row)) for row in zip(*columns))
-        return _sink(ctx, name, "jsonl", io.jsonl_text(records), config)
-    return _sink(ctx, name, "csv", io.csv_text(header, columns), config)
+    ext = ctx.obj["format"]
+    return _sink(ctx, name, ext, io._table_blocks(ext, header, columns), config)
 
 
-def _sink(ctx, name: str, ext: str, text: str, config: dict | None = None) -> Path | None:
-    """Echo ``text`` to stdout, or write it atomically as ``name.ext`` under --out.
+def _sink(ctx, name: str, ext: str, text: str | Iterable[str],
+          config: dict | None = None) -> Path | None:
+    """Echo ``text``, one string or its blocks in order, or write it as ``name.ext`` under --out.
 
-    A ``config`` also writes the run manifest ``name.manifest.json``.
+    Blocks are echoed or written as they come, so only one is held at a
+    time.  The file is written atomically; a ``config`` also writes the run
+    manifest ``name.manifest.json``.
     """
     out = ctx.obj.get("out")
     if out is None:
-        click.echo(text, nl=False)
+        for chunk in [text] if isinstance(text, str) else text:
+            click.echo(chunk, nl=False)
         return None
     path = Path(out) / f"{name}.{ext}"
     io.atomic_write_text(path, text)
@@ -336,7 +339,7 @@ def _figure_one(ctx, variant, n, spec, montecarlo, samples):
         dist = dp.distribution_for_rule(spec, n)
     p, q = spec.p, spec.q
     name = f"fig_{variant}_n{n}_p{_label(p)}" + (f"_q{_label(q)}" if q is not None else "")
-    path = _sink(ctx, name, "csv", io.csv_text(["n", "prob"], [range(n), dist.probs]))
+    path = _emit(ctx, name, ["n", "prob"], [range(n), dist.probs], None)
     # the argmax approaches (3p-1)N slowly; enforce only where the N=2000
     # calibration confirms the 0.03N tolerance (p in [0.4, 0.5], large N)
     if (

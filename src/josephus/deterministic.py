@@ -63,18 +63,24 @@ def survivor_sequence(n_max: int) -> np.ndarray:
     """One-based survivors for all N in 1..n_max as an int64 array.
 
     Fills dyadic blocks [2^k, 2^(k+1)) bottom-up from the halving
-    recurrence, one vectorised step per block.  The scalar
-    ``survivor_closed_form`` and ``survivor_binary_rotation`` are its
-    independent references.
+    recurrence: the even N of a block are the strided slice
+    ``2 b(N/2) - 1`` and the odd N ``2 b((N-1)/2) + 1``, each computed
+    in place from the halves, so the only array is the result.  The
+    scalar ``survivor_closed_form`` and ``survivor_binary_rotation`` are
+    its independent references.
     """
     _require_positive(n_max)
     b = np.zeros(n_max + 1, dtype=np.int64)
     b[1] = 1
-    k = 1
-    while 2**k <= n_max:
-        idx = np.arange(2**k, min(2 ** (k + 1), n_max + 1), dtype=np.int64)
-        b[idx] = 2 * b[idx >> 1] - (1 - 2 * (idx & 1))
-        k += 1
+    lo = 2
+    while lo <= n_max:
+        hi = min(2 * lo, n_max + 1)
+        half = lo // 2  # N = lo + 2j and lo + 2j + 1 both halve to half + j
+        for first, step in ((lo, -1), (lo + 1, 1)):
+            dest = b[first:hi:2]
+            np.multiply(b[half:half + len(dest)], 2, out=dest)
+            dest += step
+        lo *= 2
     return b[1:]
 
 

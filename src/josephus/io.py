@@ -1,15 +1,17 @@
 """Result persistence: CSV/JSON-lines text, manifests, config hashing.
 
-``csv_text`` and ``jsonl_text`` build the one text of a table that is
-either printed or written; files are written atomically (temp file +
-rename) so concurrent grid members never interleave.  Lines end in
-"\\n" and floats print with 17 significant digits, so exact reruns are
+A table reaches its file or stdout as a stream of text blocks: the CSV
+header line, then one string per ``_BLOCK_ROWS`` rows, so a command holds
+one block's rows at a time and never the whole text.  Files are written
+atomically (temp file + rename) so concurrent grid members never
+interleave, and hashed in fixed-size chunks.  Lines end in "\\n" and
+floats print with 17 significant digits, so exact reruns are
 byte-identical.
 
-``csv_text`` takes a table by columns (1-D numpy arrays, ranges or
-sequences of Python ints), picks each column's format once (``%.17g`` for a
-float array, ``%s`` for the rest) and formats ``_BLOCK_ROWS`` rows at a
-time, so only one block's row strings exist at once.
+A table is given by columns (1-D numpy arrays, ranges or sequences of
+Python ints).  CSV picks each column's format once (``%.17g`` for a float
+array, ``%s`` for the rest); JSON lines hold one record per row.  Both
+check the column kinds and lengths before the first block is made.
 """
 
 from __future__ import annotations
@@ -18,24 +20,31 @@ import hashlib
 import json
 import os
 import tempfile
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 
 SCHEMA_VERSION = 1
-_BLOCK_ROWS = 1 << 16
+_BLOCK_ROWS = 1 << 13
+_HASH_CHUNK = 1 << 16
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+def atomic_write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, one string or its chunks in order, to ``path`` by temp file + rename.
+
+    Each chunk is written as it arrives; if anything fails, the iterator
+    included, the temp file is removed and an older ``path`` is left as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -45,16 +54,32 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 def csv_text(header: Sequence[str], columns: Sequence[Sequence]) -> str:
     """The CSV text of a table given as equally long columns, header line first."""
+    return "".join(_table_blocks("csv", header, columns))
+
+
+def _table_blocks(ext: str, header: Sequence[str], columns: Sequence[Sequence]) -> Iterator[str]:
+    """The ``ext`` ("csv" or "jsonl") text of a table, one string per ``_BLOCK_ROWS`` rows.
+
+    CSV starts with its header line.  The column lengths and kinds are
+    checked here, before the first block is made.
+    """
     n = len(columns[0]) if columns else 0
     if any(len(c) != n for c in columns):
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
-    line = ",".join(_column_format(h, c) for h, c in zip(header, columns, strict=True)) + "\n"
-    parts = [",".join(header) + "\n"]
+    formats = [_column_format(h, c) for h, c in zip(header, columns, strict=True)]
+    if ext == "jsonl":
+        return (jsonl_text(dict(zip(header, row)) for row in zip(*block))
+                for block in _row_blocks(columns, n))
+    line = ",".join(formats) + "\n"
+    rows = ("".join(map(line.__mod__, zip(*block))) for block in _row_blocks(columns, n))
+    return chain([",".join(header) + "\n"], rows)
+
+
+def _row_blocks(columns: Sequence[Sequence], n: int) -> Iterator[list]:
+    """The columns ``_BLOCK_ROWS`` rows at a time, numpy slices as Python values."""
     for start in range(0, n, _BLOCK_ROWS):
         block = [c[start:start + _BLOCK_ROWS] for c in columns]
-        block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
-        parts.append("".join(map(line.__mod__, zip(*block))))
-    return "".join(parts)
+        yield [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
 
 
 def _column_format(name: str, column) -> str:
@@ -63,7 +88,7 @@ def _column_format(name: str, column) -> str:
         return "%.17g" if column.dtype.kind == "f" else "%s"
     if isinstance(column, range) or all(isinstance(v, int) for v in column):
         return "%s"
-    raise TypeError(f"CSV column {name!r} must be a numpy array, a range or Python ints")
+    raise TypeError(f"table column {name!r} must be a numpy array, a range or Python ints")
 
 
 def jsonl_text(records: Iterable[Mapping]) -> str:
@@ -100,4 +125,9 @@ def write_manifest(path: Path, config: Mapping, version: str, files: list[dict])
 
 
 def file_sha256(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The sha256 of a file's bytes, read ``_HASH_CHUNK`` bytes at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()

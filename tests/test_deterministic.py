@@ -55,6 +55,24 @@ def test_sequence_methods_agree_to_1e5(method):
     assert np.array_equal(base, [scalar(n) for n in range(1, 100_001)])
 
 
+def _closed_form_sequence(n_max: int) -> np.ndarray:
+    """2(N - 2^floor(log2 N)) + 1 for N = 1..n_max; frexp gives the exponent exactly."""
+    n = np.arange(1, n_max + 1, dtype=np.int64)
+    return 2 * (n - (1 << (np.frexp(n)[1].astype(np.int64) - 1))) + 1
+
+
+# every parity of the last, partial dyadic block: it ends on an even N, an odd N,
+# or is a single N = 2^k
+SEQUENCE_LENGTHS = sorted({*range(1, 10), *(2**k + d for k in range(1, 21) for d in (-1, 0, 1))})
+
+
+@pytest.mark.parametrize("n_max", SEQUENCE_LENGTHS)
+def test_sequence_matches_closed_form_at_every_block_end(n_max):
+    seq = det.survivor_sequence(n_max)
+    assert seq.dtype == np.int64 and seq.shape == (n_max,)
+    assert np.array_equal(seq, _closed_form_sequence(n_max))
+
+
 def test_sequence_matches_scalar_api():
     seq = det.survivor_sequence(500)
     for n in (1, 2, 3, 17, 499, 500):
