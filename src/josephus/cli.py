@@ -105,7 +105,8 @@ def _sink(ctx, name: str, ext: str, text: str | Iterable[str],
 
 
 def _write_run_manifest(ctx, name: str, paths: list[Path], config: dict) -> None:
-    config = {"schema": io.SCHEMA_VERSION, "argv": ctx.obj.get("argv", []), **config}
+    config = {"schema": io.SCHEMA_VERSION, "argv": ctx.obj.get("argv", []),
+              "command": ctx.info_name, **config}
     files = [
         {"name": p.name, "sha256": io.file_sha256(p)} for p in paths
     ]
@@ -155,7 +156,7 @@ def det(ctx, n, n_range, series_check):
             raise DomainError(f"need 1 <= A <= B in --n-range, got {n_range!r}")
         seq = deterministic.survivor_sequence(b)
         _emit(ctx, f"det_{a}_{b}", ["N", "b_N"], [range(a, b + 1), seq[a - 1:]],
-              {"command": "det", "n_range": [a, b]})
+              {"n_range": [a, b]})
         return
     click.echo(str(deterministic.survivor_recurrence(n)))
 
@@ -180,6 +181,16 @@ def _given(**params) -> dict:
     return {k: v for k, v in params.items() if v is not None}
 
 
+def _suffix(**params) -> str:
+    """``_{name}{value}`` for each parameter passed, in order, as file names carry them."""
+    return "".join(f"_{k}{_label(v)}" for k, v in _given(**params).items())
+
+
+def _digest(params: dict) -> str:
+    """The first 12 hex digits of the sha256 of ``params``, for a file name."""
+    return hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()[:12]
+
+
 @cli.command()
 @click.option("--rule", type=click.Choice(sorted(_RULES)), required=True)
 @click.option("--n", type=int, required=True)
@@ -189,10 +200,8 @@ def _given(**params) -> dict:
 def exact(ctx, rule, n, p, q):
     """Exact DP survival distribution; CSV schema n,prob."""
     dist = dp.distribution_for_rule(_build_rule(rule, p, q), n)
-    given = _given(p=p, q=q)
-    name = f"exact_{rule}_n{n}" + "".join(f"_{k}{_label(v)}" for k, v in given.items())
-    _emit(ctx, name, ["n", "prob"], [range(n), dist.probs],
-          {"command": "exact", "n": n, "rule": rule, **given})
+    _emit(ctx, f"exact_{rule}_n{n}" + _suffix(p=p, q=q), ["n", "prob"], [range(n), dist.probs],
+          {"n": n, "rule": rule, **_given(p=p, q=q)})
 
 
 @cli.command()
@@ -209,7 +218,7 @@ def oracle(ctx, rule, n, p_num, p_den, q_num, q_den):
     spec = _build_rule(rule, p, q)
     dist = simulate.oracle_distribution(spec, n)
     columns = [range(n), [f.numerator for f in dist.exact], [f.denominator for f in dist.exact]]
-    cfg = {"command": "oracle", "rule": rule, "n": n,
+    cfg = {"rule": rule, "n": n,
            **_given(p_num=p_num, p_den=p_den, q_num=q_num, q_den=q_den)}
     _emit(ctx, f"oracle_{rule}_n{n}", ["n", "num", "den"], columns, cfg)
 
@@ -228,8 +237,7 @@ def simulate_cmd(ctx, rule, n, p, q, samples):
     dist = simulate.empirical_distribution(spec, n, samples, seed)
     name = f"simulate_{rule}_n{n}_s{samples}_seed{seed}"
     _emit(ctx, name, ["n", "count", "freq"], [range(n), dist.counts, dist.probs],
-          {"command": "simulate", "n": n, "samples": samples, "seed": seed,
-           "rule": rule, **_given(p=p, q=q)})
+          {"n": n, "samples": samples, "seed": seed, "rule": rule, **_given(p=p, q=q)})
 
 
 @cli.command()
@@ -243,9 +251,9 @@ def moments(ctx, rule, n_min, n_max, p, q):
     """Per-N moment sweep (mean, phi_k moments, variance, eta, g0)."""
     table = analysis.moment_report(_build_rule(rule, p, q), n_min, n_max)
     header = [f.name for f in dataclasses.fields(table)]
-    _emit(ctx, f"moments_{rule}_n{n_min}_{n_max}", header, [getattr(table, h) for h in header],
-          {"command": "moments", "n_min": n_min, "n_max": n_max,
-           "rule": rule, **_given(p=p, q=q)})
+    _emit(ctx, f"moments_{rule}_n{n_min}_{n_max}" + _suffix(p=p, q=q), header,
+          [getattr(table, h) for h in header],
+          {"n_min": n_min, "n_max": n_max, "rule": rule, **_given(p=p, q=q)})
 
 
 @cli.command()
@@ -270,13 +278,12 @@ def decay(ctx, p, unbiased, epsilon, alpha, n_max):
         fit = analysis.unbiased_decay_check(n_max, epsilon, alpha)
         slope, r2 = analysis.g0_exponential_fit(50, min(n_max, 1000))
         extra = {"epsilon": epsilon, "alpha": alpha, "g0_log_slope": slope, "g0_log_r2": r2}
-        cfg = {"command": "decay", "unbiased": True, "epsilon": epsilon,
-               "alpha": alpha, "n_max": n_max}
+        cfg = {"unbiased": True, "epsilon": epsilon, "alpha": alpha, "n_max": n_max}
     else:
         _refuse(ctx, "decay --p", "epsilon", "alpha")
         fit = analysis.decay_bound_check(p, n_max)
         extra = {}
-        cfg = {"command": "decay", "p": p, "n_max": n_max}
+        cfg = {"p": p, "n_max": n_max}
     record = {"p": p, **dataclasses.asdict(fit), "stabilization_ratio": fit.stabilization_ratio,
               "n_max": n_max, **extra}
     _sink(ctx, "decay", "jsonl", io.jsonl_text([record]), cfg)
@@ -308,7 +315,7 @@ def clt(ctx, l_max, trials):
         "normalized_sums_midpoint": report.normalized_sums_midpoint.tolist(),
     })
     _sink(ctx, f"clt_L{l_max}_T{trials}", "jsonl", io.jsonl_text(records),
-          {"command": "clt", "l_max": l_max, "trials": trials, "seed": ctx.obj["seed"]})
+          {"l_max": l_max, "trials": trials, "seed": ctx.obj["seed"]})
     if not np.all(np.diff(report.b_l) > 0):
         raise CheckFailure("B_L is not strictly increasing")
     if report.lyapunov_ratio[-1] >= report.lyapunov_ratio[0]:
@@ -332,19 +339,21 @@ _FIGURE_DEFAULTS = {
 }
 
 
-def _figure_one(ctx, variant, n, spec, montecarlo, samples):
-    if montecarlo:
-        dist = simulate.empirical_distribution(spec, n, samples, ctx.obj["seed"])
-    else:
-        dist = dp.distribution_for_rule(spec, n)
+def _figure_one(ctx, variant, n, spec, samples):
     p, q = spec.p, spec.q
-    name = f"fig_{variant}_n{n}_p{_label(p)}" + (f"_q{_label(q)}" if q is not None else "")
+    name = f"fig_{variant}_n{n}" + _suffix(p=p, q=q)
+    if samples is None:
+        dist = dp.distribution_for_rule(spec, n)
+    else:
+        seed = ctx.obj["seed"]
+        dist = simulate.empirical_distribution(spec, n, samples, seed)
+        name += f"_s{samples}_seed{seed}"
     path = _emit(ctx, name, ["n", "prob"], [range(n), dist.probs], None)
-    # the argmax approaches (3p-1)N slowly; enforce only where the N=2000
-    # calibration confirms the 0.03N tolerance (p in [0.4, 0.5], large N)
+    # the argmax approaches (3p-1)N slowly; enforce it on the exact DP only where
+    # the N=2000 calibration confirms the 0.03N tolerance (p in [0.4, 0.5], large N)
     if (
         variant == "r2"
-        and not montecarlo
+        and samples is None
         and n >= 1000
         and 0.4 - 1e-12 <= p <= 0.5 + 1e-12
     ):
@@ -362,17 +371,15 @@ def _figure_one(ctx, variant, n, spec, montecarlo, samples):
 @click.option("--n", type=int, default=2000, show_default=True)
 @click.option("--p-grid", default=None, help="Comma-separated p values.")
 @click.option("--q-grid", default=None, help="Comma-separated q values (r3).")
-@click.option("--montecarlo", is_flag=True, help="Sample instead of exact DP.")
-@click.option("--samples", type=int, default=100000, show_default=True)
+@click.option("--samples", type=int, default=None,
+              help="Sample this many runs per point instead of the exact DP.")
 @click.option("--gnuplot", is_flag=True, help="Also write a gnuplot script for the CSVs.")
 @click.pass_context
-def figure(ctx, variant, n, p_grid, q_grid, montecarlo, samples, gnuplot):
+def figure(ctx, variant, n, p_grid, q_grid, samples, gnuplot):
     """Reproduce one figure set: one CSV per grid point plus a manifest."""
     if ctx.obj.get("out") is None:
         raise DomainError("figure requires --out DIR")
     _refuse(ctx, "figure", "fmt", reads={"csv"})
-    if not montecarlo:
-        _refuse(ctx, "figure without --montecarlo", "samples")
     ps = _FIGURE_DEFAULTS[variant] if p_grid is None else _parse_grid(p_grid, "--p-grid")
     qs = ((_R3_DEFAULT_AXIS if variant == "r3" else [None]) if q_grid is None
           else _parse_grid(q_grid, "--q-grid"))
@@ -381,19 +388,20 @@ def figure(ctx, variant, n, p_grid, q_grid, montecarlo, samples, gnuplot):
     for flag, grid in (("--p-grid", ps), ("--q-grid", qs)):
         if len(set(grid)) < len(grid):  # a repeat would write one file twice
             raise DomainError(f"{flag} lists {max(grid, key=grid.count)} more than once")
-    paths = sorted(_figure_one(ctx, variant, n, spec, montecarlo, samples) for spec in specs)
-    if gnuplot:
-        paths.append(_write_gnuplot_script(ctx, variant, paths))
-    cfg = {"command": "figure", "variant": variant, "n": n,
-           "p_grid": ps, "montecarlo": montecarlo}
+    paths = sorted(_figure_one(ctx, variant, n, spec, samples) for spec in specs)
+    # named by the parsed grids and the sampling, as sweep names its file
+    params = {"p_grid": ps}
     if variant == "r3":
-        cfg["q_grid"] = qs
-    if montecarlo:
-        cfg.update(samples=samples, seed=ctx.obj["seed"])
-    _write_run_manifest(ctx, f"figure_{variant}", paths, cfg)
+        params["q_grid"] = qs
+    if samples is not None:
+        params.update(samples=samples, seed=ctx.obj["seed"])
+    name = f"figure_{variant}_n{n}_{_digest(params)}"
+    if gnuplot:
+        paths.append(_write_gnuplot_script(ctx, name, paths))
+    _write_run_manifest(ctx, name, paths, {"variant": variant, "n": n, **params})
 
 
-def _write_gnuplot_script(ctx, variant: str, csv_paths: list[Path]) -> Path:
+def _write_gnuplot_script(ctx, name: str, csv_paths: list[Path]) -> Path:
     plots = ",\\\n    ".join(
         f"'{p.name}' using 1:2 with lines title '{p.stem.split('_', 2)[-1]}'"
         for p in csv_paths
@@ -405,7 +413,7 @@ def _write_gnuplot_script(ctx, variant: str, csv_paths: list[Path]) -> Path:
         f"plot {plots}\n"
         "pause -1\n"
     )
-    return _sink(ctx, f"figure_{variant}", "gp", text)
+    return _sink(ctx, name, "gp", text)
 
 
 @cli.command()
@@ -434,12 +442,11 @@ def sweep(ctx, p_grid, n_list, delta):
             })
     # named by the parsed parameters alone, so --p-grid 0.5 and 0.50 write one file
     params = {"p_grid": ps, "n_list": ns, "delta": delta}
-    digest = hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
-    _sink(ctx, f"sweep_{digest[:12]}", "jsonl", io.jsonl_text(records),
-          {"command": "sweep", **params})
+    _sink(ctx, f"sweep_{_digest(params)}", "jsonl", io.jsonl_text(records), params)
 
 
-# det manifests written by earlier versions record "method"; they must still rerun
+# manifests written by earlier versions record det's "method" and figure's
+# "montecarlo"; they must still rerun
 _CONFIG_KEYS = {
     "argv", "command", "variant", "n", "n_min", "n_max", "n_range", "n_list",
     "p", "q", "p_grid", "q_grid", "montecarlo", "samples", "seed",

@@ -186,21 +186,20 @@ def distribution_for_rule(rule: RuleSpec, n: int) -> SurvivalDistribution:
 # --- exact-rational variants (cross-check for the float DP) ---------------
 
 
-def _check_exact_cap(n: int) -> None:
+def _exact_row(rows, n: int, *probs) -> list[Fraction]:
+    """The last row of ``rows(n, *probs)`` in rationals, for N up to ``EXACT_DP_CAP``."""
     if n > EXACT_DP_CAP:
         raise DomainError(f"rational DP is provided for N <= {EXACT_DP_CAP}, got N={n}")
+    return list(_last_row(rows(n, *map(Fraction, probs))))
 
 
 def r1_distribution_exact(n: int, p: Fraction) -> list[Fraction]:
-    _check_exact_cap(n)
-    return list(_last_row(r1_rows(n, Fraction(p))))
+    return _exact_row(r1_rows, n, p)
 
 
 def r2_distribution_exact(n: int, p: Fraction) -> list[Fraction]:
-    _check_exact_cap(n)
-    return list(_last_row(r2_rows(n, Fraction(p))))
+    return _exact_row(r2_rows, n, p)
 
 
 def r3_distribution_exact(n: int, p: Fraction, q: Fraction) -> list[Fraction]:
-    _check_exact_cap(n)
-    return list(_last_row(r3_rows(n, Fraction(p), Fraction(q))))
+    return _exact_row(r3_rows, n, p, q)

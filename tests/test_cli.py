@@ -7,8 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from josephus import analysis, dp, io
-from josephus.cli import main
+from josephus import analysis, deterministic, dp, io
+from josephus.cli import _command_of, main
+from josephus.distributions import SurvivalDistribution
 from josephus.io import config_hash, file_sha256
 
 
@@ -19,10 +20,19 @@ def run_ok(argv, capsys):
     return out
 
 
+def digest(**params):
+    """The first 12 hex digits of the sha256 of the parsed parameters, as file names carry them."""
+    return hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()[:12]
+
+
 def sweep_file(p_grid, n_list, delta=0.02):
     """The file a sweep writes: named by the sha256 of its parsed parameters."""
-    params = json.dumps({"p_grid": p_grid, "n_list": n_list, "delta": delta}, sort_keys=True)
-    return f"sweep_{hashlib.sha256(params.encode()).hexdigest()[:12]}.jsonl"
+    return f"sweep_{digest(p_grid=p_grid, n_list=n_list, delta=delta)}.jsonl"
+
+
+def figure_stem(variant, n, **params):
+    """The stem of a figure's manifest and .gp script: its variant, N and parsed grids."""
+    return f"figure_{variant}_n{n}_{digest(**params)}"
 
 
 def test_det_single_value(capsys):
@@ -40,6 +50,19 @@ def test_det_range_csv(capsys):
 def test_det_series_check(capsys):
     out = run_ok(["det", "--series-check", "128"], capsys)
     assert "OK" in out
+
+
+def test_det_series_check_exits_3_when_a_coefficient_differs(monkeypatch, capsys):
+    real = deterministic.generating_series_coefficients
+
+    def one_off(max_degree):
+        coeffs = real(max_degree)
+        coeffs[5] += 1
+        return coeffs
+
+    monkeypatch.setattr(deterministic, "generating_series_coefficients", one_off)
+    assert main(["det", "--series-check", "16"]) == 3
+    assert "series coefficients differ from survivors at N=[5]" in capsys.readouterr().err
 
 
 def test_det_requires_a_mode():
@@ -139,9 +162,8 @@ def test_oracle_r1u_is_r1_at_one_half(capsys):
     ["decay", "--p", "0.5", "--alpha", "2.0"],
     ["decay", "--p", "0.5", "--epsilon", "9"],
     ["decay", "--p", "0.5", "--alpha", "1.008"],
-    ["figure", "r1", "--n", "20", "--samples", "10"],
 ], ids=["r1-q", "deterministic-p", "r1u-q", "oracle-deterministic-p", "figure-r1-q-grid",
-        "decay-p-alpha", "decay-p-epsilon", "decay-p-default-alpha", "figure-dp-samples"])
+        "decay-p-alpha", "decay-p-epsilon", "decay-p-default-alpha"])
 def test_parameters_a_rule_does_not_take_are_refused(tmp_path, argv, capsys):
     assert main(["--out", str(tmp_path), *argv]) == 2
     assert capsys.readouterr().err.startswith("domain error:")
@@ -185,11 +207,45 @@ def test_moments_csv(tmp_path, capsys):
     assert len(rows) == 49
 
 
+def test_moments_names_keep_every_parameter(tmp_path, capsys):
+    # runs that differ only in p write two tables and two manifests
+    for p in ("0.3", "0.4"):
+        run_ok(["--out", str(tmp_path), "moments", "--rule", "r1", "--p", p, "--n-max", "12"],
+               capsys)
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        f"moments_r1_n3_12_p{p}.{ext}" for p in ("0.3", "0.4") for ext in ("csv", "manifest.json")]
+
+
+def test_rerun_of_a_moments_manifest_naming_the_file_without_p(tmp_path, capsys):
+    # moments tables used to drop p; the rerun writes the p-named file, so an
+    # older manifest fails as a check naming the file it lists
+    run_ok(["--out", str(tmp_path), "moments", "--rule", "r1", "--p", "0.3", "--n-max", "12"],
+           capsys)
+    stem, old = "moments_r1_n3_12_p0.3", "moments_r1_n3_12"
+    (tmp_path / f"{stem}.csv").rename(tmp_path / f"{old}.csv")
+    data = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
+    data["files"][0]["name"] = f"{old}.csv"
+    manifest = tmp_path / f"{old}.manifest.json"
+    manifest.write_text(json.dumps(data))
+    (tmp_path / f"{stem}.manifest.json").unlink()
+    before = sorted(tmp_path.iterdir())
+    assert main(["rerun", str(manifest)]) == 3
+    assert f"does not reproduce {old}.csv" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_decay_command(tmp_path, capsys):
     run_ok(["--out", str(tmp_path), "decay", "--p", "0.5", "--n-max", "200"], capsys)
     rec = json.loads((tmp_path / "decay.jsonl").read_text())
     assert rec["gamma"] > 1
     assert rec["k"] >= 1
+
+
+def test_decay_p_with_no_feasible_gamma_is_domain_error(tmp_path, capsys):
+    # inside (1/3, 2/3), yet so near 1/3 that no decay rate gamma > 1 is feasible
+    assert main(["--out", str(tmp_path), "decay", "--p", "0.3333333343"]) == 2
+    assert "no gamma > 1 is feasible at p=0.3333333343" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_decay_unbiased_infeasible_alpha_is_domain_error():
@@ -267,6 +323,27 @@ def test_clt_checks_ks_against_the_berry_esseen_bound(tmp_path, field, excess, c
     assert (tmp_path / "clt_L100_T1000.jsonl").is_file()
 
 
+@pytest.mark.parametrize("field, message", [
+    ("b_l", "B_L is not strictly increasing"),
+    ("lyapunov_ratio", "Lyapunov ratio did not decrease over the L grid"),
+])
+def test_clt_exits_3_after_writing_a_failed_trend(tmp_path, field, message, capsys,
+                                                   monkeypatch):
+    # reversed, B_L decreases and the Lyapunov ratio grows; the records hold what failed
+    real = analysis.clt_experiment
+
+    def reversed_field(l_max, trials, seed):
+        report = real(l_max, trials, seed)
+        return dataclasses.replace(report, **{field: getattr(report, field)[::-1]})
+
+    monkeypatch.setattr(analysis, "clt_experiment", reversed_field)
+    assert main(["--out", str(tmp_path), "clt", "--l-max", "100", "--trials", "1000"]) == 3
+    assert message in capsys.readouterr().err
+    lines = (tmp_path / "clt_L100_T1000.jsonl").read_text().splitlines()
+    values = [json.loads(line)[field] for line in lines[:-1]]
+    assert values == getattr(real(100, 1000, 0), field)[::-1].tolist()
+
+
 @pytest.mark.parametrize("l_max", [10, 99, 100])
 def test_clt_small_l_max_grid(tmp_path, l_max, capsys):
     # for l_max <= 100 the L grid starts at 3, so the Lyapunov ratio has
@@ -282,7 +359,8 @@ def test_clt_small_l_max_grid(tmp_path, l_max, capsys):
 def test_figure_r1_and_manifest(tmp_path, capsys):
     run_ok(["--out", str(tmp_path), "figure", "r1", "--n", "40",
             "--p-grid", "0.5,1"], capsys)
-    manifest = json.loads((tmp_path / "figure_r1.manifest.json").read_text())
+    stem = figure_stem("r1", 40, p_grid=[0.5, 1.0])
+    manifest = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
     assert manifest["config"]["command"] == "figure"
     assert len(manifest["files"]) == 2
     assert manifest["hash"]
@@ -290,6 +368,72 @@ def test_figure_r1_and_manifest(tmp_path, capsys):
     assert point_mass.startswith("n,prob\n")
     probs = [float(r.split(",")[1]) for r in point_mass.strip().splitlines()[1:]]
     assert max(probs) == 1.0 and sum(probs) == 1.0
+
+
+def test_figure_r2_exits_3_on_a_stray_argmax(tmp_path, monkeypatch, capsys):
+    # at N >= 1000 and p in [0.4, 0.5] the exact argmax stays within 0.03N of (3p-1)N
+    real = dp.distribution_for_rule
+    monkeypatch.setattr(dp, "distribution_for_rule",
+                        lambda spec, n: SurvivalDistribution(np.roll(real(spec, n).probs, 500)))
+    assert main(["--out", str(tmp_path), "figure", "r2", "--n", "1000", "--p-grid", "0.4"]) == 3
+    assert "strays from (3p-1)N = 200 at p=0.4" in capsys.readouterr().err
+
+
+def test_figure_samples_writes_what_simulate_draws(tmp_path, capsys):
+    # one CSV per point holding simulate's freq column at the same seed, byte for byte
+    out = tmp_path / "fig"
+    run_ok(["--out", str(out), "--seed", "7", "figure", "r1", "--n", "30",
+            "--p-grid", "0.4,0.5", "--samples", "1000"], capsys)
+    for p in ("0.4", "0.5"):
+        table = run_ok(["--seed", "7", "simulate", "--rule", "r1", "--n", "30", "--p", p,
+                        "--samples", "1000"], capsys)
+        figure = (out / f"fig_r1_n30_p{p}_s1000_seed7.csv").read_text()
+        assert ([line.split(",")[1] for line in figure.splitlines()[1:]]
+                == [line.split(",")[2] for line in table.splitlines()[1:]])
+    stem = figure_stem("r1", 30, p_grid=[0.4, 0.5], samples=1000, seed=7)
+    manifest = out / f"{stem}.manifest.json"
+    config = json.loads(manifest.read_text())["config"]
+    assert (config["samples"], config["seed"]) == (1000, 7) and "montecarlo" not in config
+    written = {path.name: path.read_bytes() for path in out.glob("*.csv")}
+    for name in written:
+        (out / name).unlink()
+    run_ok(["rerun", str(manifest)], capsys)
+    assert {path.name: path.read_bytes() for path in out.glob("*.csv")} == written
+
+
+def test_figures_differing_in_n_or_sampling_keep_every_file(tmp_path, capsys):
+    # manifests and scripts are named by N and the grids, sampled CSVs by S and the seed
+    base = ["--out", str(tmp_path), "figure", "r1", "--p-grid", "0.3", "--gnuplot"]
+    run_ok([*base, "--n", "20"], capsys)
+    run_ok([*base, "--n", "30"], capsys)
+    run_ok([*base, "--n", "20", "--samples", "100"], capsys)
+    assert sorted(path.name for path in tmp_path.glob("*.csv")) == [
+        "fig_r1_n20_p0.3.csv", "fig_r1_n20_p0.3_s100_seed0.csv", "fig_r1_n30_p0.3.csv"]
+    stems = [figure_stem("r1", 20, p_grid=[0.3]), figure_stem("r1", 30, p_grid=[0.3]),
+             figure_stem("r1", 20, p_grid=[0.3], samples=100, seed=0)]
+    for ext in ("gp", "manifest.json"):
+        assert (sorted(path.name for path in tmp_path.glob(f"*.{ext}"))
+                == sorted(f"{stem}.{ext}" for stem in stems))
+    for stem in stems:
+        run_ok(["rerun", str(tmp_path / f"{stem}.manifest.json")], capsys)
+
+
+def test_rerun_of_a_figure_manifest_named_by_its_variant(tmp_path, capsys):
+    # older figure manifests, figure_{variant}.manifest.json, record "montecarlo";
+    # the CSV names they list are unchanged, so they still rerun
+    run_ok(["--out", str(tmp_path), "figure", "r1", "--n", "20", "--p-grid", "0.3,0.6"], capsys)
+    new = tmp_path / f"{figure_stem('r1', 20, p_grid=[0.3, 0.6])}.manifest.json"
+    data = json.loads(new.read_text())
+    data["config"]["montecarlo"] = False
+    data["hash"] = config_hash(data["config"], data["version"])
+    manifest = tmp_path / "figure_r1.manifest.json"
+    manifest.write_text(json.dumps(data))
+    new.unlink()
+    written = {path.name: path.read_bytes() for path in tmp_path.glob("*.csv")}
+    for name in written:
+        (tmp_path / name).unlink()
+    run_ok(["rerun", str(manifest)], capsys)
+    assert {path.name: path.read_bytes() for path in tmp_path.glob("*.csv")} == written
 
 
 def test_figure_r2_unbiased_file_matches_r1(tmp_path, capsys):
@@ -303,7 +447,8 @@ def test_figure_r2_unbiased_file_matches_r1(tmp_path, capsys):
 def test_figure_r3_grid(tmp_path, capsys):
     run_ok(["--out", str(tmp_path), "figure", "r3", "--n", "30",
             "--p-grid", "0.5,1", "--q-grid", "1"], capsys)
-    manifest = json.loads((tmp_path / "figure_r3.manifest.json").read_text())
+    stem = figure_stem("r3", 30, p_grid=[0.5, 1.0], q_grid=[1.0])
+    manifest = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
     assert len(manifest["files"]) == 2
     probs = np.loadtxt(tmp_path / "fig_r3_n30_p1_q1.csv", delimiter=",", skiprows=1)[:, 1]
     assert probs.max() == 1.0
@@ -312,6 +457,14 @@ def test_figure_r3_grid(tmp_path, capsys):
 def test_threads_option_is_gone(tmp_path):
     assert main(["--out", str(tmp_path), "--threads", "2", "figure", "r1",
                  "--n", "20", "--p-grid", "0.5"]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_montecarlo_option_is_gone(tmp_path, capsys):
+    # figure samples exactly when --samples is given
+    assert main(["--out", str(tmp_path), "figure", "r1", "--n", "20", "--p-grid", "0.5",
+                 "--montecarlo", "--samples", "50"]) == 2
+    assert "--montecarlo" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -329,7 +482,7 @@ def test_global_format_jsonl_for_tabular_commands(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    [], ["--gnuplot"], ["--montecarlo", "--samples", "50"],
+    [], ["--gnuplot"], ["--samples", "50"],
 ], ids=["exact", "gnuplot", "montecarlo"])
 def test_figure_refuses_jsonl_before_writing(argv, tmp_path, capsys):
     # figure writes CSV only, so an explicit --format jsonl is refused, not dropped
@@ -398,9 +551,10 @@ def test_jsonl_records_are_the_csv_rows(argv, types, capsys):
 def test_figure_gnuplot_script(tmp_path, capsys):
     run_ok(["--out", str(tmp_path), "figure", "r1", "--n", "30",
             "--p-grid", "0.4,0.6", "--gnuplot"], capsys)
-    script = (tmp_path / "figure_r1.gp").read_text()
+    stem = figure_stem("r1", 30, p_grid=[0.4, 0.6])
+    script = (tmp_path / f"{stem}.gp").read_text()
     assert "fig_r1_n30_p0.4.csv" in script and "plot" in script
-    manifest = json.loads((tmp_path / "figure_r1.manifest.json").read_text())
+    manifest = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
     assert any(f["name"].endswith(".gp") for f in manifest["files"])
 
 
@@ -473,7 +627,8 @@ def test_rerun_reproduces_byte_identical_output(tmp_path, capsys):
     before = {f: file_sha256(tmp_path / f) for f in files}
     for f in files:
         (tmp_path / f).unlink()
-    run_ok(["rerun", str(tmp_path / "figure_r1.manifest.json")], capsys)
+    run_ok(["rerun", str(tmp_path / f"{figure_stem('r1', 45, p_grid=[0.3, 0.7])}.manifest.json")],
+           capsys)
     after = {f: file_sha256(tmp_path / f) for f in files}
     assert before == after
 
@@ -508,6 +663,7 @@ def test_rerun_round_trip_of_every_writing_command(tmp_path, argv, capsys):
     # writing under --out prints nothing, and rerun prints one status line
     assert run_ok(["--out", str(tmp_path), *argv], capsys) == ""
     [manifest] = tmp_path.glob("*.manifest.json")
+    assert json.loads(manifest.read_text())["config"]["command"] == _command_of(argv)
     written = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != manifest}
     assert sorted(written) == sorted(f["name"] for f in json.loads(manifest.read_text())["files"])
     for name in written:
@@ -550,7 +706,7 @@ def test_rerun_refuses_method_in_recorded_argv(tmp_path, capsys):
 def test_rerun_refuses_output_it_does_not_reproduce(tmp_path, capsys):
     run_ok(["--out", str(tmp_path), "figure", "r1", "--n", "30", "--p-grid", "0.3,0.7"],
            capsys)
-    manifest = tmp_path / "figure_r1.manifest.json"
+    manifest = tmp_path / f"{figure_stem('r1', 30, p_grid=[0.3, 0.7])}.manifest.json"
     target = tmp_path / "fig_r1_n30_p0.3.csv"
     # a tampered CSV under an intact manifest is regenerated and restored
     original = target.read_bytes()
@@ -642,6 +798,19 @@ def test_rerun_rejects_malformed_file_entries(tmp_path, entry, capsys):
     }))
     assert main(["rerun", str(manifest)]) == 2
     assert capsys.readouterr().err.startswith("domain error:")
+    assert list(tmp_path.iterdir()) == [manifest]
+
+
+def test_rerun_refuses_montecarlo_in_recorded_argv(tmp_path, capsys):
+    argv = ["--out", str(tmp_path), "figure", "r1", "--n", "20", "--p-grid", "0.5",
+            "--montecarlo", "--samples", "50"]
+    manifest = tmp_path / "figure_r1.manifest.json"
+    manifest.write_text(json.dumps({
+        "config": {"schema": 1, "argv": argv, "command": "figure", "variant": "r1",
+                   "n": 20, "p_grid": [0.5], "montecarlo": True, "samples": 50, "seed": 0},
+        "files": [], "hash": "", "version": "0.1.0",
+    }))
+    assert main(["rerun", str(manifest)]) == 3
     assert list(tmp_path.iterdir()) == [manifest]
 
 

@@ -64,8 +64,8 @@ def test_library_refusal(call, error, named):
      f"got {2**63}"),
     (["simulate", "--rule", "r1", "--n", "5", "--p", "1", "--samples", str(2**66)],
      f"got {2**66}"),
-    (["--out", "d", "figure", "r1", "--n", "5", "--p-grid", "1", "--montecarlo",
-      "--samples", str(2**63)], f"got {2**63}"),
+    (["--out", "d", "figure", "r1", "--n", "5", "--p-grid", "1", "--samples", str(2**63)],
+     f"got {2**63}"),
     (["exact", "--rule", "r1", "--n", "4", "--p", "-0"], "p is -0.0"),
     (["exact", "--rule", "r3", "--n", "4", "--p", "0.5", "--q", "-0.0"], "q is -0.0"),
     (["--out", "d", "figure", "r1", "--n", "3", "--p-grid=-0,0"], "p is -0.0"),
