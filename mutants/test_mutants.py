@@ -63,6 +63,9 @@ MUTANTS = [
     Mutant("figure-manifest-name", "src/josephus/cli.py",
            'name = f"figure_{variant}_n{n}_{_digest(params)}"', 'name = f"figure_{variant}"',
            ("tests/test_cli.py::test_figures_differing_in_n_or_sampling_keep_every_file",)),
+    Mutant("ndtr-cephes-coefficient", "src/josephus/_sampler.c",
+           "9.34528527171957607540E2", "9.34528527172957607540E2",
+           ("tests/test_simulate.py::test_kernel_ndtr_equals_scipy_ndtr_bit_for_bit",)),
 ]
 
 

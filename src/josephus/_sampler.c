@@ -1,7 +1,8 @@
 /* Seeded kernel of josephus.simulate's sampler and josephus.analysis's CLT
- * trial draws.  Only simulate's typed entries (_uniforms, _walk,
- * _sample_counts, _inverse_cdf, _CltSums) call it; they size every buffer
- * it fills and check what it reads unchecked.
+ * trial draws, and the normal CDF Phi of the CLT's Kolmogorov-Smirnov
+ * distances.  Only simulate's typed entries (_uniforms, _walk,
+ * _sample_counts, _inverse_cdf, _CltSums, _ndtr) call it; they size every
+ * buffer it fills and check what it reads unchecked.
  *
  * Streams: sample i of master seed S reads the uniforms of numpy's
  * Philox4x64-10 keyed (splitmix64(S, i), 0) with a zero counter, bit for
@@ -27,10 +28,15 @@
  * uniforms, draws) once per experiment, sized for the longest row, and
  * checks each row's dtype, shape and length before the call for that N.
  *
+ * Phi: josephus_ndtr is the Cephes ndtr that scipy.special.ndtr runs, so
+ * analysis._ks_normal gives scipy.stats.kstest's statistic bit for bit
+ * without loading scipy.  It needs libm's exp: link with -lm.
+ *
  * Build with -ffp-contract=off and without -ffast-math: each float
  * operation must round once, as numpy's does.
  */
 
+#include <math.h>
 #include <stdint.h>
 
 enum { R1 = 1, R2 = 2, R3 = 3 };
@@ -171,5 +177,96 @@ void josephus_clt_draws(uint64_t seed, int64_t n, const double *row, double mean
         double x = (double)(draws[i] < n ? draws[i] : n - 1) / (double)n;
         centered[i] += x - mean;
         mid[i] += x - 0.5;
+    }
+}
+
+/* Cephes ndtr, erf and erfc (S. L. Moshier, "Methods and Programs for
+ * Mathematical Functions", 1989), as scipy.special.ndtr runs them: the same
+ * coefficients, the same Horner order, the same branches.  ndtr calls erf
+ * only with |x| < sqrt(1/2) and erfc only with x >= sqrt(1/2), so the
+ * branches that no such argument reaches are left out. */
+static const double NDTR_P[] = {
+    2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+    4.86371970985681366614E1,   1.96520832956077098242E2,  5.26445194995477358631E2,
+    9.34528527171957607540E2,   1.02755188689515710272E3,  5.57535335369399327526E2};
+static const double NDTR_Q[] = { /* leading 1 implied */
+    1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+    9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+    1.65666309194161350182E3, 5.57535340817727675546E2};
+static const double NDTR_R[] = {
+    5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+    6.16021097993053585195E0,  7.40974269950448939160E0, 2.97886665372100240670E0};
+static const double NDTR_S[] = { /* leading 1 implied */
+    2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+    1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0};
+static const double NDTR_T[] = {
+    9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+    7.00332514112805075473E3, 5.55923013010394962768E4};
+static const double NDTR_U[] = { /* leading 1 implied */
+    3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+    2.26290000613890934246E4, 4.92673942608635921086E4};
+#define MAXLOG 7.09782712893383996843E2  /* log(2^1024) */
+#define SQRT1_2 0.70710678118654752440   /* sqrt(1/2) */
+
+/* c[0] x^n + ... + c[n], and the same with an implied leading coefficient 1. */
+static double polevl(double x, const double *c, int n)
+{
+    double y = c[0];
+    for (int i = 1; i <= n; i++)
+        y = y * x + c[i];
+    return y;
+}
+
+static double p1evl(double x, const double *c, int n)
+{
+    double y = x + c[0];
+    for (int i = 1; i < n; i++)
+        y = y * x + c[i];
+    return y;
+}
+
+/* Cephes' erf(x) = -erf(-x) rounds as this odd expression does for x < 0. */
+static double cephes_erf(double x)
+{
+    double z = x * x;
+    return x * polevl(z, NDTR_T, 4) / p1evl(z, NDTR_U, 5);
+}
+
+static double cephes_erfc(double x)
+{
+    if (x < 1.0)
+        return 1.0 - cephes_erf(x);
+    double z = -x * x;
+    if (z < -MAXLOG)
+        return 0.0;  /* underflow */
+    z = exp(z);
+    double p, q;
+    if (x < 8.0) {
+        p = polevl(x, NDTR_P, 8);
+        q = p1evl(x, NDTR_Q, 8);
+    } else {
+        p = polevl(x, NDTR_R, 5);
+        q = p1evl(x, NDTR_S, 6);
+    }
+    return z * p / q;  /* 0 when z * p underflows */
+}
+
+/* out[i] = Phi(x[i]), the standard normal CDF, for i < n. */
+void josephus_ndtr(int64_t n, const double *x, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        if (isnan(x[i])) {
+            out[i] = NAN;
+            continue;
+        }
+        double a = x[i] * SQRT1_2, z = fabs(a), y;
+        if (z < SQRT1_2) {
+            y = 0.5 + 0.5 * cephes_erf(a);
+        } else {
+            y = 0.5 * cephes_erfc(z);
+            if (a > 0)
+                y = 1.0 - y;
+        }
+        out[i] = y;
     }
 }

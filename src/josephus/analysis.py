@@ -527,12 +527,11 @@ def _ks_normal(z: np.ndarray) -> float:
     """The Kolmogorov-Smirnov distance sup |F_T - Phi| of the sample ``z`` to the standard normal.
 
     The operations of SciPy's ``kstest(z, "norm")``, so its statistic bit for
-    bit: Phi = ``scipy.special.ndtr`` on the sorted sample, and the larger of
+    bit: Phi = ``simulate._ndtr`` (the kernel's port of the Cephes ``ndtr``
+    that ``scipy.special.ndtr`` runs) on the sorted sample, and the larger of
     D+ = max(i/T - Phi(z_(i))) and D- = max(Phi(z_(i)) - (i-1)/T), i = 1..T.
     """
-    from scipy.special import ndtr  # here, not at module level: only clt needs scipy
-
-    cdf = ndtr(np.sort(z))
+    cdf = simulate._ndtr(np.sort(z))
     n = len(cdf)
     d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
     d_minus = (cdf - np.arange(0.0, n) / n).max()
@@ -554,8 +553,8 @@ def clt_experiment(
     The draws run in the compiled kernel through one ``simulate._CltSums``
     per experiment.  The Kolmogorov-Smirnov distance of the normalised trial
     sums to the standard normal is computed for both centerings by
-    ``_ks_normal``: the empirical CDF of the sorted sums against
-    ``scipy.special.ndtr``, the statistic of SciPy's ``kstest`` bit for bit.
+    ``_ks_normal``: the empirical CDF of the sorted sums against the
+    kernel's Phi, the statistic of SciPy's ``kstest`` bit for bit.
     """
     if trials < 1000:
         raise DomainError(f"the trial ensemble needs trials >= 1000, got {trials}")

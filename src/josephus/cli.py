@@ -339,7 +339,8 @@ _FIGURE_DEFAULTS = {
 }
 
 
-def _figure_one(ctx, variant, n, spec, samples):
+def _figure_one(ctx, variant, n, spec, samples, failures: list[str]) -> Path:
+    """Write one grid point's CSV; a failed r2 argmax check adds its message to ``failures``."""
     p, q = spec.p, spec.q
     name = f"fig_{variant}_n{n}" + _suffix(p=p, q=q)
     if samples is None:
@@ -360,9 +361,8 @@ def _figure_one(ctx, variant, n, spec, samples):
         target = (3 * p - 1) * n
         argmax = int(np.argmax(dist.probs))
         if abs(argmax - target) > 0.03 * n:
-            raise CheckFailure(
-                f"r2 figure argmax {argmax} strays from (3p-1)N = {target:.0f} at p={p}"
-            )
+            failures.append(
+                f"r2 figure argmax {argmax} strays from (3p-1)N = {target:.0f} at p={p}")
     return path
 
 
@@ -388,7 +388,8 @@ def figure(ctx, variant, n, p_grid, q_grid, samples, gnuplot):
     for flag, grid in (("--p-grid", ps), ("--q-grid", qs)):
         if len(set(grid)) < len(grid):  # a repeat would write one file twice
             raise DomainError(f"{flag} lists {max(grid, key=grid.count)} more than once")
-    paths = sorted(_figure_one(ctx, variant, n, spec, samples) for spec in specs)
+    failures: list[str] = []
+    paths = sorted(_figure_one(ctx, variant, n, spec, samples, failures) for spec in specs)
     # named by the parsed grids and the sampling, as sweep names its file
     params = {"p_grid": ps}
     if variant == "r3":
@@ -399,6 +400,8 @@ def figure(ctx, variant, n, p_grid, q_grid, samples, gnuplot):
     if gnuplot:
         paths.append(_write_gnuplot_script(ctx, name, paths))
     _write_run_manifest(ctx, name, paths, {"variant": variant, "n": n, **params})
+    if failures:  # as decay and clt: every file and the manifest are written, then exit 3
+        raise CheckFailure("; ".join(failures))
 
 
 def _write_gnuplot_script(ctx, name: str, csv_paths: list[Path]) -> Path:

@@ -18,11 +18,13 @@ Sample ``s`` of seed ``S`` reads the uniforms of numpy's Philox4x64-10
 keyed by ``splitmix64(S, s)``, bit for bit as numpy draws them; the kernel
 is the package's only copy of that stream, and the tests hold it to a
 numpy reference.  The kernel also runs ``analysis.clt_experiment``'s trial
-draws.  Only this module knows its ABI: the typed entries ``_uniforms``,
-``_walk``, ``_sample_counts``, ``_inverse_cdf`` and ``_CltSums`` are the
+draws and the normal CDF of its Kolmogorov-Smirnov distances, a port of the
+Cephes ``ndtr`` that the tests hold to ``scipy.special.ndtr`` bit for bit.
+Only this module knows its ABI: the typed entries ``_uniforms``, ``_walk``,
+``_sample_counts``, ``_inverse_cdf``, ``_CltSums`` and ``_ndtr`` are the
 only callers of ``_kernel()``, which compiles it with gcc on first use and
 caches it in ``__pycache__`` under the sha256 of its source and flags;
-without gcc, sampling and the CLT draws raise ``KernelBuildError``.
+without gcc, sampling and ``clt`` raise ``KernelBuildError``.
 ``_CltSums`` sizes the CLT buffers once per experiment, so they need no
 check; per N it checks only the DP row, whose CDF C builds itself.
 
@@ -227,6 +229,7 @@ _SOURCE = Path(__file__).with_name("_sampler.c")
 _CACHE_DIR = _SOURCE.parent / "__pycache__"
 # exact float semantics: no fused multiply-add, no -ffast-math, no -march=native
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_LDLIBS = ("-lm",)  # after the source, so the linker keeps libm for its exp
 _KIND_CODES = {RuleKind.R1: 1, RuleKind.R2: 2, RuleKind.R3: 3}
 _MASK64 = (1 << 64) - 1
 _kernel_lock = threading.Lock()
@@ -235,7 +238,8 @@ _kernel_lib = None
 
 def _library_path() -> Path:
     """Cached shared library for the current source and flags."""
-    key = hashlib.sha256(_SOURCE.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()
+    flags = " ".join(_CFLAGS + _LDLIBS).encode()
+    key = hashlib.sha256(_SOURCE.read_bytes() + flags).hexdigest()
     return _CACHE_DIR / f"_sampler-{key[:16]}.so"
 
 
@@ -254,7 +258,7 @@ def _build(path: Path) -> None:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
         os.close(fd)
         try:
-            proc = subprocess.run([gcc, *_CFLAGS, "-o", tmp, str(_SOURCE)],
+            proc = subprocess.run([gcc, *_CFLAGS, "-o", tmp, str(_SOURCE), *_LDLIBS],
                                   capture_output=True, text=True)
             if proc.returncode != 0:
                 raise KernelBuildError(f"gcc could not build {_SOURCE.name}:\n{proc.stderr}")
@@ -287,6 +291,8 @@ def _kernel():
             lib.josephus_sample.restype = None
             lib.josephus_inverse_cdf.argtypes = [c_i64, f64, c_i64, f64, i64, i64]
             lib.josephus_inverse_cdf.restype = None
+            lib.josephus_ndtr.argtypes = [c_i64, f64, f64]
+            lib.josephus_ndtr.restype = None
             ptr = ctypes.c_void_p  # _CltSums allocates its buffers and checks each row itself
             lib.josephus_clt_draws.argtypes = [c_u64, c_i64, ptr, c_f64, c_i64, *[ptr] * 6]
             lib.josephus_clt_draws.restype = None
@@ -396,6 +402,18 @@ def _inverse_cdf(cdf, u) -> np.ndarray:
     draws = np.empty(len(u), dtype=np.int64)
     _kernel().josephus_inverse_cdf(len(cdf), cdf, len(u), u, _guide(len(cdf)), draws)
     return draws
+
+
+def _ndtr(x) -> np.ndarray:
+    """Phi of each entry of the 1-D array ``x``, bit for bit as ``scipy.special.ndtr``.
+
+    The kernel runs the Cephes ``ndtr`` that SciPy runs (Moshier 1989): the
+    same coefficients, Horner order and branches, and libm's ``exp``.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    _kernel().josephus_ndtr(len(x), x, out)
+    return out
 
 
 class _CltSums:

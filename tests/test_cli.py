@@ -379,6 +379,22 @@ def test_figure_r2_exits_3_on_a_stray_argmax(tmp_path, monkeypatch, capsys):
     assert "strays from (3p-1)N = 200 at p=0.4" in capsys.readouterr().err
 
 
+def test_figure_writes_every_point_and_its_manifest_before_exiting_3(tmp_path, monkeypatch,
+                                                                      capsys):
+    # as decay and clt do: a failed argmax check still leaves every CSV and the manifest
+    real = dp.distribution_for_rule
+    monkeypatch.setattr(dp, "distribution_for_rule",
+                        lambda spec, n: SurvivalDistribution(np.roll(real(spec, n).probs, 500)))
+    assert main(["--out", str(tmp_path), "figure", "r2", "--n", "1000",
+                 "--p-grid", "0.3,0.4,0.5"]) == 3
+    err = capsys.readouterr().err
+    assert "at p=0.4" in err and "at p=0.5" in err
+    csvs = sorted(path.name for path in tmp_path.glob("*.csv"))
+    assert csvs == [f"fig_r2_n1000_p{p}.csv" for p in ("0.3", "0.4", "0.5")]
+    manifest = tmp_path / f"{figure_stem('r2', 1000, p_grid=[0.3, 0.4, 0.5])}.manifest.json"
+    assert sorted(f["name"] for f in json.loads(manifest.read_text())["files"]) == csvs
+
+
 def test_figure_samples_writes_what_simulate_draws(tmp_path, capsys):
     # one CSV per point holding simulate's freq column at the same seed, byte for byte
     out = tmp_path / "fig"

@@ -5,8 +5,7 @@ kinds the CLI passes (numpy arrays, ranges, lists of Python ints) and
 refuses any other column.  A table streamed block by block to a file or
 to stdout has the bytes of its joined text, a refused table writes
 nothing, and ``det --n-range 1:500000`` holds little beyond its survivor
-array.  Importing the CLI loads no scipy, and ``clt`` loads
-``scipy.special`` but never ``scipy.stats``.
+array.  Neither importing the CLI nor running ``clt`` loads scipy.
 """
 
 import hashlib
@@ -209,18 +208,17 @@ def _fresh_stdout(code: str, *args: str) -> str:
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # only clt's KS distances need scipy; every other command must start without it
+    # no josephus command needs scipy; it is the tests' reference only
     code = ("import sys, josephus, josephus.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _fresh_stdout(code).strip() == "[]"
 
 
-def test_clt_loads_scipy_special_but_not_scipy_stats(tmp_path):
-    # the KS distances come from scipy.special.ndtr, so no clt path needs scipy.stats
+def test_clt_loads_no_scipy(tmp_path):
+    # the KS distances take Phi from the kernel's port of scipy.special.ndtr
     code = ("import sys\n"
-            "from josephus import analysis, cli\n"
-            "analysis.clt_experiment(100, 1000, 0)\n"
-            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)\n"
+            "from josephus import cli\n"
             "argv = ['--out', sys.argv[1], 'clt', '--l-max', '100', '--trials', '1000']\n"
-            "print(cli.main(argv), 'scipy.stats' in sys.modules)\n")
-    assert _fresh_stdout(code, str(tmp_path)).split() == ["False", "True", "0", "False"]
+            "code = cli.main(argv)\n"
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert _fresh_stdout(code, str(tmp_path)).split() == ["0", "[]"]

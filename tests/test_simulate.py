@@ -1,5 +1,6 @@
 """Process state machine, seeded sampling, and Monte Carlo consistency."""
 
+import math
 import os
 import shutil
 from pathlib import Path
@@ -240,6 +241,38 @@ def test_kernel_draws_equal_prng_stream(rule, seed):
             assert np.array_equal(u, stream(seed, index).random(k)), (index, steps)
 
 
+def _ndtr_edges() -> np.ndarray:
+    """Every branch edge of the Cephes ndtr, each sign, and two floats to either side.
+
+    |x| = 1 and sqrt(2) switch between erf and erfc, 8 sqrt(2) between erfc's
+    P/Q and R/S fits, sqrt(2 MAXLOG) to erfc's underflow; then the signed
+    zeros, infinities and subnormals, and NaN of either sign.
+    """
+    maxlog = 7.09782712893383996843e2
+    edges = [1.0, math.sqrt(2), 8 * math.sqrt(2), math.sqrt(2 * maxlog), 0.0, math.inf,
+             5e-324, 1e-310, np.nextafter(2.2250738585072014e-308, 0)]
+    points = []
+    for edge in edges:
+        for x in (edge, -edge):
+            below = above = x
+            points.append(x)
+            for _ in range(2):
+                below, above = np.nextafter(below, -math.inf), np.nextafter(above, math.inf)
+                points += [below, above]
+    return np.array(points + [math.nan, -math.nan])
+
+
+def test_kernel_ndtr_equals_scipy_ndtr_bit_for_bit():
+    import scipy.special  # the reference; the package itself never loads scipy
+
+    rng = np.random.default_rng(29)
+    x = np.concatenate([*(rng.normal(scale=s, size=10**6) for s in (0.3, 1, 3, 10)),
+                        rng.uniform(-40, 40, 10**6), _ndtr_edges()])
+    got, want = simulate._ndtr(x), scipy.special.ndtr(x)
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, [(x[i], got[i], want[i]) for i in bad[:5]]
+
+
 def test_kernel_build_without_gcc_names_gcc(tmp_path, monkeypatch):
     monkeypatch.setattr(simulate, "_CACHE_DIR", tmp_path)
     monkeypatch.setattr(simulate, "_kernel_lib", None)
@@ -297,8 +330,8 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     # the kernel's own flags plus every common warning, each an error
     flags = [*simulate._CFLAGS, "-Wall", "-Wextra", "-Werror"]
     out = tmp_path / "kernel.so"
-    proc = subprocess.run(["gcc", *flags, "-o", str(out), str(simulate._SOURCE)],
-                          capture_output=True, text=True)
+    proc = subprocess.run(["gcc", *flags, "-o", str(out), str(simulate._SOURCE),
+                           *simulate._LDLIBS], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -310,7 +343,7 @@ def test_kernel_argtypes_match_the_exported_prototypes():
                             flags=re.MULTILINE)
     assert {name for name, _ in prototypes} == {
         "josephus_uniforms", "josephus_walk", "josephus_sample", "josephus_inverse_cdf",
-        "josephus_clt_draws"}
+        "josephus_clt_draws", "josephus_ndtr"}
     lib = simulate._kernel()
     for name, params in prototypes:
         assert len(getattr(lib, name).argtypes) == len(params.split(",")), name
@@ -330,7 +363,8 @@ simulate._kernel_lib = None
 # corners, stream lengths across Philox blocks, uniforms at 0, 1 - 2^-53 and
 # the bucket edges j/K, partial last blocks, CLT rows up to l_max at a power of
 # two and one past it, and clipped CLT draws; 1001 and 1003 trials fill the
-# CLT uniforms and draws scratch to its last, partial Philox block
+# CLT uniforms and draws scratch to its last, partial Philox block; Phi on an
+# empty array and on every branch edge of the Cephes ndtr
 _SANITIZED_ENTRIES = """
 os.sched_getaffinity = lambda pid: {0, 1, 2}  # the split path runs even on one CPU
 rules = [RuleSpec.r1(p) for p in (0, 0.5, 1)] + [RuleSpec.r2(p) for p in (0, 0.3, 1)]
@@ -356,6 +390,8 @@ for trials in (1001, 1003):
             sums.add(np.full(n, 1 / n), 0.5)
         sums.add(np.array([0.1, 0.1, 0.0, 0.3]), 0.3)  # sums to 1/2: half the draws clip
 analysis.clt_experiment(40, 1003, 5)
+simulate._ndtr(np.array([]))
+simulate._ndtr(np.frombuffer(bytes.fromhex(sys.argv[2])))  # _ndtr_edges()
 """
 # the raw C lookup at u = 1 reads one entry past the guide table
 _SANITIZED_OVERFLOW = """
@@ -378,12 +414,14 @@ def test_kernel_entries_run_clean_under_address_and_undefined_sanitizers(tmp_pat
     lib = tmp_path / "sanitized.so"
     flags = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
              "-fno-omit-frame-pointer", "-ffp-contract=off", "-fPIC", "-shared"]
-    subprocess.run(["gcc", *flags, "-o", str(lib), str(simulate._SOURCE)], check=True)
+    subprocess.run(["gcc", *flags, "-o", str(lib), str(simulate._SOURCE), *simulate._LDLIBS],
+                   check=True)
     env = {**os.environ, "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0",
            "PYTHONPATH": str(Path(simulate.__file__).parents[1])}
 
     def run(body):
-        return subprocess.run([sys.executable, "-c", _SANITIZED_SETUP + body, str(lib)],
+        return subprocess.run([sys.executable, "-c", _SANITIZED_SETUP + body, str(lib),
+                               _ndtr_edges().tobytes().hex()],
                               capture_output=True, text=True, env=env)
 
     clean = run(_SANITIZED_ENTRIES)
