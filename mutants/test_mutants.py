@@ -66,6 +66,12 @@ MUTANTS = [
     Mutant("ndtr-cephes-coefficient", "src/josephus/_sampler.c",
            "9.34528527171957607540E2", "9.34528527172957607540E2",
            ("tests/test_simulate.py::test_kernel_ndtr_equals_scipy_ndtr_bit_for_bit",)),
+    Mutant("unbiased-alpha-nan", "src/josephus/analysis.py",
+           "if not alpha > 1.0:", "if alpha <= 1.0:",
+           ("tests/test_analysis.py::test_unbiased_decay_domain_is_refused_before_any_dp_row",)),
+    Mutant("manifest-plain-file-name", "src/josephus/io.py",
+           ' and Path(f["name"]).name == f["name"]', "",
+           ("tests/test_cli.py::test_rerun_rejects_malformed_file_entries",)),
 ]
 
 

@@ -84,7 +84,9 @@ def eta(dist: SurvivalDistribution) -> float:
 
 
 def concentration_mass(dist: SurvivalDistribution, half_width: float = 0.05) -> float:
-    """Probability mass on positions within ``half_width`` of 1/2."""
+    """Probability mass on positions within ``half_width``, finite and >= 0, of 1/2."""
+    if not 0.0 <= half_width < math.inf:
+        raise DomainError(f"half_width must be finite and >= 0, got {half_width}")
     n = dist.n_participants
     lo = math.ceil((0.5 - half_width) * n)
     hi = math.floor((0.5 + half_width) * n)
@@ -297,14 +299,16 @@ def unbiased_alpha_components(epsilon: float, alpha: float) -> tuple[float, floa
 
 
 def verify_unbiased_alpha(epsilon: float, alpha: float) -> None:
-    """Raise a domain error naming the violated inequality, if any."""
+    """Refuse alpha <= 1, a non-finite epsilon or a violated inequality; NaN fails each test."""
+    if not alpha > 1.0:
+        raise DomainError(f"alpha must exceed 1, got {alpha}")
+    if not math.isfinite(epsilon):
+        raise DomainError(f"epsilon must be finite, got {epsilon}")
     c1, c2 = unbiased_alpha_components(epsilon, alpha)
     e = 1.0 + epsilon
-    if c1 > 2.0:
-        raise DomainError(
-            f"alpha^(2+4(1+eps)) = {alpha}^{2 + 4 * e:g} = {c1:.6f} > 2"
-        )
-    if c2 > 2.0:
+    if not c1 <= 2.0:
+        raise DomainError(f"alpha^(2+4(1+eps)) = {alpha}^{2 + 4 * e:g} = {c1:.6f} > 2")
+    if not c2 <= 2.0:
         raise DomainError(
             f"alpha^(1-4(1+eps)) + alpha^(1+2(1+eps)) = "
             f"{alpha}^{1 - 4 * e:g} + {alpha}^{1 + 2 * e:g} = {c2:.6f} > 2"
@@ -316,12 +320,10 @@ def unbiased_decay_check(
 ) -> DecayBoundFit:
     """Fit the smallest K with g_N(n) <= K alpha^(2(1+eps)n - N), unbiased rule.
 
-    Verifies the (epsilon, alpha) feasibility inequality first and raises a
-    domain error naming the violated component otherwise.  By the mirror
-    symmetry only 0 <= n <= N/2 is swept.
+    ``verify_unbiased_alpha`` checks (epsilon, alpha) first, so an
+    infeasible pair raises a domain error before any DP row is built.  By
+    the mirror symmetry only 0 <= n <= N/2 is swept.
     """
-    if alpha <= 1.0:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
     verify_unbiased_alpha(epsilon, alpha)
     log_alpha = math.log(alpha)
     rate = 2.0 * (1.0 + epsilon)

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 domain error (bad arguments or infeasible
 parameters), 3 failed assertion in a check command.  Every file-writing
-run also writes a manifest embedding the full config and seed, so any
-output is self-describing and re-runnable (``josephus rerun MANIFEST``).
+run also writes a manifest (``io.write_manifest``) embedding the full
+config and seed, so any output is self-describing; ``josephus rerun
+MANIFEST`` replays it and keeps the new files only if every sha256 matches.
 """
 
 from __future__ import annotations
@@ -105,12 +106,8 @@ def _sink(ctx, name: str, ext: str, text: str | Iterable[str],
 
 
 def _write_run_manifest(ctx, name: str, paths: list[Path], config: dict) -> None:
-    config = {"schema": io.SCHEMA_VERSION, "argv": ctx.obj.get("argv", []),
-              "command": ctx.info_name, **config}
-    files = [
-        {"name": p.name, "sha256": io.file_sha256(p)} for p in paths
-    ]
-    io.write_manifest(Path(ctx.obj["out"]) / f"{name}.manifest.json", config, __version__, files)
+    config = {"argv": ctx.obj.get("argv", []), "command": ctx.info_name, **config}
+    io.write_manifest(Path(ctx.obj["out"]) / f"{name}.manifest.json", config, __version__, paths)
 
 
 @click.group()
@@ -482,25 +479,9 @@ def rerun(ctx, manifest):
     """Re-execute the run in MANIFEST beside it; keep it only if every sha256 matches."""
     _refuse(ctx, "rerun", "out", "fmt")
     out = Path(manifest).parent
-    try:
-        data = json.loads(Path(manifest).read_text())
-    except ValueError as exc:  # not JSON, or not UTF-8 text
-        raise DomainError(f"manifest is not JSON: {exc}") from None
-    config = data.get("config", {}) if isinstance(data, dict) else None
-    if not isinstance(config, dict):
-        raise DomainError("a manifest is a JSON object whose config is an object")
-    io.validate_config(config, allowed_keys=_CONFIG_KEYS)
-    argv = config.get("argv")
-    if not argv or not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
-        raise DomainError("manifest config does not record the run's arguments as strings")
+    argv, files = io.read_manifest(manifest, _CONFIG_KEYS)
     if _command_of(argv) == "rerun":
         raise DomainError("manifest records a rerun, which writes no files of its own")
-    files = data.get("files", [])
-    if not isinstance(files, list) or not all(
-            isinstance(f, dict) and isinstance(f.get("sha256"), str)
-            and isinstance(f.get("name"), str) and Path(f["name"]).name == f["name"]
-            for f in files):
-        raise DomainError("manifest files must each give a plain file name and its sha256")
     with tempfile.TemporaryDirectory(dir=out, prefix=".rerun-") as tmp:
         code = main(_override_out(argv, tmp))
         if code != 0:
@@ -508,13 +489,12 @@ def rerun(ctx, manifest):
         # after the run, so that a recorded run which no longer runs fails as a check
         if not files:
             raise DomainError("manifest lists no files, so the rerun verified nothing")
-        new = [Path(tmp) / f["name"] for f in files]
-        bad = [path.name for path, f in zip(new, files)
-               if not path.is_file() or io.file_sha256(path) != f["sha256"]]
+        bad = [name for name, sha in files
+               if not Path(tmp, name).is_file() or io.file_sha256(Path(tmp, name)) != sha]
         if bad:
             raise CheckFailure(f"rerun does not reproduce {', '.join(bad)}")
-        for path in new:
-            os.replace(path, out / path.name)
+        for name, _ in files:
+            os.replace(Path(tmp, name), out / name)
     click.echo(f"reproduced {len(files)} files under {out}")
 
 

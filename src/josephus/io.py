@@ -1,4 +1,4 @@
-"""Result persistence: CSV/JSON-lines text, manifests, config hashing.
+"""Result persistence: CSV/JSON-lines text, run manifests, config hashing.
 
 A table reaches its file or stdout as a stream of text blocks: the CSV
 header line, then one string per ``_BLOCK_ROWS`` rows, so a command holds
@@ -12,6 +12,10 @@ A table is given by columns (1-D numpy arrays, ranges or sequences of
 Python ints).  CSV picks each column's format once (``%.17g`` for a float
 array, ``%s`` for the rest); JSON lines hold one record per row.  Both
 check the column kinds and lengths before the first block is made.
+
+``write_manifest`` writes a run's manifest: its config stamped with the
+schema, and each written file's sha256; ``read_manifest`` checks one and
+returns what a replay needs, the recorded argv and the files' sha256s.
 """
 
 from __future__ import annotations
@@ -102,26 +106,43 @@ def config_hash(config: Mapping, version: str) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def validate_config(config: Mapping, allowed_keys: set[str]) -> None:
-    """Fail fast on unknown keys or a schema mismatch."""
+def write_manifest(path: Path, config: Mapping, version: str, paths: Sequence[Path]) -> None:
+    """Write the manifest of a run: its config stamped with the schema, and each file's sha256."""
+    config = {"schema": SCHEMA_VERSION, **config}
+    files = [{"name": p.name, "sha256": file_sha256(p)} for p in paths]
+    manifest = {"schema": SCHEMA_VERSION, "config": config, "version": version,
+                "hash": config_hash(config, version), "files": files}
+    atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def read_manifest(path: Path, allowed_keys: set[str]) -> tuple[list[str], list[tuple[str, str]]]:
+    """The recorded argv of the manifest at ``path`` and its files as (name, sha256) pairs.
+
+    Any part of the manifest that is malformed, or a config key outside
+    ``allowed_keys``, raises a ``DomainError`` naming it.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise DomainError(f"manifest is not JSON: {exc}") from None
+    config = data.get("config", {}) if isinstance(data, dict) else None
+    if not isinstance(config, dict):
+        raise DomainError("a manifest is a JSON object whose config is an object")
     if config.get("schema") != SCHEMA_VERSION:
-        raise DomainError(
-            f"config schema must be {SCHEMA_VERSION}, got {config.get('schema')!r}"
-        )
+        raise DomainError(f"config schema must be {SCHEMA_VERSION}, got {config.get('schema')!r}")
     unknown = set(config) - allowed_keys - {"schema"}
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
-
-
-def write_manifest(path: Path, config: Mapping, version: str, files: list[dict]) -> None:
-    manifest = {
-        "schema": SCHEMA_VERSION,
-        "config": dict(config),
-        "version": version,
-        "hash": config_hash(config, version),
-        "files": files,
-    }
-    atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    argv = config.get("argv")
+    if not argv or not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+        raise DomainError("manifest config does not record the run's arguments as strings")
+    files = data.get("files", [])
+    if not isinstance(files, list) or not all(
+            isinstance(f, dict) and isinstance(f.get("sha256"), str)
+            and isinstance(f.get("name"), str) and Path(f["name"]).name == f["name"]
+            for f in files):
+        raise DomainError("manifest files must each give a plain file name and its sha256")
+    return argv, [(f["name"], f["sha256"]) for f in files]
 
 
 def file_sha256(path: Path) -> str:

@@ -166,20 +166,17 @@ def run_path(rule: RuleSpec, n: int, coins) -> int:
 
 
 def _branches(rule: RuleSpec) -> tuple[list[tuple[bool, bool | None, int]], int]:
-    """The coin branches with integer weights, and the total of those weights.
+    """The coin branches of nonzero integer weight, and the total of all weights.
 
     p = a/b gives weights a and b-a (each times c or d-c for r3's q = c/d),
     read from the exact value of p and q: a float at its binary value.
     """
     a, b = Fraction(rule.p).as_integer_ratio()  # np.int64 has no as_integer_ratio
+    victim, knife, d = [(True, a), (False, b - a)], [(None, 1)], 1  # one coin: no knife coin
     if rule.kind is RuleKind.R3:
         c, d = Fraction(rule.q).as_integer_ratio()
-        return [
-            (cv, ck, (a if cv else b - a) * (c if ck else d - c))
-            for cv in (True, False)
-            for ck in (True, False)
-        ], b * d
-    return [(True, None, a), (False, None, b - a)], b
+        knife = [(True, c), (False, d - c)]
+    return [(cv, ck, wv * wk) for cv, wv in victim for ck, wk in knife if wv * wk], b * d
 
 
 def oracle_distribution(rule: RuleSpec, n: int) -> SurvivalDistribution:
@@ -201,7 +198,6 @@ def oracle_distribution(rule: RuleSpec, n: int) -> SurvivalDistribution:
     if n < 2:
         raise DomainError(f"oracle requires N >= 2, got N={n}")
     branches, total = _branches(rule)
-    branches = [(cv, ck, w) for cv, ck, w in branches if w != 0]
     start = initial_state(rule, n)
     states: dict[tuple, int] = {(start.alive, start.knife, start.direction): 1}
     for _ in range(n - 1):

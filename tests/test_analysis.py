@@ -1,7 +1,9 @@
 """Functionals, decay bounds, moment scaling, and the CLT harness."""
 
 import dataclasses
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +123,25 @@ def test_verify_unbiased_alpha_names_the_violation():
         analysis.verify_unbiased_alpha(0.05, 1.2)
     with pytest.raises(DomainError, match=r"alpha\^\(1-4\(1\+eps\)\)"):
         analysis.verify_unbiased_alpha(0.05, 1.03)
+
+
+@pytest.mark.parametrize("check", [analysis.verify_unbiased_alpha,
+                                   functools.partial(analysis.unbiased_decay_check, 100)],
+                         ids=["verify", "decay-check"])
+@pytest.mark.parametrize("eps, alpha, named", [
+    (math.nan, 1.008, "epsilon must be finite, got nan"),
+    (math.inf, 1.008, "epsilon must be finite, got inf"),
+    (0.05, math.nan, "alpha must exceed 1, got nan"),
+    (0.05, 1.0, "alpha must exceed 1, got 1.0"),
+], ids=["eps-nan", "eps-inf", "alpha-nan", "alpha-1"])
+def test_unbiased_decay_domain_is_refused_before_any_dp_row(check, eps, alpha, named,
+                                                            monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a refused check built a DP row")
+
+    monkeypatch.setattr(analysis.dp, "r1_rows", no_rows)
+    with pytest.raises(DomainError, match=f"^{re.escape(named)}$"):
+        check(eps, alpha)
 
 
 @pytest.mark.parametrize("eps,alpha", [(0.05, 1.008), (0.25, 1.03)])

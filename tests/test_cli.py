@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from josephus import analysis, deterministic, dp, io
-from josephus.cli import _command_of, main
+from josephus.cli import _CONFIG_KEYS, _command_of, main
 from josephus.distributions import SurvivalDistribution
 from josephus.io import config_hash, file_sha256
 
@@ -251,6 +251,19 @@ def test_decay_p_with_no_feasible_gamma_is_domain_error(tmp_path, capsys):
 def test_decay_unbiased_infeasible_alpha_is_domain_error():
     assert main(["decay", "--unbiased", "--epsilon", "0.05", "--alpha", "1.2",
                  "--n-max", "50"]) == 2
+
+
+@pytest.mark.parametrize("flag, named", [("--epsilon", "epsilon must be finite, got nan"),
+                                         ("--alpha", "alpha must exceed 1, got nan")])
+def test_decay_unbiased_nan_is_refused_before_any_dp_row(flag, named, tmp_path, monkeypatch,
+                                                         capsys):
+    def no_rows(*args):
+        raise AssertionError("a refused decay built a DP row")
+
+    monkeypatch.setattr(analysis.dp, "r1_rows", no_rows)
+    assert main(["--out", str(tmp_path), "decay", "--unbiased", flag, "nan"]) == 2
+    assert capsys.readouterr().err == f"domain error: {named}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("mode", [["--unbiased"], ["--p", "0.5"]])
@@ -660,7 +673,7 @@ def test_rerun_reproduces_monte_carlo_counts(tmp_path, capsys):
     assert (tmp_path / name).read_bytes() == first
 
 
-@pytest.mark.parametrize("argv", [
+WRITING_COMMANDS = pytest.mark.parametrize("argv", [
     ["det", "--n-range", "1:20"],
     ["exact", "--rule", "r1", "--n", "10", "--p", "0.3"],
     ["oracle", "--rule", "r3", "--n", "6", "--p-num", "1", "--p-den", "2",
@@ -675,6 +688,9 @@ def test_rerun_reproduces_monte_carlo_counts(tmp_path, capsys):
     ["sweep", "--p-grid", "0.4", "--n-list", "10,20"],
 ], ids=["det", "exact", "oracle", "simulate", "moments-jsonl", "decay-p", "decay-unbiased",
         "clt", "figure-gnuplot", "sweep"])
+
+
+@WRITING_COMMANDS
 def test_rerun_round_trip_of_every_writing_command(tmp_path, argv, capsys):
     # writing under --out prints nothing, and rerun prints one status line
     assert run_ok(["--out", str(tmp_path), *argv], capsys) == ""
@@ -687,6 +703,16 @@ def test_rerun_round_trip_of_every_writing_command(tmp_path, argv, capsys):
     out = run_ok(["rerun", str(manifest)], capsys)
     assert out == f"reproduced {len(written)} files under {tmp_path}\n"
     assert {name: (tmp_path / name).read_bytes() for name in written} == written
+
+
+@WRITING_COMMANDS
+def test_read_manifest_returns_the_recorded_argv_and_each_files_sha256(tmp_path, argv, capsys):
+    run_ok(["--out", str(tmp_path), *argv], capsys)
+    [manifest] = tmp_path.glob("*.manifest.json")
+    recorded, files = io.read_manifest(manifest, _CONFIG_KEYS)
+    assert recorded == ["--out", str(tmp_path), *argv]
+    written = sorted(p.name for p in tmp_path.iterdir() if p != manifest)
+    assert sorted(files) == [(name, file_sha256(tmp_path / name)) for name in written]
 
 
 def test_rerun_of_det_manifest_recording_method(tmp_path, capsys):

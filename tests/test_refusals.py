@@ -1,16 +1,27 @@
 """Documented refusals: each raises its error type with a message naming the bad value."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from josephus import analysis, dp, io, simulate
 from josephus.cli import main
 from josephus.distributions import SurvivalDistribution
-from josephus.errors import DomainError
+from josephus.errors import DomainError, InvalidStateError
 from josephus.rules import RuleKind, RuleSpec
 
 R1H = RuleSpec.r1(0.5)
 UNIFORM5 = SurvivalDistribution(np.full(5, 0.2))
+
+
+def _read_manifest(text: str):
+    """``io.read_manifest`` of a manifest file holding ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "run.manifest.json")
+        path.write_text(text)
+        return io.read_manifest(path, set())
 
 
 @pytest.mark.parametrize("call, error, named", [
@@ -33,13 +44,20 @@ UNIFORM5 = SurvivalDistribution(np.full(5, 0.2))
     (lambda: simulate.empirical_distribution(R1H, 1, 10, 0), DomainError, "got N=1"),
     (lambda: simulate._sample_counts(R1H, 5, 0, 0, -3), DomainError, "got -3"),
     (lambda: simulate._sample_counts(R1H, 1, 0, 0, 3), DomainError, "got N=1"),
-    (lambda: io.validate_config({"schema": 99}, set()), DomainError, "got 99"),
+    (lambda: _read_manifest('{"config": {"schema": 99}}'), DomainError, "got 99"),
+    (lambda: analysis.concentration_mass(UNIFORM5, -0.1), DomainError, "got -0.1"),
+    (lambda: analysis.concentration_mass(UNIFORM5, float("nan")), DomainError, "got nan"),
+    (lambda: analysis.concentration_mass(UNIFORM5, float("inf")), DomainError, "got inf"),
+    (lambda: simulate.ProcessState(R1H, (0, 1, 2), 5), InvalidStateError, "knife holder 5"),
+    (lambda: simulate.ProcessState(R1H, (0, 1, 2), 0, 0), InvalidStateError, "got 0"),
+    (lambda: simulate.run_path(R1H, 4, [True, True]), InvalidStateError, "2 participants left"),
 ], ids=[
     "phi_k_0", "expectation_shape", "moments_n_min_2", "moments_n_max_below_n_min",
     "unbiased_alpha_1", "second_moment_l_max_99", "clt_l_max_9", "total_variation_n",
     "r1_without_p", "r1_negative_zero", "r1_rows_negative_zero", "initial_state_0",
     "stream_index_negative", "empirical_n_1", "sample_counts_negative", "sample_counts_n_1",
-    "config_schema",
+    "config_schema", "concentration_negative", "concentration_nan", "concentration_inf",
+    "process_state_dead_knife", "process_state_direction_0", "run_path_too_few_coins",
 ])
 def test_library_refusal(call, error, named):
     with pytest.raises(error, match=named.replace(".", r"\.")):

@@ -282,6 +282,17 @@ def test_kernel_build_without_gcc_names_gcc(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_kernel_build_gcc_rejects_carries_its_stderr_and_leaves_no_file(tmp_path, monkeypatch):
+    source = tmp_path / "broken.c"
+    source.write_text("int josephus_broken(void) { return }\n")
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(simulate, "_SOURCE", source)
+    with pytest.raises(KernelBuildError, match="gcc could not build broken.c") as info:
+        simulate._build(cache / "_sampler-broken.so")
+    assert "broken.c:1:" in str(info.value) and "error" in str(info.value)
+    assert list(cache.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", [
     ["simulate", "--rule", "r1", "--n", "10", "--p", "0.5", "--samples", "5"],
     ["clt", "--l-max", "20", "--trials", "1000"],
