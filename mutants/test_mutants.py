@@ -72,6 +72,12 @@ MUTANTS = [
     Mutant("manifest-plain-file-name", "src/josephus/io.py",
            ' and Path(f["name"]).name == f["name"]', "",
            ("tests/test_cli.py::test_rerun_rejects_malformed_file_entries",)),
+    Mutant("manifest-repeated-file", "src/josephus/io.py",
+           "if len(set(names)) < len(names):", "if False:",
+           ("tests/test_refusals.py::test_library_refusal",)),
+    Mutant("clt-trial-slice-start", "src/josephus/simulate.py",
+           "t0, t1 = trials * i // w,", "t0, t1 = trials * i // w + 1,",
+           ("tests/test_simulate.py::test_clt_sums_at_any_cpu_count_equal_one_cpu_sums",)),
 ]
 
 

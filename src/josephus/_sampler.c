@@ -18,15 +18,19 @@
  * thresholds it.  r1 and r2 read one uniform per step; r3 reads a
  * (victim, knife) pair per step.  There are no coin buffers.
  *
- * CLT draws: one N of the trial ensemble takes the DP row, builds its CDF
- * as np.cumsum does, reads stream (S, N) by josephus_uniforms, one uniform
- * per trial, and draws by josephus_inverse_cdf, a guide-table lookup giving
- * exactly the index np.searchsorted(cdf, u, side="right") returns (see
+ * CLT draws: the trials are split into contiguous slices, and
+ * josephus_clt_batch runs one slice over a batch of DP rows.  Per row it
+ * builds the CDF as np.cumsum does, reads the slice's uniforms of stream
+ * (S, N) by josephus_uniforms, one uniform per trial, and draws by
+ * josephus_inverse_cdf, a guide-table lookup giving exactly the index
+ * np.searchsorted(cdf, u, side="right") returns (see
  * simulate._inverse_cdf), clipped to N-1.  Each trial's two sums are
- * updated as numpy's `+=` of `d/N - mean` and `d/N - 0.5` round them.
- * simulate._CltSums allocates the sums and the scratch (CDF, guide,
- * uniforms, draws) once per experiment, sized for the longest row, and
- * checks each row's dtype, shape and length before the call for that N.
+ * updated as numpy's `+=` of `d/N - mean` and `d/N - 0.5` round them, in
+ * N order, so the sums do not depend on the split.  simulate._CltSums
+ * allocates the sums and each slice's scratch (CDF, guide, uniforms, draws)
+ * once per experiment, sized for the longest row, checks each row's dtype,
+ * shape and length, and hands the rows over in batches: the calling thread
+ * runs slice 0 and one persistent thread each other slice.
  *
  * Phi: josephus_ndtr is the Cephes ndtr that scipy.special.ndtr runs, so
  * analysis._ks_normal gives scipy.stats.kstest's statistic bit for bit
@@ -77,14 +81,17 @@ static void philox4x64_10(uint64_t ctr, uint64_t key, uint64_t out[4])
     out[3] = x3;
 }
 
-/* The first k uniforms of stream (seed, index) into u[0..k-1]. */
-void josephus_uniforms(uint64_t seed, uint64_t index, int64_t k, double *u)
+/* Uniforms first .. first+k-1 of stream (seed, index) into u[0..k-1]:
+ * uniform i is lane i mod 4 of the block of counter i/4 + 1, so a reader
+ * can start anywhere in the stream. */
+void josephus_uniforms(uint64_t seed, uint64_t index, uint64_t first, int64_t k, double *u)
 {
     uint64_t key = splitmix64(seed, index), block[4];
-    for (int64_t i = 0; i < k; i += 4) {
-        philox4x64_10((uint64_t)(i / 4) + 1, key, block);
-        for (int64_t j = 0; j < 4 && i + j < k; j++)
-            u[i + j] = (double)(block[j] >> 11) * 0x1.0p-53;
+    for (int64_t j = 0; j < k;) {
+        uint64_t i = first + (uint64_t)j;
+        philox4x64_10(i / 4 + 1, key, block);
+        for (uint64_t lane = i % 4; lane < 4 && j < k; lane++)
+            u[j++] = (double)(block[lane] >> 11) * 0x1.0p-53;
     }
 }
 
@@ -131,7 +138,7 @@ void josephus_sample(int kind, int64_t n, double p, double q, uint64_t seed,
         return;
     }
     for (int64_t i = 0; i < count; i++) {
-        josephus_uniforms(seed, first + (uint64_t)i, k, u);
+        josephus_uniforms(seed, first + (uint64_t)i, 0, k, u);
         counts[josephus_walk(kind, n, p, q, u)]++;
     }
 }
@@ -159,24 +166,31 @@ void josephus_inverse_cdf(int64_t n, const double *cdf, int64_t m, const double 
     }
 }
 
-/* One N of the CLT ensemble.  cdf[0..n-1] becomes the prefix sum of
- * row[0..n-1], summed in order as np.cumsum sums it; u[] the first `trials`
- * uniforms of stream (seed, n) and draws[] their lookups in cdf.  Trial i
- * clips draws[i] to n-1 as d, then adds d/n - mean to centered[i] and
- * d/n - 0.5 to mid[i].  guide holds at least K entries. */
-void josephus_clt_draws(uint64_t seed, int64_t n, const double *row, double mean,
-                        int64_t trials, double *cdf, int64_t *guide, double *u,
-                        int64_t *draws, double *centered, double *mid)
+/* Trials t0 .. t1-1 of a batch of rows of the CLT ensemble.  Row r holds
+ * the ns[r] doubles at rows[r], of mean means[r].  Per row, cdf[0..n-1]
+ * becomes its prefix sum, summed in order as np.cumsum sums it; u[] the
+ * uniforms t0 .. t1-1 of stream (seed, n) and draws[] their lookups in
+ * cdf.  Trial i clips its draw to n-1 as d, then adds d/n - mean to
+ * centered[i] and d/n - 0.5 to mid[i].  cdf holds the longest row, guide at
+ * least its K entries, u and draws t1 - t0 entries each. */
+void josephus_clt_batch(uint64_t seed, int64_t nrows, const int64_t *ns,
+                        const double *const *rows, const double *means, int64_t t0,
+                        int64_t t1, double *cdf, int64_t *guide, double *u, int64_t *draws,
+                        double *centered, double *mid)
 {
-    cdf[0] = row[0];
-    for (int64_t d = 1; d < n; d++)
-        cdf[d] = cdf[d - 1] + row[d];
-    josephus_uniforms(seed, (uint64_t)n, trials, u);
-    josephus_inverse_cdf(n, cdf, trials, u, guide, draws);
-    for (int64_t i = 0; i < trials; i++) {
-        double x = (double)(draws[i] < n ? draws[i] : n - 1) / (double)n;
-        centered[i] += x - mean;
-        mid[i] += x - 0.5;
+    for (int64_t r = 0; r < nrows; r++) {
+        int64_t n = ns[r];
+        const double *row = rows[r];
+        cdf[0] = row[0];
+        for (int64_t d = 1; d < n; d++)
+            cdf[d] = cdf[d - 1] + row[d];
+        josephus_uniforms(seed, (uint64_t)n, (uint64_t)t0, t1 - t0, u);
+        josephus_inverse_cdf(n, cdf, t1 - t0, u, guide, draws);
+        for (int64_t i = t0; i < t1; i++) {
+            double x = (double)(draws[i - t0] < n ? draws[i - t0] : n - 1) / (double)n;
+            centered[i] += x - means[r];
+            mid[i] += x - 0.5;
+        }
     }
 }
 

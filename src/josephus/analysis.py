@@ -553,10 +553,11 @@ def clt_experiment(
     inverse-CDF from the exact row, using the per-N stream
     splitmix64(seed, N), so results are independent of evaluation order.
     The draws run in the compiled kernel through one ``simulate._CltSums``
-    per experiment.  The Kolmogorov-Smirnov distance of the normalised trial
-    sums to the standard normal is computed for both centerings by
-    ``_ks_normal``: the empirical CDF of the sorted sums against the
-    kernel's Phi, the statistic of SciPy's ``kstest`` bit for bit.
+    per experiment, which splits the trials across the usable CPUs; the
+    sums are the same for any split.  The Kolmogorov-Smirnov distance of the
+    normalised trial sums to the standard normal is computed for both
+    centerings by ``_ks_normal``: the empirical CDF of the sorted sums
+    against the kernel's Phi, the statistic of SciPy's ``kstest`` bit for bit.
     """
     if trials < 1000:
         raise DomainError(f"the trial ensemble needs trials >= 1000, got {trials}")
@@ -568,10 +569,13 @@ def clt_experiment(
     v, w = np.zeros(l_max + 1), np.zeros(l_max + 1)
     e1_sum = 0.0
     sums = simulate._CltSums(seed, l_max, trials)
-    for n, row in dp.r1_rows(l_max, 0.5):
-        mean, v[n], w[n] = _central_moments(np.arange(n) / n, row)
-        e1_sum += 0.5 - mean
-        sums.add(row, mean)
+    try:
+        for n, row in dp.r1_rows(l_max, 0.5):
+            mean, v[n], w[n] = _central_moments(np.arange(n) / n, row)
+            e1_sum += 0.5 - mean
+            sums.add(row, mean)
+    finally:
+        sums.close()
     # cumsum adds in order, so each prefix is the running sum over N bit for bit
     b_l = np.sqrt(np.cumsum(v)[grid])
     # Python's float ** (libm pow): numpy's array ** 3 rounds some values differently

@@ -142,6 +142,10 @@ def read_manifest(path: Path, allowed_keys: set[str]) -> tuple[list[str], list[t
             and isinstance(f.get("name"), str) and Path(f["name"]).name == f["name"]
             for f in files):
         raise DomainError("manifest files must each give a plain file name and its sha256")
+    names = [f["name"] for f in files]
+    if len(set(names)) < len(names):  # rerun moves each file into place once
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise DomainError(f"manifest files list {repeated!r} more than once")
     return argv, [(f["name"], f["sha256"]) for f in files]
 
 

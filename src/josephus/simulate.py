@@ -20,6 +20,10 @@ is the package's only copy of that stream, and the tests hold it to a
 numpy reference.  The kernel also runs ``analysis.clt_experiment``'s trial
 draws and the normal CDF of its Kolmogorov-Smirnov distances, a port of the
 Cephes ``ndtr`` that the tests hold to ``scipy.special.ndtr`` bit for bit.
+The trials, too, are split into contiguous slices, one per CPU: the DP rows
+are handed over in batches, the calling thread runs slice 0 of each, and
+memory is bounded by one queued batch per thread.  Each trial adds its
+draws in N order, so the sums do not depend on the split.
 Only this module knows its ABI: the typed entries ``_uniforms``, ``_walk``,
 ``_sample_counts``, ``_inverse_cdf``, ``_CltSums`` and ``_ndtr`` are the
 only callers of ``_kernel()``, which compiles it with gcc on first use and
@@ -279,7 +283,7 @@ def _kernel():
             c_int, c_i64, c_u64, c_f64 = (ctypes.c_int, ctypes.c_int64, ctypes.c_uint64,
                                           ctypes.c_double)
             rule = [c_int, c_i64, c_f64, c_f64]  # kind, n, p, q
-            lib.josephus_uniforms.argtypes = [c_u64, c_u64, c_i64, f64]
+            lib.josephus_uniforms.argtypes = [c_u64, c_u64, c_u64, c_i64, f64]
             lib.josephus_uniforms.restype = None
             lib.josephus_walk.argtypes = [*rule, f64]
             lib.josephus_walk.restype = c_i64
@@ -290,8 +294,9 @@ def _kernel():
             lib.josephus_ndtr.argtypes = [c_i64, f64, f64]
             lib.josephus_ndtr.restype = None
             ptr = ctypes.c_void_p  # _CltSums allocates its buffers and checks each row itself
-            lib.josephus_clt_draws.argtypes = [c_u64, c_i64, ptr, c_f64, c_i64, *[ptr] * 6]
-            lib.josephus_clt_draws.restype = None
+            lib.josephus_clt_batch.argtypes = [c_u64, c_i64, *[ptr] * 3, c_i64, c_i64,
+                                               *[ptr] * 6]
+            lib.josephus_clt_batch.restype = None
             _kernel_lib = lib
     return _kernel_lib
 
@@ -317,10 +322,10 @@ def _stream_length(rule: RuleSpec, n: int) -> int:
     return (2 if rule.kind is RuleKind.R3 else 1) * (n - 1)
 
 
-def _uniforms(seed: int, index: int, k: int) -> np.ndarray:
-    """The first ``k`` uniforms of stream ``index`` of ``seed``, as the kernel draws them."""
+def _uniforms(seed: int, index: int, k: int, first: int = 0) -> np.ndarray:
+    """Uniforms ``first .. first+k-1`` of stream ``index`` of ``seed``, as the kernel draws them."""
     u = np.empty(k)
-    _kernel().josephus_uniforms(int(seed) & _MASK64, index & _MASK64, k, u)
+    _kernel().josephus_uniforms(int(seed) & _MASK64, index & _MASK64, first & _MASK64, k, u)
     return u
 
 
@@ -415,31 +420,57 @@ def _ndtr(x) -> np.ndarray:
 class _CltSums:
     """The two trial sums of one CLT experiment, to which the kernel adds each N's draws.
 
-    Once per experiment it loads the kernel, reduces the seed and sizes
-    every buffer C fills from ``l_max`` and ``trials``: the sums ``centered``
-    and ``mid``, the CDF scratch ``cdf`` and the guide table, which serve
-    every shorter row, and the per-trial uniforms and draws.  C gets them as
-    raw pointers; ``add`` checks the row.
+    The trials fall into W = min(CPUs, trials) contiguous slices.  Once per
+    experiment it loads the kernel, reduces the seed, sizes every buffer C
+    fills from ``l_max`` and ``trials`` (the sums ``centered`` and ``mid``,
+    and per slice a CDF scratch, which serves every shorter row, a guide
+    table and the slice's uniforms and draws) and starts W-1 threads, one per
+    slice but the first.  ``add`` checks each row and collects the rows into
+    batches of at least ``_BATCH_CELLS`` entries; each full batch goes to
+    every thread through a one-batch queue, and the calling thread then runs
+    slice 0 on it, so at most one batch per thread waits in memory.  ctypes
+    releases the GIL for each kernel call.  Each trial adds its draws in N
+    order, so the sums are the same for any W.  ``close`` flushes the last
+    batch and joins the threads; ``centered`` and ``mid`` are complete only
+    after it.  ``cdf`` is slice 0's scratch: after ``flush`` it holds the
+    last row's CDF.
     """
 
+    _BATCH_CELLS = 1 << 15
+
     def __init__(self, seed: int, l_max: int, trials: int):
-        self._draws = _kernel().josephus_clt_draws
+        import queue  # only the CLT threads use it, so importing josephus does not load it
+
+        self._batch = _kernel().josephus_clt_batch
         self._seed = int(seed) & _MASK64
-        self._l_max, self._trials = l_max, trials
-        self.cdf, self.centered, self.mid = np.empty(l_max), np.zeros(trials), np.zeros(trials)
-        # C holds raw pointers, so the entry keeps its buffers alive
-        self._buffers = (self.cdf, _guide(l_max), np.empty(trials),
-                         np.empty(trials, dtype=np.int64), self.centered, self.mid)
-        self._pointers = [a.ctypes.data for a in self._buffers]
+        self._l_max = l_max
+        self.centered, self.mid = np.zeros(trials), np.zeros(trials)
+        w = min(_cpus(), trials)
+        self._slices = []  # C holds raw pointers, so each slice keeps its scratch alive
+        for i in range(w):
+            t0, t1 = trials * i // w, trials * (i + 1) // w
+            scratch = (np.empty(l_max), _guide(l_max), np.empty(t1 - t0),
+                       np.empty(t1 - t0, dtype=np.int64), self.centered, self.mid)
+            self._slices.append((t0, t1, scratch, [a.ctypes.data for a in scratch]))
+        self.cdf = self._slices[0][2][0]
+        self._rows, self._means, self._cells = [], [], 0
+        self._errors = []
+        self._queues = [queue.Queue(1) for _ in range(1, w)]
+        # daemon: an experiment left unclosed must not hold the interpreter open
+        self._threads = [threading.Thread(target=self._work, args=(i, q), daemon=True)
+                         for i, q in enumerate(self._queues, start=1)]
+        for t in self._threads:
+            t.start()
 
     def add(self, row, mean: float) -> None:
         """Add the draws of N = ``len(row)`` from the DP row ``row``.
 
-        C writes ``np.cumsum(row)`` into ``cdf[:N]``.  Trial i clips d, the
-        lookup of uniform i of stream (seed, N) in it, to N-1, then adds
-        d/N - mean to ``centered[i]`` and d/N - 0.5 to ``mid[i]``, each
-        rounded as numpy's ``+=`` rounds it.  C reads N doubles of ``row``,
-        so it must be 1-D, float64 and C-contiguous with 1 <= N <= l_max.
+        C writes ``np.cumsum(row)`` into each slice's CDF scratch.  Trial i
+        clips d, the lookup of uniform i of stream (seed, N) in it, to N-1,
+        then adds d/N - mean to ``centered[i]`` and d/N - 0.5 to ``mid[i]``,
+        each rounded as numpy's ``+=`` rounds it.  C reads N doubles of
+        ``row``, so it must be 1-D, float64 and C-contiguous with
+        1 <= N <= l_max; the batch keeps it alive until every slice has read it.
         """
         if not (isinstance(row, np.ndarray) and row.dtype == np.float64 and row.ndim == 1
                 and row.flags.c_contiguous and 1 <= len(row) <= self._l_max):
@@ -447,7 +478,53 @@ class _CltSums:
                 f"a CLT row must be a 1-D C-contiguous float64 array of 1 to {self._l_max} "
                 f"entries, got {getattr(row, 'dtype', type(row).__name__)} of shape "
                 f"{np.shape(row)}")
-        self._draws(self._seed, len(row), row.ctypes.data, mean, self._trials, *self._pointers)
+        self._rows.append(row)
+        self._means.append(mean)
+        self._cells += len(row)
+        if self._cells >= self._BATCH_CELLS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Hand the open batch to every thread, then run slice 0 on it here."""
+        if not self._rows:
+            return
+        rows, means = self._rows, self._means
+        self._rows, self._means, self._cells = [], [], 0
+        batch = (rows, np.array([len(r) for r in rows], dtype=np.int64),
+                 np.array([r.ctypes.data for r in rows], dtype=np.uintp),
+                 np.array(means, dtype=np.float64))
+        for q in self._queues:
+            q.put(batch)
+        self._run(0, batch)
+
+    def close(self) -> None:
+        """Flush the last batch, stop and join every thread, then raise the first thread error."""
+        try:
+            self.flush()
+        finally:
+            for q in self._queues:
+                q.put(None)
+            for t in self._threads:
+                t.join()
+            self._queues, self._threads = [], []
+        if self._errors:
+            raise self._errors[0]
+
+    def _run(self, i: int, batch) -> None:
+        t0, t1, _, pointers = self._slices[i]
+        _, ns, rows, means = batch
+        self._batch(self._seed, len(ns), ns.ctypes.data, rows.ctypes.data, means.ctypes.data,
+                    t0, t1, *pointers)
+
+    def _work(self, i: int, q) -> None:
+        """Slice ``i``'s thread: run each batch until ``None``; after an error, only drain."""
+        try:
+            while (batch := q.get()) is not None:
+                self._run(i, batch)
+        except BaseException as exc:  # re-raised by close, after every join
+            self._errors.append(exc)
+            while q.get() is not None:  # so that the producer never blocks on this queue
+                pass
 
 
 def sample_survivor(rule: RuleSpec, n: int, seed: int, stream_index: int = 0) -> int:

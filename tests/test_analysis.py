@@ -455,6 +455,7 @@ def test_clt_kernel_pass_clips_to_last_label(row, clips):
     x = np.clip(draws, 0, n - 1) / n
     expected = sums.centered + (x - mean), sums.mid + (x - 0.5)
     sums.add(row, mean)
+    sums.close()
     assert np.array_equal(sums.centered, expected[0])
     assert np.array_equal(sums.mid, expected[1])
 
@@ -469,7 +470,9 @@ def test_clt_kernel_cdf_is_the_numpy_prefix_sum(l_max, rows):
     sums = simulate._CltSums(7, l_max, 1000)
     for n, row in rows():
         sums.add(row, 0.5)
+        sums.flush()  # slice 0 runs the batch on this thread, in its own scratch
         assert np.cumsum(row).tobytes() == sums.cdf[:n].tobytes(), n
+    sums.close()
 
 
 @pytest.mark.parametrize("l_max", [10, 300, 1000])

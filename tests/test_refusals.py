@@ -21,7 +21,7 @@ def _read_manifest(text: str):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "run.manifest.json")
         path.write_text(text)
-        return io.read_manifest(path, set())
+        return io.read_manifest(path, {"argv"})
 
 
 @pytest.mark.parametrize("call, error, named", [
@@ -45,6 +45,10 @@ def _read_manifest(text: str):
     (lambda: simulate._sample_counts(R1H, 5, 0, 0, -3), DomainError, "got -3"),
     (lambda: simulate._sample_counts(R1H, 1, 0, 0, 3), DomainError, "got N=1"),
     (lambda: _read_manifest('{"config": {"schema": 99}}'), DomainError, "got 99"),
+    (lambda: _read_manifest('{"config": {"schema": 1, "argv": ["det"]}, "files": ['
+                            '{"name": "a.csv", "sha256": ""}, {"name": "b.csv", "sha256": ""}, '
+                            '{"name": "a.csv", "sha256": ""}]}'),
+     DomainError, "'a.csv' more than once"),
     (lambda: analysis.concentration_mass(UNIFORM5, -0.1), DomainError, "got -0.1"),
     (lambda: analysis.concentration_mass(UNIFORM5, float("nan")), DomainError, "got nan"),
     (lambda: analysis.concentration_mass(UNIFORM5, float("inf")), DomainError, "got inf"),
@@ -56,8 +60,9 @@ def _read_manifest(text: str):
     "unbiased_alpha_1", "second_moment_l_max_99", "clt_l_max_9", "total_variation_n",
     "r1_without_p", "r1_negative_zero", "r1_rows_negative_zero", "initial_state_0",
     "stream_index_negative", "empirical_n_1", "sample_counts_negative", "sample_counts_n_1",
-    "config_schema", "concentration_negative", "concentration_nan", "concentration_inf",
-    "process_state_dead_knife", "process_state_direction_0", "run_path_too_few_coins",
+    "config_schema", "manifest_file_repeated", "concentration_negative", "concentration_nan",
+    "concentration_inf", "process_state_dead_knife", "process_state_direction_0",
+    "run_path_too_few_coins",
 ])
 def test_library_refusal(call, error, named):
     with pytest.raises(error, match=named.replace(".", r"\.")):

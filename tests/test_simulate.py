@@ -3,15 +3,17 @@
 import math
 import os
 import shutil
+import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from stream_reference import stream
+from stream_reference import splitmix64, stream
 
-from josephus import dp, simulate
+from josephus import analysis, dp, simulate
 from josephus.deterministic import survivor_closed_form
 from josephus.errors import DomainError, InvalidStateError, KernelBuildError
 from josephus.rules import RuleSpec
@@ -209,6 +211,7 @@ def test_clt_sums_refuse_a_row_c_cannot_read(row):
     sums = simulate._CltSums(0, 8, 1000)
     with pytest.raises(DomainError, match="1-D C-contiguous float64 array of 1 to 8"):
         sums.add(row, 0.5)
+    sums.close()
     assert not sums.centered.any() and not sums.mid.any()
 
 
@@ -239,6 +242,21 @@ def test_kernel_draws_equal_prng_stream(rule, seed):
             k = 2 * steps if two_coin else steps
             u = simulate._uniforms(seed, index, k)
             assert np.array_equal(u, stream(seed, index).random(k)), (index, steps)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_uniforms_from_an_offset_are_that_slice_of_the_stream(seed):
+    # uniform i is lane i mod 4 of Philox block i/4 + 1, so a CLT trial slice
+    # may start inside a block; advance(m) skips m blocks of the reference
+    full = stream(seed, 999).random(30)
+    for first in range(10):
+        for k in (1, 3, 4, 5, 20):
+            assert np.array_equal(simulate._uniforms(seed, 999, k, first), full[first:first + k])
+    bit_generator = np.random.Philox(key=splitmix64(seed, 999))
+    bit_generator.advance(2**38)
+    far = np.random.Generator(bit_generator).random(9)
+    for lane in range(4):
+        assert np.array_equal(simulate._uniforms(seed, 999, 9 - lane, 2**40 + lane), far[lane:])
 
 
 def _ndtr_edges() -> np.ndarray:
@@ -354,7 +372,7 @@ def test_kernel_argtypes_match_the_exported_prototypes():
                             flags=re.MULTILINE)
     assert {name for name, _ in prototypes} == {
         "josephus_uniforms", "josephus_walk", "josephus_sample", "josephus_inverse_cdf",
-        "josephus_clt_draws", "josephus_ndtr"}
+        "josephus_clt_batch", "josephus_ndtr"}
     lib = simulate._kernel()
     for name, params in prototypes:
         assert len(getattr(lib, name).argtypes) == len(params.split(",")), name
@@ -374,8 +392,9 @@ simulate._kernel_lib = None
 # corners, stream lengths across Philox blocks, uniforms at 0, 1 - 2^-53 and
 # the bucket edges j/K, partial last blocks, CLT rows up to l_max at a power of
 # two and one past it, and clipped CLT draws; 1001 and 1003 trials fill the
-# CLT uniforms and draws scratch to its last, partial Philox block; Phi on an
-# empty array and on every branch edge of the Cephes ndtr
+# CLT uniforms and draws scratch to its last, partial Philox block, and their
+# three trial slices start off the 4-word blocks; Phi on an empty array and on
+# every branch edge of the Cephes ndtr
 _SANITIZED_ENTRIES = """
 os.sched_getaffinity = lambda pid: {0, 1, 2}  # the split path runs even on one CPU
 rules = [RuleSpec.r1(p) for p in (0, 0.5, 1)] + [RuleSpec.r2(p) for p in (0, 0.3, 1)]
@@ -388,7 +407,8 @@ for rule in rules:
         for u in (np.zeros(k), np.full(k, 1 - 2**-53), simulate._uniforms(3, n, k)):
             simulate._walk(rule, n, u)
 for k in range(1, 10):
-    simulate._uniforms(7, 2**40, k)
+    for first in (0, 3, 2**40 + 1):
+        simulate._uniforms(7, 2**40, k, first)
 for n in (1, 2, 3, 5, 8, 9, 300):
     cdf = np.cumsum(np.full(n, 1 / n))
     k = len(simulate._guide(n))
@@ -400,7 +420,8 @@ for trials in (1001, 1003):
         for n in range(1, l_max + 1):
             sums.add(np.full(n, 1 / n), 0.5)
         sums.add(np.array([0.1, 0.1, 0.0, 0.3]), 0.3)  # sums to 1/2: half the draws clip
-analysis.clt_experiment(40, 1003, 5)
+        sums.close()
+    analysis.clt_experiment(300, trials, 5)  # rows of more than one batch
 simulate._ndtr(np.array([]))
 simulate._ndtr(np.frombuffer(bytes.fromhex(sys.argv[2])))  # _ndtr_edges()
 """
@@ -592,11 +613,14 @@ def test_one_cpu_or_one_sample_starts_no_thread(monkeypatch):
         raise AssertionError("a thread was started")
 
     survivor, counts = sample_survivor(R1H, 30, 5, 3), simulate._sample_counts(R1H, 30, 5, 0, 9)
+    clt = _clt_sums(40, 1000, 5)
     monkeypatch.setattr(simulate.threading, "Thread", no_thread)
     _with_cpus(monkeypatch, 4)
     assert sample_survivor(R1H, 30, 5, 3) == survivor
     _with_cpus(monkeypatch, 1)
     assert np.array_equal(simulate._sample_counts(R1H, 30, 5, 0, 9), counts)
+    for got, want in zip(_clt_sums(40, 1000, 5), clt):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("failing", [0, 1, 2])
@@ -617,6 +641,73 @@ def test_a_failing_chunk_reaches_the_caller(failing, monkeypatch):
     with pytest.raises(RuntimeError, match=f"chunk {failing} failed"):
         simulate._sample_counts(R1H, 30, 5, 0, 9)
     assert sorted(started) == [0, 3, 6]
+
+
+def _clt_sums(l_max: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The raw trial sums ``centered`` and ``mid`` over the unbiased rows N = 3..l_max."""
+    sums = simulate._CltSums(seed, l_max, trials)
+    try:
+        for n, row in dp.r1_rows(l_max, 0.5):
+            sums.add(row, float(np.dot(np.arange(n) / n, row)))
+    finally:
+        sums.close()
+    return sums.centered, sums.mid
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("trials", [1001, 1003])
+def test_clt_sums_at_any_cpu_count_equal_one_cpu_sums(trials, seed, monkeypatch):
+    # each trial adds its draws in N order whatever slice holds it; the slices
+    # start off the 4-word Philox blocks, and the rows of l_max = 300 fill two
+    # batches; a short switch interval interleaves the threads more often
+    _with_cpus(monkeypatch, 1)
+    expected = _clt_sums(300, trials, seed)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cpus in (2, 3, 5):
+            _with_cpus(monkeypatch, cpus)
+            for got, want in zip(_clt_sums(300, trials, seed), expected):
+                assert got.tobytes() == want.tobytes(), cpus
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_a_failing_clt_slice_reaches_the_caller_after_every_join(failing, monkeypatch):
+    # the rows of l_max = 300 fill two batches; a failed thread drains the
+    # second without running it, so the experiment ends, and the error comes
+    # back once no thread is left
+    real = simulate._kernel().josephus_clt_batch
+    starts = [1001 * i // 3 for i in range(3)]
+    calls = []
+
+    def batch(seed, nrows, ns, rows, means, t0, *rest):
+        calls.append(t0)
+        if t0 == starts[failing]:
+            raise RuntimeError(f"slice {failing} failed")
+        real(seed, nrows, ns, rows, means, t0, *rest)
+
+    monkeypatch.setattr(simulate, "_kernel", lambda: SimpleNamespace(josephus_clt_batch=batch))
+    _with_cpus(monkeypatch, 3)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"slice {failing} failed"):
+        analysis.clt_experiment(300, 1001, 0)
+    assert threading.active_count() == threads
+    # slice 0 fails on the calling thread, in the first batch, and no second batch is made
+    runs = 1 if failing == 0 else 2
+    assert [calls.count(t0) for t0 in starts] == [1 if i == failing else runs for i in range(3)]
+
+
+def test_a_refused_clt_row_leaves_no_thread_behind(monkeypatch):
+    rows = list(dp.r1_rows(300, 0.5))
+    rows[277] = (280, rows[277][1].astype(np.float32))  # after the first batch
+    monkeypatch.setattr(dp, "r1_rows", lambda n_max, p: iter(rows))
+    _with_cpus(monkeypatch, 3)
+    threads = threading.active_count()
+    with pytest.raises(DomainError, match="got float32 of shape"):
+        analysis.clt_experiment(300, 1001, 0)
+    assert threading.active_count() == threads
 
 
 @pytest.mark.slow
