@@ -78,6 +78,13 @@ MUTANTS = [
     Mutant("clt-trial-slice-start", "src/josephus/simulate.py",
            "t0, t1 = trials * i // w,", "t0, t1 = trials * i // w + 1,",
            ("tests/test_simulate.py::test_clt_sums_at_any_cpu_count_equal_one_cpu_sums",)),
+    Mutant("r2-knife-against-victim", "src/josephus/dp.py",
+           "_rows(n_max, p, 1, 0, p)", "_rows(n_max, p, 0, 1, p)",
+           ("tests/test_dp.py::test_r2_rows_match_the_frozen_recursion_bit_for_bit",
+            "tests/test_oracle.py::test_r2_oracle_equals_dp_to_n10")),
+    Mutant("csv-float-digits", "src/josephus/io.py",
+           'return "%.17g" if', 'return "%.16g" if',
+           ("tests/test_golden_digests.py::test_output_bytes_match_the_committed_digests",)),
 ]
 
 

@@ -1,11 +1,12 @@
 """Exact dynamic programming for survival-probability vectors.
 
-Each rule admits one relabeling recursion expressing the round-N vector in
-terms of the round-(N-1) vector, implemented once per rule by the
-``*_rows`` generators; iterating from the three-person base case costs
-O(N^2) time and O(N) working memory.  ``*_rows`` stream the full triangle
-row by row for sweep consumers; ``*_distribution`` return only the final
-vector.
+Two relabeling recursions express the round-N vector in terms of the
+round-(N-1) vector: r1's, whose flipped branch mirrors the circle, and
+the knife kernel ``_rows``, which r2 (the knife follows the victim) and
+r3 (the knife tosses its own coin) parameterise.  Iterating from the
+three-person base case costs O(N^2) time and O(N) working memory.
+``*_rows`` stream the full triangle row by row for sweep consumers;
+``*_distribution`` return only the final vector.
 
 Index arguments on the right-hand side of every recursion live in the
 (N-1)-person round and are reduced modulo N-1 before lookup; every lookup
@@ -84,45 +85,59 @@ def r1_rows(n_max: int, p: float) -> Iterator[tuple[int, np.ndarray]]:
         yield n, g
 
 
-def r2_rows(n_max: int, p: float) -> Iterator[tuple[int, np.ndarray]]:
-    """Stream (N, f_N) for the memoryless stab-right-with-probability-p rule.
+def _rows(n_max: int, p, q_r, q_l, k) -> Iterator[tuple[int, np.ndarray]]:
+    """Stream (N, h_N) for the knife-kernel recursion that r2 and r3 share.
 
-    The right-stab branch relabels participant j to j-2 except the old
-    holder, who becomes -1; the left-stab branch shifts every survivor to
-    j+1 mod N-1.  Both branches keep the counterclockwise orientation (this
-    rule never mirrors the circle).
-    """
-    _check_n(n_max)
-    _check_prob(p, "p")
-    q = 1 - p
-    f = np.array([0 * p, q, p], dtype=_row_dtype(p))
-    yield 3, f
-    for n in range(4, n_max + 1):
-        old = f
-        f = np.empty(n, dtype=old.dtype)
-        f[0] = p * old[n - 2] + q * old[1]
-        f[1] = q * old[2]
-        f[n - 1] = p * old[n - 3]
-        # interior: p f_{N-1}(n-2) + (1-p) f_{N-1}(n+1 mod N-1)
-        mid = f[2 : n - 1]
-        np.multiply(p, old[0 : n - 3], out=mid)
-        mid[: n - 4] += q * old[3 : n - 1]
-        mid[n - 4] += q * old[0]
-        yield n, f
-
-
-def r3_rows(n_max: int, p: float, q: float) -> Iterator[tuple[int, np.ndarray]]:
-    """Stream (N, h_N) for the two-coin rule (victim side p, knife side q).
-
-    Derived by conditioning on the first step's two independent coins and
-    mapping surviving labels into the (N-1)-round frame with the new knife
-    holder relabelled 0 and orientation preserved:
+    The victim is on the right with probability p; the knife then passes
+    right with probability q_r after a right victim, q_l after a left one
+    and k overall (only h_N(0) reads k).  Survivors map into the
+    (N-1)-round frame, new knife holder at 0, orientation kept:
 
     * victim right, pass right: j -> j-2 (old holder -> -1);
     * victim right, pass left:  old holder -> 1, j -> j for j >= 2,
       old N-1 -> 0, i.e. j -> j mod (N-1);
     * victim left,  pass right: j -> j-1 (old holder -> -1 via N-2);
     * victim left,  pass left:  j -> j+1 mod (N-1).
+
+    An interior pass after the first is skipped when its weight is 0: it
+    would add +0.0 to entries >= +0 and change no bit.
+    """
+    P, Q_r, Q_l, K = 1 - p, 1 - q_r, 1 - q_l, 1 - k
+    pq, pQ, Pq, PQ = p * q_r, p * Q_r, P * q_l, P * Q_l
+    h = np.array([0 * p, P, p], dtype=_row_dtype(p, q_r, q_l, k))
+    yield 3, h
+    for n in range(4, n_max + 1):
+        old = h
+        h = np.empty(n, dtype=old.dtype)
+        h[0] = k * old[n - 2] + K * old[1]
+        h[1] = P * (q_l * old[0] + Q_l * old[2])
+        h[n - 1] = p * (q_r * old[n - 3] + Q_r * old[0])
+        # interior j = 2..N-2: old[j-2], old[j mod N-1], old[j-1], old[j+1 mod N-1]
+        mid = h[2 : n - 1]
+        np.multiply(pq, old[0 : n - 3], out=mid)
+        if pQ:
+            mid += pQ * old[2 : n - 1]
+        if Pq:
+            mid += Pq * old[1 : n - 2]
+        if PQ:
+            mid[: n - 4] += PQ * old[3 : n - 1]
+            mid[n - 4] += PQ * old[0]
+        yield n, h
+
+
+def r2_rows(n_max: int, p: float) -> Iterator[tuple[int, np.ndarray]]:
+    """Stream (N, f_N) for the memoryless stab-right-with-probability-p rule.
+
+    The knife follows the victim: q_r = 1 and q_l = 0, as ints, so that
+    ``Fraction`` rows stay exact.
+    """
+    _check_n(n_max)
+    _check_prob(p, "p")
+    yield from _rows(n_max, p, 1, 0, p)
+
+
+def r3_rows(n_max: int, p: float, q: float) -> Iterator[tuple[int, np.ndarray]]:
+    """Stream (N, h_N) for the two-coin rule (victim side p, knife side q).
 
     Validated termwise against the exhaustive-enumeration oracle for all
     N up to the oracle's four-branch cap on a (p, q) grid before being
@@ -131,24 +146,7 @@ def r3_rows(n_max: int, p: float, q: float) -> Iterator[tuple[int, np.ndarray]]:
     _check_n(n_max)
     _check_prob(p, "p")
     _check_prob(q, "q")
-    pq, pQ, Pq, PQ = p * q, p * (1 - q), (1 - p) * q, (1 - p) * (1 - q)
-    h = np.array([0 * p, 1 - p, p], dtype=_row_dtype(p, q))
-    yield 3, h
-    for n in range(4, n_max + 1):
-        old = h
-        m = n - 1
-        h = np.empty(n, dtype=old.dtype)
-        h[0] = q * old[m - 1] + (1 - q) * old[1]
-        h[1] = (1 - p) * (q * old[0] + (1 - q) * old[2])
-        h[n - 1] = p * (q * old[m - 2] + (1 - q) * old[0])
-        # interior j = 2..N-2: old[j-2], old[j mod N-1], old[j-1], old[j+1 mod N-1]
-        mid = h[2 : n - 1]
-        np.multiply(pq, old[0 : n - 3], out=mid)
-        mid += pQ * old[2 : n - 1]
-        mid += Pq * old[1 : n - 2]
-        mid[: n - 4] += PQ * old[3 : n - 1]
-        mid[n - 4] += PQ * old[0]
-        yield n, h
+    yield from _rows(n_max, p, q, q, q)
 
 
 def rows_for_rule(rule: RuleSpec, n_max: int) -> Iterator[tuple[int, np.ndarray]]:

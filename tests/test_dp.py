@@ -103,6 +103,72 @@ def test_r3_slices_match_modular_gather(p, q):
         assert n == n2 and np.array_equal(row, ref)
 
 
+def _r2_rows_frozen(n_max, p):
+    # dp.r2_rows as written before r2 became a parameterisation of the r3
+    # recursion, as a reference for that fold
+    q = 1 - p
+    f = np.array([0 * p, q, p], dtype=object if isinstance(p, Fraction) else np.float64)
+    yield 3, f
+    for n in range(4, n_max + 1):
+        old = f
+        f = np.empty(n, dtype=old.dtype)
+        f[0] = p * old[n - 2] + q * old[1]
+        f[1] = q * old[2]
+        f[n - 1] = p * old[n - 3]
+        mid = f[2 : n - 1]
+        np.multiply(p, old[0 : n - 3], out=mid)
+        mid[: n - 4] += q * old[3 : n - 1]
+        mid[n - 4] += q * old[0]
+        yield n, f
+
+
+def _assert_rows_match_frozen_r2(n_max, p):
+    pairs = zip(_r2_rows_frozen(n_max, p), dp.r2_rows(n_max, p), strict=True)
+    for (n, ref), (n2, row) in pairs:
+        assert n == n2 and row.dtype == np.float64
+        assert np.array_equal(row.view(np.uint64), ref.view(np.uint64)), (p, n)
+
+
+@pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 0.1, 0.3, 0.4, 0.5, 1 / 3, 0.9, 1.0])
+def test_r2_rows_match_the_frozen_recursion_bit_for_bit(p):
+    _assert_rows_match_frozen_r2(2000, p)
+
+
+@pytest.mark.parametrize("p", [np.float32(0.3), 0, 1], ids=["float32", "int0", "int1"])
+def test_r2_rows_match_the_frozen_recursion_for_non_float_p(p):
+    _assert_rows_match_frozen_r2(300, p)
+
+
+def test_r2_rational_rows_match_the_frozen_recursion():
+    *_, (n, ref) = _r2_rows_frozen(40, Fraction(2, 5))
+    exact = dp.r2_distribution_exact(40, Fraction(2, 5))
+    assert n == 40 and exact == list(ref)
+    assert all(type(x) is Fraction for x in exact)
+
+
+def _mirrored(row):
+    return row[(-np.arange(len(row))) % len(row)]
+
+
+def test_r2_reflection_is_bit_exact_where_one_minus_p_is_exact():
+    # f_N^(p)(n) = f_N^(1-p)(-n mod N): mirroring the circle swaps the sides
+    for (n, row), (_, flipped) in zip(dp.r2_rows(2000, 0.4), dp.r2_rows(2000, 1 - 0.4)):
+        assert np.array_equal(row.view(np.uint64), _mirrored(flipped).view(np.uint64)), n
+
+
+@pytest.mark.parametrize("p", [0.1, 0.3])
+def test_r2_reflection_holds_to_rounding(p):
+    for (n, row), (_, flipped) in zip(dp.r2_rows(2000, p), dp.r2_rows(2000, 1 - p)):
+        np.testing.assert_allclose(row, _mirrored(flipped), rtol=1e-12, atol=0, err_msg=str(n))
+
+
+@pytest.mark.parametrize("p,q", [(0.3, 0.8), (0.1, 0.5), (0.65, 0.2)])
+def test_r3_reflection_swaps_both_coins(p, q):
+    # h_N^(p,q)(n) = h_N^(1-p,1-q)(-n mod N)
+    for (n, row), (_, flipped) in zip(dp.r3_rows(800, p, q), dp.r3_rows(800, 1 - p, 1 - q)):
+        np.testing.assert_allclose(row, _mirrored(flipped), rtol=0, atol=1e-14, err_msg=str(n))
+
+
 def test_r3_fully_unbiased_mirror_symmetry():
     for n in (4, 11, 40):
         probs = dp.r3_distribution(n, 0.5, 0.5).probs
