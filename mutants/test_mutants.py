@@ -48,8 +48,16 @@ MUTANTS = [
            "columns[:, n - n_min] =", "columns[:, n - n_min + 1] =",
            ("tests/test_analysis.py::test_moment_report_records",)),
     Mutant("walk-r1-coin", "src/josephus/_sampler.c",
-           "s = u[t] < p ? ahead : m - 2 - s;", "s = u[t] <= p ? ahead : m - 2 - s;",
+           "s = pick(u[n - m] < p, ahead, m - 2 - s);",
+           "s = pick(u[n - m] <= p, ahead, m - 2 - s);",
            ("tests/test_simulate.py::test_backward_engine_matches_forward_paths",)),
+    Mutant("walk-r2-labels-swapped", "src/josephus/_sampler.c",
+           "s = pick(u[n - m] < p, ahead, back);", "s = pick(u[n - m] < p, back, ahead);",
+           ("tests/test_simulate.py::test_walk_matches_forward_paths_on_every_coin_sequence",)),
+    Mutant("walk-r3-knife-labels-swapped", "src/josephus/_sampler.c",
+           "pick(knife, s + 2 == m ? 0 : s + 2, s == 0 ? m - 1 : s == 1 ? 0 : s)",
+           "pick(knife, s == 0 ? m - 1 : s == 1 ? 0 : s, s + 2 == m ? 0 : s + 2)",
+           ("tests/test_simulate.py::test_walk_matches_forward_paths_on_every_coin_sequence",)),
     Mutant("manifest-command-stamp", "src/josephus/cli.py",
            '"command": ctx.info_name, ', "",
            ("tests/test_cli.py::test_rerun_round_trip_of_every_writing_command",)),

@@ -16,7 +16,10 @@
  * holder of the last two-person round (see simulate).  It reads each step's
  * coins straight from the sample's uniforms: a coin is u < p, as np.less
  * thresholds it.  r1 and r2 read one uniform per step; r3 reads a
- * (victim, knife) pair per step.  There are no coin buffers.
+ * (victim, knife) pair per step.  There are no coin buffers.  Each coin
+ * picks the next label by a mask, not by a jump: every label the coins may
+ * choose is computed first, since a jump on a fair coin is mispredicted
+ * half the time and cost more than the Philox uniform it reads.
  *
  * CLT draws: the trials are split into contiguous slices, and
  * josephus_clt_batch runs one slice over a batch of DP rows.  Per row it
@@ -95,25 +98,43 @@ void josephus_uniforms(uint64_t seed, uint64_t index, uint64_t first, int64_t k,
     }
 }
 
+/* a if c else b, by a mask rather than a jump (see Walk above). */
+static inline int64_t pick(int c, int64_t a, int64_t b)
+{
+    int64_t m = -(int64_t)c;
+    return (a & m) | (b & ~m);
+}
+
 /* Survivor of the sample whose uniforms are u: n-1 of them for r1 and r2,
  * 2(n-1) for r3.  Step t's coin is u[t] < p, or for r3 the victim coin
  * u[2t] < p and the knife coin u[2t+1] < q.  Round M = 3..N maps the
  * survivor's label s in the (M-1)-person frame back to the M-person frame,
- * reading step N-M. */
+ * reading step N-M.  Each rule has its own loop, which computes every
+ * label the round's coins may choose and picks one by pick(): with the
+ * kind test inside one loop, gcc -O3 turned the picks back into jumps. */
 int64_t josephus_walk(int kind, int64_t n, double p, double q, const double *u)
 {
     int64_t s = 0;
-    for (int64_t m = 3; m <= n; m++) {
-        int64_t t = n - m;
-        int64_t ahead = s + 2 == m ? 0 : s + 2;  /* victim right (pass right for r3) */
-        if (kind == R1)
-            s = u[t] < p ? ahead : m - 2 - s;  /* a flip mirrors the circle */
-        else if (kind == R2)
-            s = u[t] < p ? ahead : s == 0 ? m - 2 : s - 1;
-        else if (u[2 * t] < p)  /* r3, victim right; pass left: 0 -> M-1, 1 -> 0 */
-            s = u[2 * t + 1] < q ? ahead : s == 0 ? m - 1 : s == 1 ? 0 : s;
-        else  /* r3, victim left: pass right s -> s+1, pass left s -> s-1, mod M-1 */
-            s = u[2 * t + 1] < q ? (s + 1 == m - 1 ? 0 : s + 1) : s == 0 ? m - 2 : s - 1;
+    if (kind == R1) {
+        for (int64_t m = 3; m <= n; m++) {
+            int64_t ahead = s + 2 == m ? 0 : s + 2;  /* victim right */
+            s = pick(u[n - m] < p, ahead, m - 2 - s);  /* a flip mirrors the circle */
+        }
+    } else if (kind == R2) {
+        for (int64_t m = 3; m <= n; m++) {
+            int64_t ahead = s + 2 == m ? 0 : s + 2, back = s == 0 ? m - 2 : s - 1;
+            s = pick(u[n - m] < p, ahead, back);
+        }
+    } else {
+        for (int64_t m = 3; m <= n; m++) {
+            const double *c = u + 2 * (n - m);  /* (victim, knife) coins of step N-M */
+            int knife = c[1] < q;
+            /* victim right: pass right s -> s+2; pass left 0 -> M-1, 1 -> 0 */
+            int64_t right = pick(knife, s + 2 == m ? 0 : s + 2, s == 0 ? m - 1 : s == 1 ? 0 : s);
+            /* victim left: pass right s -> s+1, pass left s -> s-1, mod M-1 */
+            int64_t left = pick(knife, s + 1 == m - 1 ? 0 : s + 1, s == 0 ? m - 2 : s - 1);
+            s = pick(c[0] < p, right, left);
+        }
     }
     return s;
 }

@@ -99,7 +99,8 @@ def _rows(n_max: int, p, q_r, q_l, k) -> Iterator[tuple[int, np.ndarray]]:
     * victim left,  pass right: j -> j-1 (old holder -> -1 via N-2);
     * victim left,  pass left:  j -> j+1 mod (N-1).
 
-    An interior pass after the first is skipped when its weight is 0: it
+    An interior pass after the first is skipped when its weight is 0, and
+    so is an edge term of weight 0 (the other term's weight is then 1): it
     would add +0.0 to entries >= +0 and change no bit.
     """
     P, Q_r, Q_l, K = 1 - p, 1 - q_r, 1 - q_l, 1 - k
@@ -110,8 +111,8 @@ def _rows(n_max: int, p, q_r, q_l, k) -> Iterator[tuple[int, np.ndarray]]:
         old = h
         h = np.empty(n, dtype=old.dtype)
         h[0] = k * old[n - 2] + K * old[1]
-        h[1] = P * (q_l * old[0] + Q_l * old[2])
-        h[n - 1] = p * (q_r * old[n - 3] + Q_r * old[0])
+        h[1] = P * (q_l * old[0] + Q_l * old[2] if q_l else old[2])
+        h[n - 1] = p * (q_r * old[n - 3] + Q_r * old[0] if Q_r else old[n - 3])
         # interior j = 2..N-2: old[j-2], old[j mod N-1], old[j-1], old[j+1 mod N-1]
         mid = h[2 : n - 1]
         np.multiply(pq, old[0 : n - 3], out=mid)

@@ -1,5 +1,6 @@
 """Process state machine, seeded sampling, and Monte Carlo consistency."""
 
+import itertools
 import math
 import os
 import shutil
@@ -177,6 +178,27 @@ def test_backward_engine_matches_forward_paths(rule, n):
         if rule.kind.value == "r3":
             coins = list(zip(coins[0::2], coins[1::2]))
         assert _walk(rule, n, u) == run_path(rule, n, coins)
+
+
+@pytest.mark.parametrize(
+    "rule, n_max",
+    [(RuleSpec.r1(0.3), 10), (RuleSpec.r1(0.6), 10), (RuleSpec.r2(0.3), 10),
+     (RuleSpec.r2(0.6), 10), (RuleSpec.r3(0.4, 0.7), 6)],
+    ids=["r1-0.3", "r1-0.6", "r2-0.3", "r2-0.6", "r3"],
+)
+def test_walk_matches_forward_paths_on_every_coin_sequence(rule, n_max):
+    # every coin sequence at every N <= n_max, so the walk meets each wrap of
+    # its labels (s == 0, s == 1, s + 2 == M, s + 1 == M - 1) under each coin;
+    # a true coin is the uniform one ulp below its threshold, a false one the
+    # threshold itself
+    thresholds = [rule.p, rule.q] if rule.kind.value == "r3" else [rule.p]
+    for n in range(2, n_max + 1):
+        at = np.resize(np.array(thresholds, dtype=float), len(thresholds) * (n - 1))
+        for coins in itertools.product((True, False), repeat=at.size):
+            u = np.where(coins, np.nextafter(at, 0.0), at)
+            if len(thresholds) == 2:
+                coins = list(zip(coins[0::2], coins[1::2]))
+            assert _walk(rule, n, u) == run_path(rule, n, coins)
 
 
 def test_walk_refuses_coins_of_the_wrong_shape():
