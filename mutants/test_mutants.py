@@ -62,8 +62,20 @@ MUTANTS = [
            '"command": ctx.info_name, ', "",
            ("tests/test_cli.py::test_rerun_round_trip_of_every_writing_command",)),
     Mutant("figure-r2-gate", "src/josephus/cli.py",
-           "and samples is None\n", "and samples is not None\n",
+           'if variant == "r2" and samples is None:', 'if variant == "r2" and samples is not None:',
            ("tests/test_cli.py::test_figure_r2_exits_3_on_a_stray_argmax",)),
+    Mutant("r2-argmax-tolerance", "src/josephus/analysis.py",
+           "abs(argmax - target) <= 0.03 * n", "abs(argmax - target) <= 0.3 * n",
+           ("tests/test_analysis.py::test_r2_argmax_failures_allow_three_percent_of_n",)),
+    Mutant("clt-dkw-margin-dropped", "src/josephus/analysis.py",
+           "if ks > limit + margin:", "if ks > limit:",
+           ("tests/test_analysis.py::test_clt_ks_may_reach_its_bound_plus_the_dkw_margin",)),
+    Mutant("decay-message-half-range", "src/josephus/analysis.py",
+           "between N <= {n_max // 2} and", "between N <= {n_max} and",
+           ("tests/test_analysis.py::test_decay_failures_name_the_growth_and_both_ranges",)),
+    Mutant("series-check-offset", "src/josephus/deterministic.py",
+           "coeffs[i] != expected[i - 1]", "coeffs[i] != expected[i]",
+           ("tests/test_deterministic.py::test_series_failures_name_the_first_five_differing_n",)),
     Mutant("moments-suffix", "src/josephus/cli.py",
            'f"moments_{rule}_n{n_min}_{n_max}" + _suffix(p=p, q=q)',
            'f"moments_{rule}_n{n_min}_{n_max}"',

@@ -25,6 +25,7 @@ __all__ = [
     "eta",
     "concentration_mass",
     "near_masses",
+    "r2_argmax_failures",
     "MomentTable",
     "moment_report",
     "DecayBoundFit",
@@ -105,6 +106,17 @@ def near_masses(dist: SurvivalDistribution, delta: float = 0.02) -> tuple[float,
     x = dist.positions
     near_zero = float(dist.probs[(x < delta) | (x > 1.0 - delta)].sum())
     return near_zero, concentration_mass(dist, delta)
+
+
+def r2_argmax_failures(p: float, probs: np.ndarray) -> list[str]:
+    """The message of an exact r2 row g_N whose argmax strays over 0.03N from (3p-1)N, else []."""
+    # the argmax approaches (3p-1)N slowly; the N=2000 calibration confirms the 0.03N
+    # tolerance only for p in [0.4, 0.5] (+-1e-12) and N >= 1000, so other rows pass
+    n = len(probs)
+    target, argmax = (3 * p - 1) * n, int(np.argmax(probs))
+    if n < 1000 or not 0.4 - 1e-12 <= p <= 0.5 + 1e-12 or abs(argmax - target) <= 0.03 * n:
+        return []
+    return [f"r2 figure argmax {argmax} strays from (3p-1)N = {target:.0f} at p={p}"]
 
 
 # --- moment sweeps ----------------------------------------------------------
@@ -188,6 +200,13 @@ class DecayBoundFit:
     def stabilized(self) -> bool:
         """Whether k_fit grew by at most 5% from the first half to the full range."""
         return self.stabilization_ratio <= 1.05
+
+    def failures(self, n_max: int) -> list[str]:
+        """The message of a fit over N <= ``n_max`` that has not ``stabilized``, else []."""
+        if self.stabilized():
+            return []
+        return [f"fitted K grew by {100 * (self.stabilization_ratio - 1):.2f}% "
+                f"between N <= {n_max // 2} and N <= {n_max}"]
 
 
 def _gamma_cap(p: float, beta: float) -> float:
@@ -523,6 +542,21 @@ class CltReport:
         with probability at most 1e-6.
         """
         return math.sqrt(math.log(2e6) / (2 * len(self.normalized_sums)))
+
+    def failures(self) -> list[str]:
+        """The failed conditions of the CLT check, in a fixed order; [] when all hold."""
+        failures = []
+        if not np.all(np.diff(self.b_l) > 0):
+            failures.append("B_L is not strictly increasing")
+        if self.lyapunov_ratio[-1] >= self.lyapunov_ratio[0]:
+            failures.append("Lyapunov ratio did not decrease over the L grid")
+        margin = self.dkw_margin  # each sampled KS distance may exceed its bound by this
+        for name, ks, limit in (("", self.ks_distance, self.berry_esseen_bound),
+                                (" midpoint", self.ks_distance_midpoint, self.midpoint_bound)):
+            if ks > limit + margin:
+                failures.append(f"ensemble{name} KS distance {ks:.4f} exceeds its "
+                                f"Berry-Esseen bound {limit:.4f} plus {margin:.4f}")
+        return failures
 
 
 def _ks_normal(z: np.ndarray) -> float:

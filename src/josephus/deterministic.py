@@ -23,6 +23,7 @@ __all__ = [
     "survivor_binary_rotation",
     "survivor_sequence",
     "generating_series_coefficients",
+    "series_failures",
 ]
 
 
@@ -104,3 +105,11 @@ def generating_series_coefficients(max_degree: int) -> list[int]:
     coeffs = list(accumulate(inner))
     coeffs[0] += 1
     return coeffs
+
+
+def series_failures(max_degree: int) -> list[str]:
+    """A message naming the first five N <= ``max_degree`` whose coefficient is not b_N, else []."""
+    coeffs = generating_series_coefficients(max_degree)
+    expected = survivor_sequence(max_degree)
+    bad = [i for i in range(1, max_degree + 1) if coeffs[i] != expected[i - 1]]
+    return [f"series coefficients differ from survivors at N={bad[:5]}"] if bad else []

@@ -199,6 +199,19 @@ def test_criterion_08_cumulative_variance_band():
     assert tail_ok
 
 
+def test_supplement_cumulative_variance_band_holds_to_a_finite_l_only():
+    # C08's band is finite-L evidence: B_L^2 - (9/4) sum_{3<=N<=L} 1/N settles to
+    # a constant (-5.0386, -5.0603, -5.0679 at L = 10^3, 3*10^3, 10^4), so
+    # B_L^2 / ln L tends to 9/4 and the factor-2 band over [100, L] should
+    # fail near L = 2.4*10^4, a prediction this suite does not run
+    table = analysis.moment_report(RuleSpec.r1(0.5), 3, 10_000)
+    excess = np.cumsum(table.variance) - 2.25 * np.cumsum(1.0 / table.n)
+    at = {l: float(excess[l - 3]) for l in (1_000, 3_000, 10_000)}
+    early, late = abs(at[3_000] - at[1_000]), abs(at[10_000] - at[3_000])
+    assert late < 0.02  # measured 0.0076
+    assert late < early  # measured 0.0217
+
+
 def test_criterion_09_central_limit_theorem():
     start = time.monotonic()
     report = analysis.clt_experiment(l_max=10_000, trials=10_000, seed=20240811)

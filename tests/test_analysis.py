@@ -105,6 +105,19 @@ def test_decay_bound_fit_stabilizes(p):
     assert fit.k >= 1.0
     assert fit.max_violation <= 0.0
     assert fit.stabilized()
+    assert fit.failures(400) == []
+
+
+def test_decay_failures_name_the_growth_and_both_ranges():
+    fit = analysis.DecayBoundFit(beta=1.1, gamma=1.05, k=1.0, k_fit=1.0, k_fit_half=1.0,
+                                 max_violation=0.0)
+    assert fit.failures(7) == []
+    assert dataclasses.replace(fit, k_fit=1.05).failures(7) == []  # 5% is still stable
+    assert dataclasses.replace(fit, k_fit=1.0625).failures(7) == [
+        "fitted K grew by 6.25% between N <= 3 and N <= 7"]
+    # over N <= 6 the fitted constant is still growing
+    [message] = analysis.decay_bound_check(0.5, 6).failures(6)
+    assert message.startswith("fitted K grew by ") and message.endswith(" and N <= 6")
 
 
 def test_unbiased_alpha_inequality_components():
@@ -507,6 +520,7 @@ def test_clt_ensemble_within_the_berry_esseen_bound(l_max, trials, seed):
     report = analysis.clt_experiment(l_max, trials, seed)
     assert report.ks_distance <= report.berry_esseen_bound + report.dkw_margin
     assert report.ks_distance_midpoint <= report.midpoint_bound + report.dkw_margin
+    assert report.failures() == []
 
 
 @pytest.mark.parametrize("trials, margin", [(1000, 0.08517), (10**4, 0.02693)])
@@ -520,6 +534,60 @@ def test_clt_bounds_are_their_written_formulas(trials, margin):
     assert report.dkw_margin == pytest.approx(margin, abs=1e-5)
     assert report.berry_esseen_bound == 0.56 * 0.25
     assert report.midpoint_bound == 0.56 * 0.25 + 0.3 / math.sqrt(2 * math.pi)
+
+
+def _passing_clt_report():
+    """A 1000-trial report that meets every condition: bound 0.14, midpoint bound 0.2597."""
+    z = np.zeros(1000)
+    return analysis.CltReport(
+        l_values=np.array([3, 10]), b_l=np.array([1.0, 2.0]),
+        lyapunov_ratio=np.array([0.5, 0.25]), normalized_sums=z, ks_distance=0.0,
+        mean_shift=-0.3, normalized_sums_midpoint=z, ks_distance_midpoint=0.0)
+
+
+_CLT_MESSAGES = {
+    "b_l": "B_L is not strictly increasing",
+    "lyapunov_ratio": "Lyapunov ratio did not decrease over the L grid",
+    "ks_distance": "ensemble KS distance 0.5000 exceeds its Berry-Esseen bound 0.1400 "
+                   "plus 0.0852",
+    "ks_distance_midpoint": "ensemble midpoint KS distance 0.6000 exceeds its Berry-Esseen "
+                            "bound 0.2597 plus 0.0852",
+}
+
+
+# each field's value that fails its condition: a trend reversed, a KS distance raised
+_CLT_FAILING = {"b_l": np.array([2.0, 1.0]), "lyapunov_ratio": np.array([0.25, 0.5]),
+                "ks_distance": 0.5, "ks_distance_midpoint": 0.6}
+
+
+@pytest.mark.parametrize("field", list(_CLT_MESSAGES))
+def test_clt_failures_name_each_failed_condition(field):
+    report = _passing_clt_report()
+    assert report.failures() == []
+    failing = dataclasses.replace(report, **{field: _CLT_FAILING[field]})
+    assert failing.failures() == [_CLT_MESSAGES[field]]
+
+
+def test_clt_failures_report_every_condition_in_order():
+    report = dataclasses.replace(_passing_clt_report(), **_CLT_FAILING)
+    # the reversed Lyapunov ratio ends at 0.5, which doubles the Berry-Esseen bound
+    assert report.failures() == [
+        _CLT_MESSAGES["b_l"], _CLT_MESSAGES["lyapunov_ratio"],
+        "ensemble KS distance 0.5000 exceeds its Berry-Esseen bound 0.2800 plus 0.0852",
+        "ensemble midpoint KS distance 0.6000 exceeds its Berry-Esseen bound 0.3997 plus 0.0852",
+    ]
+
+
+@pytest.mark.parametrize("field, bound, name", [
+    ("ks_distance", "berry_esseen_bound", "ensemble KS"),
+    ("ks_distance_midpoint", "midpoint_bound", "ensemble midpoint KS"),
+])
+def test_clt_ks_may_reach_its_bound_plus_the_dkw_margin(field, bound, name):
+    report = _passing_clt_report()
+    limit = getattr(report, bound) + report.dkw_margin
+    assert dataclasses.replace(report, **{field: limit}).failures() == []
+    [message] = dataclasses.replace(report, **{field: np.nextafter(limit, 1.0)}).failures()
+    assert message.startswith(f"{name} distance {limit:.4f} exceeds")
 
 
 def _kstest(z) -> float:
@@ -618,6 +686,33 @@ def test_r2_argmax_tracks_limit_constant():
     for p in (0.4, 0.45, 0.5, 0.55, 0.6):
         probs = dp.r2_distribution(2000, p).probs
         assert abs(int(np.argmax(probs)) - (3 * p - 1) * 2000) <= 0.03 * 2000
+
+
+def _point_mass(n, k):
+    probs = np.zeros(n)
+    probs[k] = 1.0
+    return probs
+
+
+def test_r2_argmax_failures_allow_three_percent_of_n():
+    for p in (0.4, 0.45, 0.5):
+        assert analysis.r2_argmax_failures(p, dp.r2_distribution(1000, p).probs) == []
+    # (3p-1)N = 200 at p = 0.4, N = 1000, so 0.03N allows 170..230
+    assert analysis.r2_argmax_failures(0.4, _point_mass(1000, 230)) == []
+    assert analysis.r2_argmax_failures(0.4, _point_mass(1000, 231)) == [
+        "r2 figure argmax 231 strays from (3p-1)N = 200 at p=0.4"]
+
+
+@pytest.mark.parametrize("p, n, checked", [
+    (0.4, 999, False), (0.4, 1000, True), (0.5, 999, False), (0.5, 1000, True),
+    (0.4 - 0.9e-12, 1000, True), (0.4 - 1.1e-12, 1000, False),
+    (0.5 + 0.9e-12, 1000, True), (0.5 + 1.1e-12, 1000, False),
+])
+def test_r2_argmax_failures_window(p, n, checked):
+    # the argmax at label 0 strays from every (3p-1)N in the window; outside it, nothing is held
+    failures = analysis.r2_argmax_failures(p, _point_mass(n, 0))
+    expected = f"r2 figure argmax 0 strays from (3p-1)N = {(3 * p - 1) * n:.0f} at p={p}"
+    assert failures == ([expected] if checked else [])
 
 
 def test_variance_identity():

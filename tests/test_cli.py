@@ -357,6 +357,21 @@ def test_clt_exits_3_after_writing_a_failed_trend(tmp_path, field, message, caps
     assert values == getattr(real(100, 1000, 0), field)[::-1].tolist()
 
 
+def test_clt_exits_3_naming_every_failed_condition(tmp_path, capsys, monkeypatch):
+    # each failed condition is reported, in a fixed order, as figure reports each point
+    real = analysis.clt_experiment
+
+    def both_reversed(l_max, trials, seed):
+        report = real(l_max, trials, seed)
+        return dataclasses.replace(report, b_l=report.b_l[::-1],
+                                   lyapunov_ratio=report.lyapunov_ratio[::-1])
+
+    monkeypatch.setattr(analysis, "clt_experiment", both_reversed)
+    assert main(["--out", str(tmp_path), "clt", "--l-max", "100", "--trials", "1000"]) == 3
+    assert capsys.readouterr().err == ("check failed: B_L is not strictly increasing; "
+                                       "Lyapunov ratio did not decrease over the L grid\n")
+
+
 @pytest.mark.parametrize("l_max", [10, 99, 100])
 def test_clt_small_l_max_grid(tmp_path, l_max, capsys):
     # for l_max <= 100 the L grid starts at 3, so the Lyapunov ratio has

@@ -106,6 +106,25 @@ def test_series_coefficients_match_survivors():
     assert all(coeffs[n] == seq[n - 1] for n in range(1, 1025))
 
 
+def test_series_failures_name_the_first_five_differing_n(monkeypatch):
+    assert det.series_failures(1024) == []
+    real = det.generating_series_coefficients
+
+    def off_at(*ns):
+        def coefficients(max_degree):
+            coeffs = real(max_degree)
+            for n in ns:
+                coeffs[n] += 1
+            return coeffs
+        return coefficients
+
+    monkeypatch.setattr(det, "generating_series_coefficients", off_at(5))
+    assert det.series_failures(16) == ["series coefficients differ from survivors at N=[5]"]
+    monkeypatch.setattr(det, "generating_series_coefficients", off_at(*range(2, 17)))
+    assert det.series_failures(16) == [
+        "series coefficients differ from survivors at N=[2, 3, 4, 5, 6]"]
+
+
 def test_classical_game_is_r1_at_p_one():
     assert RuleSpec.deterministic() == RuleSpec.r1(1)
 
