@@ -90,14 +90,19 @@ MUTANTS = [
            "if not alpha > 1.0:", "if alpha <= 1.0:",
            ("tests/test_analysis.py::test_unbiased_decay_domain_is_refused_before_any_dp_row",)),
     Mutant("manifest-plain-file-name", "src/josephus/io.py",
-           ' and Path(f["name"]).name == f["name"]', "",
+           ' and Path(f["name"]).name == f["name"] not in ("", "..")', "",
            ("tests/test_cli.py::test_rerun_rejects_malformed_file_entries",)),
     Mutant("manifest-repeated-file", "src/josephus/io.py",
            "if len(set(names)) < len(names):", "if False:",
            ("tests/test_refusals.py::test_library_refusal",)),
     Mutant("clt-trial-slice-start", "src/josephus/simulate.py",
-           "t0, t1 = trials * i // w,", "t0, t1 = trials * i // w + 1,",
-           ("tests/test_simulate.py::test_clt_sums_at_any_cpu_count_equal_one_cpu_sums",)),
+           "bounds = [(count * i // w,", "bounds = [(count * i // w + 1,",
+           ("tests/test_simulate.py::test_split_counts_equal_one_cpu_counts",
+            "tests/test_simulate.py::test_clt_sums_at_any_cpu_count_equal_one_cpu_sums")),
+    Mutant("fan-out-skips-slice-1", "src/josephus/simulate.py",
+           "for i in range(1, w)]", "for i in range(2, w)]",
+           ("tests/test_simulate.py::test_split_counts_equal_one_cpu_counts",
+            "tests/test_simulate.py::test_clt_sums_at_any_cpu_count_equal_one_cpu_sums")),
     Mutant("r2-knife-against-victim", "src/josephus/dp.py",
            "_rows(n_max, p, 1, 0, p)", "_rows(n_max, p, 0, 1, p)",
            ("tests/test_dp.py::test_r2_rows_match_the_frozen_recursion_bit_for_bit",

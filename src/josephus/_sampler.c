@@ -1,7 +1,7 @@
 /* Seeded kernel of josephus.simulate's sampler and josephus.analysis's CLT
  * trial draws, and the normal CDF Phi of the CLT's Kolmogorov-Smirnov
  * distances.  Only simulate's typed entries (_uniforms, _walk,
- * _sample_counts, _inverse_cdf, _CltSums, _ndtr) call it; they size every
+ * _sample_counts, _inverse_cdf, _clt_sums, _ndtr) call it; they size every
  * buffer it fills and check what it reads unchecked.
  *
  * Streams: sample i of master seed S reads the uniforms of numpy's
@@ -29,11 +29,12 @@
  * np.searchsorted(cdf, u, side="right") returns (see
  * simulate._inverse_cdf), clipped to N-1.  Each trial's two sums are
  * updated as numpy's `+=` of `d/N - mean` and `d/N - 0.5` round them, in
- * N order, so the sums do not depend on the split.  simulate._CltSums
- * allocates the sums and each slice's scratch (CDF, guide, uniforms, draws)
- * once per experiment, sized for the longest row, checks each row's dtype,
- * shape and length, and hands the rows over in batches: the calling thread
- * runs slice 0 and one persistent thread each other slice.
+ * N order, so the sums do not depend on the split.  simulate._clt_sums
+ * checks the caller's sums, allocates each slice's scratch (CDF, guide,
+ * uniforms, draws) once per experiment, sized for the longest row, checks
+ * each row's dtype, shape and length, and hands the rows over in batches
+ * through simulate._fan_out: the calling thread runs slice 0 and a thread
+ * pool the other slices.
  *
  * Phi: josephus_ndtr is the Cephes ndtr that scipy.special.ndtr runs, so
  * analysis._ks_normal gives scipy.stats.kstest's statistic bit for bit

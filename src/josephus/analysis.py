@@ -586,8 +586,8 @@ def clt_experiment(
     recorded on ``_log_grid``.  Each trial draws one survivor per N by
     inverse-CDF from the exact row, using the per-N stream
     splitmix64(seed, N), so results are independent of evaluation order.
-    The draws run in the compiled kernel through one ``simulate._CltSums``
-    per experiment, which splits the trials across the usable CPUs; the
+    The DP rows stream into ``simulate._clt_sums``, whose kernel draws split
+    the trials across the usable CPUs while the next rows are built; the
     sums are the same for any split.  The Kolmogorov-Smirnov distance of the
     normalised trial sums to the standard normal is computed for both
     centerings by ``_ks_normal``: the empirical CDF of the sorted sums
@@ -602,21 +602,22 @@ def clt_experiment(
     grid = _log_grid(100 if l_max > 100 else 3, l_max)
     v, w = np.zeros(l_max + 1), np.zeros(l_max + 1)
     e1_sum = 0.0
-    sums = simulate._CltSums(seed, l_max, trials)
-    try:
+    centered, mid = np.zeros(trials), np.zeros(trials)
+
+    def rows():
+        nonlocal e1_sum
         for n, row in dp.r1_rows(l_max, 0.5):
             mean, v[n], w[n] = _central_moments(np.arange(n) / n, row)
             e1_sum += 0.5 - mean
-            sums.add(row, mean)
-    finally:
-        sums.close()
+            yield row, mean
+
+    simulate._clt_sums(seed, l_max, rows(), centered, mid)
     # cumsum adds in order, so each prefix is the running sum over N bit for bit
     b_l = np.sqrt(np.cumsum(v)[grid])
     # Python's float ** (libm pow): numpy's array ** 3 rounds some values differently
     lyap = [cw / b**3 for cw, b in zip(np.cumsum(w)[grid].tolist(), b_l.tolist())]
     b_final = float(b_l[-1])
-    z_centered = sums.centered / b_final
-    z_mid = sums.mid / b_final
+    z_centered, z_mid = centered / b_final, mid / b_final
     return CltReport(
         l_values=grid,
         b_l=b_l,

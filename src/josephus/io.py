@@ -139,7 +139,8 @@ def read_manifest(path: Path, allowed_keys: set[str]) -> tuple[list[str], list[t
     files = data.get("files", [])
     if not isinstance(files, list) or not all(
             isinstance(f, dict) and isinstance(f.get("sha256"), str)
-            and isinstance(f.get("name"), str) and Path(f["name"]).name == f["name"]
+            and isinstance(f.get("name"), str)
+            and Path(f["name"]).name == f["name"] not in ("", "..")  # both are their own .name
             for f in files):
         raise DomainError("manifest files must each give a plain file name and its sha256")
     names = [f["name"] for f in files]

@@ -8,11 +8,7 @@ Two views of one set of process semantics:
   through one compiled kernel (``_sampler.c``) that simulates no ring: per
   sample it draws the uniforms into one buffer and walks the rounds
   backwards, relabeling the survivor with the inverse of each round's
-  relabeling map (the maps of the ``dp`` recursions).  A batch of samples
-  is split into contiguous chunks, one per CPU in the process's affinity
-  mask, that run side by side; counts are integer sums, so they are the
-  same for any split.  There is no flag: parallel ``josephus`` processes
-  share those CPUs.
+  relabeling map (the maps of the ``dp`` recursions).
 
 Sample ``s`` of seed ``S`` reads the uniforms of numpy's Philox4x64-10
 keyed by ``splitmix64(S, s)``, bit for bit as numpy draws them; the kernel
@@ -20,17 +16,21 @@ is the package's only copy of that stream, and the tests hold it to a
 numpy reference.  The kernel also runs ``analysis.clt_experiment``'s trial
 draws and the normal CDF of its Kolmogorov-Smirnov distances, a port of the
 Cephes ``ndtr`` that the tests hold to ``scipy.special.ndtr`` bit for bit.
-The trials, too, are split into contiguous slices, one per CPU: the DP rows
-are handed over in batches, the calling thread runs slice 0 of each, and
-memory is bounded by one queued batch per thread.  Each trial adds its
-draws in N order, so the sums do not depend on the split.
+Both sampled objects, the samples and the CLT trials, go through one
+fan-out, ``_fan_out``: it splits them into contiguous slices, one per CPU
+in the process's affinity mask, runs slice 0 on the calling thread and the
+others on a thread pool, and hands the CLT's DP rows over in batches.
+Counts are integer sums and each trial adds its draws in N order, so the
+results do not depend on the split.  There is no flag: parallel
+``josephus`` processes share those CPUs.
 Only this module knows its ABI: the typed entries ``_uniforms``, ``_walk``,
-``_sample_counts``, ``_inverse_cdf``, ``_CltSums`` and ``_ndtr`` are the
+``_sample_counts``, ``_inverse_cdf``, ``_clt_sums`` and ``_ndtr`` are the
 only callers of ``_kernel()``, which compiles it with gcc on first use and
 caches it in ``__pycache__`` under the sha256 of its source and flags;
 without gcc, sampling and ``clt`` raise ``KernelBuildError``.
-``_CltSums`` sizes the CLT buffers once per experiment, so they need no
-check; per N it checks only the DP row, whose CDF C builds itself.
+``_clt_sums`` sizes the CLT scratch once per experiment and checks the
+caller's trial sums once; per N it checks only the DP row, whose CDF C
+builds itself.
 
 The coin rule lives only in the kernel's walk: a coin is ``u < p`` (and
 ``u < q`` for r3's knife coin), ``True`` being the probability-``p`` branch
@@ -293,7 +293,7 @@ def _kernel():
             lib.josephus_inverse_cdf.restype = None
             lib.josephus_ndtr.argtypes = [c_i64, f64, f64]
             lib.josephus_ndtr.restype = None
-            ptr = ctypes.c_void_p  # _CltSums allocates its buffers and checks each row itself
+            ptr = ctypes.c_void_p  # _clt_sums allocates its buffers and checks each row itself
             lib.josephus_clt_batch.argtypes = [c_u64, c_i64, *[ptr] * 3, c_i64, c_i64,
                                                *[ptr] * 6]
             lib.josephus_clt_batch.restype = None
@@ -352,13 +352,41 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _fan_out(count: int, batches, scratch, run) -> list:
+    """Run each of ``batches`` over W = min(CPUs, count) contiguous slices of 0 .. count-1.
+
+    ``scratch(lo, hi)`` makes the buffers of slice lo .. hi-1 once, and
+    ``run(lo, hi, buffers, batch)`` runs that slice on one batch: slice 0 on
+    the calling thread, the others on a pool of W-1 threads, since ctypes
+    releases the GIL for each kernel call.  Batch k goes to the pool only
+    once batch k-1 has ended on every slice, so each slice runs the batches
+    in order, at most two batches are alive, and no batch runs after one that
+    failed.  Leaving the pool waits for every run, since C holds raw pointers
+    into the buffers; then the first error is raised.  Returns the buffers.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # loads logging, so only a fan-out does
+
+    w = min(_cpus(), count)
+    bounds = [(count * i // w, count * (i + 1) // w) for i in range(w)]
+    buffers = [scratch(lo, hi) for lo, hi in bounds]
+    with ThreadPoolExecutor(max(w - 1, 1)) as pool:  # a thread starts only on a submit
+        running = []
+        for batch in batches:
+            for future in running:
+                future.result()
+            running = [pool.submit(run, *bounds[i], buffers[i], batch) for i in range(1, w)]
+            run(*bounds[0], buffers[0], batch)
+        for future in running:
+            future.result()
+    return buffers
+
+
 def _sample_counts(rule: RuleSpec, n: int, seed: int, first: int, count: int) -> np.ndarray:
     """Survivor counts of samples ``first .. first+count-1``, split across the CPUs.
 
-    The samples fall into W = min(CPUs, count) contiguous chunks, one kernel
-    call each with its own uniforms and its own row of counts.  Chunk 0 runs
-    here and the others on threads, since ctypes releases the GIL for the
-    call; the rows are then summed, so the counts are the same for any W.
+    One batch of ``_fan_out``: each slice of the samples is one kernel call
+    with its own uniforms and its own row of counts, and the rows are summed,
+    so the counts are the same for any split.
     """
     if not 1 <= count < 1 << 63:  # the int64 counts must hold the total
         raise DomainError(f"samples must lie in [1, 2**63 - 1], got {count}")
@@ -366,26 +394,12 @@ def _sample_counts(rule: RuleSpec, n: int, seed: int, first: int, count: int) ->
         raise DomainError(f"sampling requires N >= 2, got N={n}")
     sample, k = _kernel().josephus_sample, _stream_length(rule, n)
     args = [*_rule_args(rule, n), int(seed) & _MASK64]
-    w = min(_cpus(), count)
-    counts = np.zeros((w, n), dtype=np.int64)
-    errors = []
 
-    def chunk(i: int) -> None:
-        lo, hi = count * i // w, count * (i + 1) // w
-        try:
-            sample(*args, (first + lo) & _MASK64, hi - lo, np.empty(k), counts[i])
-        except BaseException as exc:  # re-raised by the caller below, after every join
-            errors.append(exc)
+    def run(lo: int, hi: int, counts: np.ndarray, _) -> None:
+        sample(*args, (first + lo) & _MASK64, hi - lo, np.empty(k), counts)
 
-    threads = [threading.Thread(target=chunk, args=(i,)) for i in range(1, w)]
-    for t in threads:
-        t.start()
-    chunk(0)
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return counts.sum(axis=0)
+    rows = _fan_out(count, [None], lambda lo, hi: np.zeros(n, dtype=np.int64), run)
+    return np.sum(rows, axis=0)
 
 
 def _inverse_cdf(cdf, u) -> np.ndarray:
@@ -417,114 +431,66 @@ def _ndtr(x) -> np.ndarray:
     return out
 
 
-class _CltSums:
-    """The two trial sums of one CLT experiment, to which the kernel adds each N's draws.
+_BATCH_CELLS = 1 << 15
 
-    The trials fall into W = min(CPUs, trials) contiguous slices.  Once per
-    experiment it loads the kernel, reduces the seed, sizes every buffer C
-    fills from ``l_max`` and ``trials`` (the sums ``centered`` and ``mid``,
-    and per slice a CDF scratch, which serves every shorter row, a guide
-    table and the slice's uniforms and draws) and starts W-1 threads, one per
-    slice but the first.  ``add`` checks each row and collects the rows into
-    batches of at least ``_BATCH_CELLS`` entries; each full batch goes to
-    every thread through a one-batch queue, and the calling thread then runs
-    slice 0 on it, so at most one batch per thread waits in memory.  ctypes
-    releases the GIL for each kernel call.  Each trial adds its draws in N
-    order, so the sums are the same for any W.  ``close`` flushes the last
-    batch and joins the threads; ``centered`` and ``mid`` are complete only
-    after it.  ``cdf`` is slice 0's scratch: after ``flush`` it holds the
-    last row's CDF.
+
+def _clt_sums(seed: int, l_max: int, rows, centered: np.ndarray, mid: np.ndarray) -> None:
+    """Add the draws of each ``(row, mean)`` of ``rows`` to the trial sums ``centered`` and ``mid``.
+
+    C writes ``np.cumsum(row)`` into a CDF scratch.  For N = ``len(row)``,
+    trial i clips d, the lookup of uniform i of stream (seed, N) in it, to
+    N-1, then adds d/N - mean to ``centered[i]`` and d/N - 0.5 to
+    ``mid[i]``, each rounded as numpy's ``+=`` rounds it.  C reads N doubles
+    of each row, so a row must be 1-D, float64 and C-contiguous with
+    1 <= N <= l_max, and it writes T entries of each sum, so both must be
+    such arrays of T >= 1 entries.  The rows go to ``_fan_out`` in batches
+    of at least ``_BATCH_CELLS`` entries; its slices split the trials and
+    size their scratch (CDF, guide table, uniforms, draws) once, from l_max.
+    Each trial adds its draws in row order, so the sums are the same for any
+    split.
     """
+    trials = len(centered)
+    if not (trials >= 1 and all(isinstance(a, np.ndarray) and a.dtype == np.float64
+                                and a.shape == (trials,) and a.flags.c_contiguous
+                                and a.flags.writeable for a in (centered, mid))):
+        raise DomainError("the CLT trial sums must be two writable C-contiguous float64 "
+                          "arrays of one length of at least 1")
+    clt_batch, seed = _kernel().josephus_clt_batch, int(seed) & _MASK64
 
-    _BATCH_CELLS = 1 << 15
+    def pack(batch):  # the rows ride along, so they live until every slice has read them
+        kept, means = zip(*batch)
+        return (kept, np.array([len(r) for r in kept], dtype=np.int64),
+                np.array([r.ctypes.data for r in kept], dtype=np.uintp),
+                np.array(means, dtype=np.float64))
 
-    def __init__(self, seed: int, l_max: int, trials: int):
-        import queue  # only the CLT threads use it, so importing josephus does not load it
+    def batches():
+        batch, cells = [], 0
+        for row, mean in rows:
+            if not (isinstance(row, np.ndarray) and row.dtype == np.float64 and row.ndim == 1
+                    and row.flags.c_contiguous and 1 <= len(row) <= l_max):
+                raise DomainError(
+                    f"a CLT row must be a 1-D C-contiguous float64 array of 1 to {l_max} "
+                    f"entries, got {getattr(row, 'dtype', type(row).__name__)} of shape "
+                    f"{np.shape(row)}")
+            batch.append((row, mean))
+            cells += len(row)
+            if cells >= _BATCH_CELLS:
+                yield pack(batch)
+                batch, cells = [], 0
+        if batch:
+            yield pack(batch)
 
-        self._batch = _kernel().josephus_clt_batch
-        self._seed = int(seed) & _MASK64
-        self._l_max = l_max
-        self.centered, self.mid = np.zeros(trials), np.zeros(trials)
-        w = min(_cpus(), trials)
-        self._slices = []  # C holds raw pointers, so each slice keeps its scratch alive
-        for i in range(w):
-            t0, t1 = trials * i // w, trials * (i + 1) // w
-            scratch = (np.empty(l_max), _guide(l_max), np.empty(t1 - t0),
-                       np.empty(t1 - t0, dtype=np.int64), self.centered, self.mid)
-            self._slices.append((t0, t1, scratch, [a.ctypes.data for a in scratch]))
-        self.cdf = self._slices[0][2][0]
-        self._rows, self._means, self._cells = [], [], 0
-        self._errors = []
-        self._queues = [queue.Queue(1) for _ in range(1, w)]
-        # daemon: an experiment left unclosed must not hold the interpreter open
-        self._threads = [threading.Thread(target=self._work, args=(i, q), daemon=True)
-                         for i, q in enumerate(self._queues, start=1)]
-        for t in self._threads:
-            t.start()
+    def scratch(lo: int, hi: int):
+        arrays = (np.empty(l_max), _guide(l_max), np.empty(hi - lo),
+                  np.empty(hi - lo, dtype=np.int64), centered, mid)
+        return arrays, [a.ctypes.data for a in arrays]
 
-    def add(self, row, mean: float) -> None:
-        """Add the draws of N = ``len(row)`` from the DP row ``row``.
+    def run(lo: int, hi: int, buffers, batch) -> None:
+        _, ns, pointers, means = batch
+        clt_batch(seed, len(ns), ns.ctypes.data, pointers.ctypes.data, means.ctypes.data,
+                  lo, hi, *buffers[1])
 
-        C writes ``np.cumsum(row)`` into each slice's CDF scratch.  Trial i
-        clips d, the lookup of uniform i of stream (seed, N) in it, to N-1,
-        then adds d/N - mean to ``centered[i]`` and d/N - 0.5 to ``mid[i]``,
-        each rounded as numpy's ``+=`` rounds it.  C reads N doubles of
-        ``row``, so it must be 1-D, float64 and C-contiguous with
-        1 <= N <= l_max; the batch keeps it alive until every slice has read it.
-        """
-        if not (isinstance(row, np.ndarray) and row.dtype == np.float64 and row.ndim == 1
-                and row.flags.c_contiguous and 1 <= len(row) <= self._l_max):
-            raise DomainError(
-                f"a CLT row must be a 1-D C-contiguous float64 array of 1 to {self._l_max} "
-                f"entries, got {getattr(row, 'dtype', type(row).__name__)} of shape "
-                f"{np.shape(row)}")
-        self._rows.append(row)
-        self._means.append(mean)
-        self._cells += len(row)
-        if self._cells >= self._BATCH_CELLS:
-            self.flush()
-
-    def flush(self) -> None:
-        """Hand the open batch to every thread, then run slice 0 on it here."""
-        if not self._rows:
-            return
-        rows, means = self._rows, self._means
-        self._rows, self._means, self._cells = [], [], 0
-        batch = (rows, np.array([len(r) for r in rows], dtype=np.int64),
-                 np.array([r.ctypes.data for r in rows], dtype=np.uintp),
-                 np.array(means, dtype=np.float64))
-        for q in self._queues:
-            q.put(batch)
-        self._run(0, batch)
-
-    def close(self) -> None:
-        """Flush the last batch, stop and join every thread, then raise the first thread error."""
-        try:
-            self.flush()
-        finally:
-            for q in self._queues:
-                q.put(None)
-            for t in self._threads:
-                t.join()
-            self._queues, self._threads = [], []
-        if self._errors:
-            raise self._errors[0]
-
-    def _run(self, i: int, batch) -> None:
-        t0, t1, _, pointers = self._slices[i]
-        _, ns, rows, means = batch
-        self._batch(self._seed, len(ns), ns.ctypes.data, rows.ctypes.data, means.ctypes.data,
-                    t0, t1, *pointers)
-
-    def _work(self, i: int, q) -> None:
-        """Slice ``i``'s thread: run each batch until ``None``; after an error, only drain."""
-        try:
-            while (batch := q.get()) is not None:
-                self._run(i, batch)
-        except BaseException as exc:  # re-raised by close, after every join
-            self._errors.append(exc)
-            while q.get() is not None:  # so that the producer never blocks on this queue
-                pass
+    _fan_out(trials, batches(), scratch, run)
 
 
 def sample_survivor(rule: RuleSpec, n: int, seed: int, stream_index: int = 0) -> int:

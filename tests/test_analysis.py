@@ -459,18 +459,17 @@ def test_clt_kernel_sums_match_numpy_reference(trials):
     (np.array([0.1, 0.1, 0.0, 0.3]), True),
 ], ids=["last_below_one", "point_mass", "defective"])
 def test_clt_kernel_pass_clips_to_last_label(row, clips):
+    # the draws add to the caller's sums, here nonzero, as numpy's += rounds them
     n, trials, seed, mean = len(row), 1003, 3, 0.3
     rng = np.random.default_rng(0)
-    sums = simulate._CltSums(seed, 8, trials)
-    sums.centered[:], sums.mid[:] = rng.random(trials), rng.random(trials)
+    centered, mid = rng.random(trials), rng.random(trials)
     draws = np.searchsorted(np.cumsum(row), stream(seed, n).random(trials), side="right")
     assert (draws == n).any() == clips
     x = np.clip(draws, 0, n - 1) / n
-    expected = sums.centered + (x - mean), sums.mid + (x - 0.5)
-    sums.add(row, mean)
-    sums.close()
-    assert np.array_equal(sums.centered, expected[0])
-    assert np.array_equal(sums.mid, expected[1])
+    expected = centered + (x - mean), mid + (x - 0.5)
+    simulate._clt_sums(seed, 8, [(row, mean)], centered, mid)
+    assert np.array_equal(centered, expected[0])
+    assert np.array_equal(mid, expected[1])
 
 
 @pytest.mark.parametrize("l_max, rows", [
@@ -479,13 +478,18 @@ def test_clt_kernel_pass_clips_to_last_label(row, clips):
     (4, lambda: [(4, np.array([0.1, 0.1, 0.0, 0.3]))]),
 ], ids=["r1_unbiased", "r3", "defective"])
 def test_clt_kernel_cdf_is_the_numpy_prefix_sum(l_max, rows):
-    # C sums the row in order, as np.cumsum does, into the entry's scratch
-    sums = simulate._CltSums(7, l_max, 1000)
+    # C sums each row in order, as np.cumsum does, into the CDF scratch
+    trials = 1000
+    cdf = np.empty(l_max)
+    scratch = (cdf, simulate._guide(l_max), np.empty(trials), np.empty(trials, dtype=np.int64),
+               np.zeros(trials), np.zeros(trials))
     for n, row in rows():
-        sums.add(row, 0.5)
-        sums.flush()  # slice 0 runs the batch on this thread, in its own scratch
-        assert np.cumsum(row).tobytes() == sums.cdf[:n].tobytes(), n
-    sums.close()
+        ns, pointers = np.array([n], dtype=np.int64), np.array([row.ctypes.data], dtype=np.uintp)
+        means = np.array([0.5])
+        simulate._kernel().josephus_clt_batch(7, 1, ns.ctypes.data, pointers.ctypes.data,
+                                              means.ctypes.data, 0, trials,
+                                              *[a.ctypes.data for a in scratch])
+        assert np.cumsum(row).tobytes() == cdf[:n].tobytes(), n
 
 
 @pytest.mark.parametrize("l_max", [10, 300, 1000])

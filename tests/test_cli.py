@@ -846,7 +846,9 @@ def test_rerun_refuses_manifest_without_files(tmp_path, capsys):
     {"name": "det_1_5.csv"},
     {"name": "../det_1_5.csv", "sha256": "0" * 64},
     {"name": "/etc/hostname", "sha256": "0" * 64},
-], ids=["no-sha256", "parent-dir", "absolute"])
+    {"name": "", "sha256": "0" * 64},
+    {"name": "..", "sha256": "0" * 64},
+], ids=["no-sha256", "parent-dir", "absolute", "empty", "dot-dot"])
 def test_rerun_rejects_malformed_file_entries(tmp_path, entry, capsys):
     manifest = tmp_path / "det_1_5.manifest.json"
     manifest.write_text(json.dumps({

@@ -1,15 +1,21 @@
-"""Committed sha256 digests of the portable outputs, so "every byte kept" can be re-checked.
+"""Committed sha256 digests of the command outputs, so "every byte kept" can be re-checked.
 
 Each command runs in process into ``tmp_path``; the sha256 of every data
 file and script it writes must equal its row of ``golden_digests.json``.
 The sizes cross the code's seams: DP rows at N = 2000, an r1 row at
 N = 10^4 that holds subnormal entries, a ``det`` range past one 8,192-row
 block, samples split over two CPUs, and each oracle at its cap.
+Manifests stay out, since they record ``--out``.
 
-Manifests stay out, since they record ``--out``.  So do ``moments``,
-``decay`` and ``clt``, whose bytes go through BLAS dot products or SIMD
-``log`` and so depend on the platform.  A change that alters a byte on
-purpose re-records the table with
+``moments``, ``decay`` and ``clt`` go through BLAS dot products or SIMD
+``log``, so their bytes depend on the platform.  Their digests live in
+``golden_digests_platform.json`` beside the fingerprint of the platform
+that recorded them (machine, numpy, BLAS and SIMD; no josephus output
+depends on scipy), and on any other fingerprint their test skips and
+names both.  The ``clt`` rows split the trials over two CPUs, and the rows
+of L = 300 and up fill more than one batch of the kernel.
+
+A change that alters a byte on purpose re-records both tables with
 
     PYTHONPATH=src python tests/test_golden_digests.py
 
@@ -17,9 +23,11 @@ and names each re-recorded row, and why, in CHANGES.md.
 """
 
 import json
+import platform
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from josephus import simulate
@@ -27,6 +35,7 @@ from josephus.cli import main
 from josephus.io import file_sha256
 
 TABLE = Path(__file__).with_name("golden_digests.json")
+PLATFORM_TABLE = Path(__file__).with_name("golden_digests_platform.json")
 
 COMMANDS = {
     "exact-r1": ["exact", "--rule", "r1", "--n", "2000", "--p", "0.3"],
@@ -47,6 +56,29 @@ COMMANDS = {
     "oracle-r3": ["oracle", "--rule", "r3", "--n", "12", "--p-num", "1", "--p-den", "3",
                   "--q-num", "3", "--q-den", "4"],
 }
+
+PLATFORM_COMMANDS = {
+    "clt-L300-2cpu": ["--seed", "5", "clt", "--l-max", "300", "--trials", "1001"],
+    "clt-L1000-2cpu": ["--seed", "18446744073709551615", "clt", "--l-max", "1000",
+                       "--trials", "1003"],
+    "clt-L4000-2cpu": ["clt", "--l-max", "4000", "--trials", "10000"],
+    "moments-r1u": ["moments", "--rule", "r1u", "--n-max", "2000"],
+    "moments-r3": ["moments", "--rule", "r3", "--p", "0.3", "--q", "0.6", "--n-max", "1000"],
+    "decay-unbiased": ["decay", "--unbiased", "--n-max", "1000"],
+    "decay-p05": ["decay", "--p", "0.5", "--n-max", "500"],
+}
+
+
+def platform_fingerprint() -> dict:
+    """What the bytes of the BLAS- and SIMD-bound outputs depend on."""
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "machine": platform.machine(),
+        "numpy": np.__version__,
+        "simd": config.get("SIMD Extensions", {}),
+        "blas": [blas.get(k) for k in ("name", "version", "openblas configuration")],
+    }
 
 
 def _two_cpus() -> int:
@@ -70,10 +102,31 @@ def test_output_bytes_match_the_committed_digests(name, tmp_path, monkeypatch):
     assert _digests(COMMANDS[name], tmp_path) == json.loads(TABLE.read_text())[name]
 
 
-if __name__ == "__main__":
-    simulate._cpus = _two_cpus
+def test_platform_table_holds_one_row_per_command():
+    assert sorted(json.loads(PLATFORM_TABLE.read_text())["digests"]) == sorted(PLATFORM_COMMANDS)
+
+
+@pytest.mark.parametrize("name", PLATFORM_COMMANDS)
+def test_platform_bound_bytes_match_on_the_recording_platform(name, tmp_path, monkeypatch):
+    table = json.loads(PLATFORM_TABLE.read_text())
+    here = platform_fingerprint()
+    if table["platform"] != here:
+        pytest.skip(f"digests recorded on {table['platform']}, this platform is {here}")
+    monkeypatch.setattr(simulate, "_cpus", _two_cpus)  # trials split into two slices
+    assert _digests(PLATFORM_COMMANDS[name], tmp_path) == table["digests"][name]
+
+
+def _record(commands) -> dict:
     table = {}
-    for name, argv in COMMANDS.items():
+    for name, argv in commands.items():
         with tempfile.TemporaryDirectory() as out:
             table[name] = _digests(argv, Path(out))
-    TABLE.write_text(json.dumps(table, indent=2) + "\n")
+    return table
+
+
+if __name__ == "__main__":
+    simulate._cpus = _two_cpus
+    TABLE.write_text(json.dumps(_record(COMMANDS), indent=2) + "\n")
+    PLATFORM_TABLE.write_text(json.dumps(
+        {"platform": platform_fingerprint(), "digests": _record(PLATFORM_COMMANDS)},
+        indent=2) + "\n")

@@ -230,11 +230,24 @@ def test_inverse_cdf_refuses_uniforms_outside_the_unit_interval(bad):
 ], ids=["float32", "2d", "strided", "empty", "longer_than_l_max", "list"])
 def test_clt_sums_refuse_a_row_c_cannot_read(row):
     # C reads len(row) doubles of the row and writes as many into the l_max-entry scratch
-    sums = simulate._CltSums(0, 8, 1000)
+    centered, mid = np.zeros(1000), np.zeros(1000)
     with pytest.raises(DomainError, match="1-D C-contiguous float64 array of 1 to 8"):
-        sums.add(row, 0.5)
-    sums.close()
-    assert not sums.centered.any() and not sums.mid.any()
+        simulate._clt_sums(0, 8, [(np.full(4, 0.25), 0.5), (row, 0.5)], centered, mid)
+    assert not centered.any() and not mid.any()
+
+
+@pytest.mark.parametrize("sums", [
+    (np.zeros(1000), np.zeros(999)),
+    (np.zeros(1000), np.zeros(1000, dtype=np.float32)),
+    (np.zeros(2000)[::2], np.zeros(1000)),
+    (np.zeros(1000), np.zeros(1000)[None, :]),
+    (np.zeros(0), np.zeros(0)),
+    ([0.0] * 1000, np.zeros(1000)),
+], ids=["lengths_differ", "float32", "strided", "2d", "empty", "list"])
+def test_clt_sums_refuse_trial_sums_c_cannot_write(sums):
+    # C writes one entry of each sum per trial, T = len(centered) of them
+    with pytest.raises(DomainError, match="two writable C-contiguous float64 arrays"):
+        simulate._clt_sums(0, 8, [(np.full(4, 0.25), 0.5)], *sums)
 
 
 def test_empirical_aggregates_individual_streams():
@@ -438,11 +451,9 @@ for n in (1, 2, 3, 5, 8, 9, 300):
     assert np.array_equal(simulate._inverse_cdf(cdf, u), np.searchsorted(cdf, u, side="right"))
 for trials in (1001, 1003):
     for l_max in (8, 9):
-        sums = simulate._CltSums(5, l_max, trials)
-        for n in range(1, l_max + 1):
-            sums.add(np.full(n, 1 / n), 0.5)
-        sums.add(np.array([0.1, 0.1, 0.0, 0.3]), 0.3)  # sums to 1/2: half the draws clip
-        sums.close()
+        rows = [(np.full(n, 1 / n), 0.5) for n in range(1, l_max + 1)]
+        rows.append((np.array([0.1, 0.1, 0.0, 0.3]), 0.3))  # sums to 1/2: half the draws clip
+        simulate._clt_sums(5, l_max, rows, np.zeros(trials), np.zeros(trials))
     analysis.clt_experiment(300, trials, 5)  # rows of more than one batch
 simulate._ndtr(np.array([]))
 simulate._ndtr(np.frombuffer(bytes.fromhex(sys.argv[2])))  # _ndtr_edges()
@@ -636,7 +647,7 @@ def test_one_cpu_or_one_sample_starts_no_thread(monkeypatch):
 
     survivor, counts = sample_survivor(R1H, 30, 5, 3), simulate._sample_counts(R1H, 30, 5, 0, 9)
     clt = _clt_sums(40, 1000, 5)
-    monkeypatch.setattr(simulate.threading, "Thread", no_thread)
+    monkeypatch.setattr(threading, "Thread", no_thread)
     _with_cpus(monkeypatch, 4)
     assert sample_survivor(R1H, 30, 5, 3) == survivor
     _with_cpus(monkeypatch, 1)
@@ -667,13 +678,10 @@ def test_a_failing_chunk_reaches_the_caller(failing, monkeypatch):
 
 def _clt_sums(l_max: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The raw trial sums ``centered`` and ``mid`` over the unbiased rows N = 3..l_max."""
-    sums = simulate._CltSums(seed, l_max, trials)
-    try:
-        for n, row in dp.r1_rows(l_max, 0.5):
-            sums.add(row, float(np.dot(np.arange(n) / n, row)))
-    finally:
-        sums.close()
-    return sums.centered, sums.mid
+    centered, mid = np.zeros(trials), np.zeros(trials)
+    rows = ((row, float(np.dot(np.arange(n) / n, row))) for n, row in dp.r1_rows(l_max, 0.5))
+    simulate._clt_sums(seed, l_max, rows, centered, mid)
+    return centered, mid
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -697,9 +705,9 @@ def test_clt_sums_at_any_cpu_count_equal_one_cpu_sums(trials, seed, monkeypatch)
 
 @pytest.mark.parametrize("failing", [0, 1, 2])
 def test_a_failing_clt_slice_reaches_the_caller_after_every_join(failing, monkeypatch):
-    # the rows of l_max = 300 fill two batches; a failed thread drains the
-    # second without running it, so the experiment ends, and the error comes
-    # back once no thread is left
+    # the rows of l_max = 300 fill two batches; the second goes out only once
+    # the first has ended on every slice, so after a failed slice no batch
+    # runs, and the error comes back once no thread is left
     real = simulate._kernel().josephus_clt_batch
     starts = [1001 * i // 3 for i in range(3)]
     calls = []
@@ -716,9 +724,7 @@ def test_a_failing_clt_slice_reaches_the_caller_after_every_join(failing, monkey
     with pytest.raises(RuntimeError, match=f"slice {failing} failed"):
         analysis.clt_experiment(300, 1001, 0)
     assert threading.active_count() == threads
-    # slice 0 fails on the calling thread, in the first batch, and no second batch is made
-    runs = 1 if failing == 0 else 2
-    assert [calls.count(t0) for t0 in starts] == [1 if i == failing else runs for i in range(3)]
+    assert [calls.count(t0) for t0 in starts] == [1, 1, 1]
 
 
 def test_a_refused_clt_row_leaves_no_thread_behind(monkeypatch):
